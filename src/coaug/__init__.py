@@ -51,6 +51,7 @@ from .labeler import (
     Matcher,
     compile_lexicon,
     default_matcher,
+    label_corpus,
     label_report,
     label_sentence,
     segment,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .corpus import (
     Corpus,
@@ -73,7 +73,7 @@ class Skip:
 class AugmentationOutcome:
     record: Record
     popped_sentence_index: Optional[int]
-    popped_labels: dict[int, DiseaseStatus]
+    popped_labels: Mapping[int, DiseaseStatus]
     masked_indices: frozenset[int]
     permutation: tuple[int, ...]
     flags: frozenset[str]
@@ -104,7 +104,7 @@ def css_augment(
         return Skip(record.id, "below-min-sentences")
 
     popped_index = -1
-    popped_labels: dict[int, DiseaseStatus] = {}
+    popped_labels: Mapping[int, DiseaseStatus] = {}
     for _ in range(cfg.max_resample):
         idx = stream.randrange(n)
         labels = label_sentence(record.report.sentences[idx], matcher)
@@ -210,17 +210,6 @@ class AugmentSummary:
     skipped: int = 0
     orphan_flagged: int = 0
     shortfall: int = 0  # target minus what eligibility allowed
-
-    def to_dict(self) -> dict:
-        return {
-            "originals": self.originals,
-            "eligible": self.eligible,
-            "target": self.target,
-            "augmented": self.augmented,
-            "skipped": self.skipped,
-            "orphan_flagged": self.orphan_flagged,
-            "shortfall": self.shortfall,
-        }
 
 
 def _is_eligible(record: Record, cfg: AugmentationConfig) -> bool:

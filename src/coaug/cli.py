@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -48,6 +49,16 @@ def _resolve_scenario(arg: str) -> str:
     return arg
 
 
+def _synth_config(scenario_path: str, schema: LabelSchema, n: Optional[int],
+                  seed: Optional[int]) -> synth.SynthConfig:
+    cfg = synth.parse_scenario(scenario_path, schema)
+    if n is not None:
+        cfg = dataclasses.replace(cfg, n_records=n)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
+    return cfg
+
+
 def _load_schema(args) -> LabelSchema:
     return corpus.read_schema(args.schema or default_schema_path())
 
@@ -78,23 +89,6 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _label_corpus(c: Corpus, matcher: labeler.Matcher) -> Corpus:
-    records = tuple(
-        r.with_labels(labeler.label_report(r.report, matcher)) for r in c.records
-    )
-    return Corpus(c.schema, records)
-
-
-def _ensure_labels(c: Corpus, matcher: labeler.Matcher) -> Corpus:
-    if all(r.labels is not None for r in c.records):
-        return c
-    records = tuple(
-        r if r.labels is not None else r.with_labels(labeler.label_report(r.report, matcher))
-        for r in c.records
-    )
-    return Corpus(c.schema, records)
-
-
 # ---------------------------------------------------------------------------
 # pair statistics shared by analyze and pipeline
 
@@ -102,7 +96,7 @@ def _ensure_labels(c: Corpus, matcher: labeler.Matcher) -> Corpus:
 def pair_statistics(c: Corpus, matcher: labeler.Matcher,
                     pairs: list[tuple[int, int]],
                     stratify=None) -> list[dict]:
-    labeled = _ensure_labels(c, matcher)
+    labeled = labeler.label_corpus(c, matcher, keep_existing=True)
     firsts = confound.first_mention_table(labeled, matcher)
     blocks = []
     for ia, ib in pairs:
@@ -206,8 +200,15 @@ def _parse_pairs(spec_arg: Optional[str], schema: LabelSchema) -> list[tuple[int
         names = chunk.split(",")
         if len(names) != 2:
             raise UsageError(f"bad pair {chunk!r}, expected 'A,B'")
-        pairs.append((schema.index_of(names[0].strip()), schema.index_of(names[1].strip())))
+        pairs.append((_disease_index(schema, names[0]), _disease_index(schema, names[1])))
     return pairs
+
+
+def _disease_index(schema: LabelSchema, name: str) -> int:
+    try:
+        return schema.index_of(name.strip())
+    except KeyError:
+        raise UsageError(f"unknown disease {name.strip()!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +218,7 @@ def _parse_pairs(spec_arg: Optional[str], schema: LabelSchema) -> list[tuple[int
 def _cmd_synth(args) -> int:
     started = time.monotonic()
     schema = _load_schema(args)
-    cfg = synth.parse_scenario(_resolve_scenario(args.scenario), schema)
-    if args.n is not None:
-        cfg = synth.SynthConfig(**{**cfg.__dict__, "n_records": args.n})
-    if args.seed is not None:
-        cfg = synth.SynthConfig(**{**cfg.__dict__, "seed": args.seed})
+    cfg = _synth_config(_resolve_scenario(args.scenario), schema, args.n, args.seed)
     c = synth.synth_generate(cfg, schema, threads=args.threads)
     corpus.write_corpus(c, args.out)
     _run_sidecar(args.out, "synth",
@@ -236,7 +233,7 @@ def _cmd_label(args) -> int:
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
     c = corpus.read_corpus(args.corpus, schema)
-    labeled = _label_corpus(c, matcher)
+    labeled = labeler.label_corpus(c, matcher)
     corpus.write_corpus(labeled, args.out)
     _run_sidecar(args.out, "label",
                  {"corpus": os.path.basename(args.corpus)},
@@ -255,7 +252,7 @@ def _cmd_analyze(args) -> int:
     if args.stratify == "provenance":
         stratify = "provenance"
     elif args.stratify and args.stratify.startswith("disease:"):
-        stratify = schema.index_of(args.stratify[len("disease:"):])
+        stratify = _disease_index(schema, args.stratify[len("disease:"):])
     elif args.stratify not in (None, "none"):
         raise UsageError(f"unknown stratifier {args.stratify!r}")
     blocks = pair_statistics(c, matcher, pairs, stratify)
@@ -281,10 +278,10 @@ def _cmd_augment(args) -> int:
     augmented, summary = aug.augment_dataset(c, matcher, cfg, threads=args.threads)
     corpus.write_corpus(augmented, args.out)
     if args.summary:
-        _write_json(args.summary, summary.to_dict())
+        _write_json(args.summary, dataclasses.asdict(summary))
     _run_sidecar(args.out, "augment",
                  {"corpus": os.path.basename(args.corpus)},
-                 cfg.seed, summary.to_dict(), started)
+                 cfg.seed, dataclasses.asdict(summary), started)
     _info(args, f"augment: {summary.augmented} twins, {summary.skipped} skipped, "
                 f"wrote {len(augmented)} records to {args.out}")
     return EXIT_OK
@@ -314,16 +311,11 @@ def _cmd_evaluate(args) -> int:
         gen_labels = [labeler.label_report(r.report, matcher) for r in gen]
         counts = metrics.ce_confusion(gold_labels, gen_labels)
         ce = metrics.ce_scores(counts)
-        scores["counts"] = {"tp": counts.tp, "fp": counts.fp,
-                            "fn": counts.fn, "tn": counts.tn}
-        scores["ce"] = {"accuracy": ce.accuracy, "precision": ce.precision,
-                        "recall": ce.recall, "f1": ce.f1}
+        scores["counts"] = dataclasses.asdict(counts)
+        scores["ce"] = dataclasses.asdict(ce)
         if args.macro:
-            mc = metrics.macro_ce_scores(
-                metrics.ce_confusion_per_disease(gold_labels, gen_labels)
-            )
-            scores["ce_macro"] = {"accuracy": mc.accuracy, "precision": mc.precision,
-                                  "recall": mc.recall, "f1": mc.f1}
+            scores["ce_macro"] = dataclasses.asdict(metrics.macro_ce_scores(
+                metrics.ce_confusion_per_disease(gold_labels, gen_labels)))
     gold_reports = [r.report for r in gold]
     gen_reports = [r.report for r in gen]
     if "bleu4" in wanted:
@@ -344,32 +336,21 @@ def _cmd_evaluate(args) -> int:
 
 def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                  n: Optional[int] = None, rate: float = 1.0, threads: int = 1,
-                 schema_path: Optional[str] = None, quiet: bool = True) -> dict:
+                 schema_path: Optional[str] = None) -> dict:
     """synth -> label -> analyze(before) -> augment -> analyze(after),
     writing every artifact under *outdir* and returning the summary."""
     schema = corpus.read_schema(schema_path or default_schema_path())
     matcher = labeler.default_matcher(schema)
-    cfg = synth.parse_scenario(scenario_path, schema)
-    overrides = {}
-    if n is not None:
-        overrides["n_records"] = n
-    if seed is not None:
-        overrides["seed"] = seed
-    if overrides:
-        cfg = synth.SynthConfig(**{**cfg.__dict__, **overrides})
+    cfg = _synth_config(scenario_path, schema, n, seed)
 
     os.makedirs(outdir, exist_ok=True)
     original = synth.synth_generate(cfg, schema, threads=threads)
     corpus.write_corpus(original, os.path.join(outdir, "original.jsonl"))
 
-    labeled = _label_corpus(original, matcher)
+    labeled = labeler.label_corpus(original, matcher)
     corpus.write_corpus(labeled, os.path.join(outdir, "labeled.jsonl"))
 
-    if cfg.planted:
-        pairs = [(p.a, p.b) for p in cfg.planted]
-    else:
-        n_c = len(schema)
-        pairs = [(i, j) for i in range(n_c) for j in range(i + 1, n_c)]
+    pairs = [(p.a, p.b) for p in cfg.planted] or _parse_pairs(None, schema)
 
     before = pair_statistics(labeled, matcher, pairs)
     atomic_write_text(os.path.join(outdir, "before.txt"),
@@ -377,7 +358,7 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
 
     acfg = aug.AugmentationConfig(rate=rate, seed=cfg.seed)
     augmented, asummary = aug.augment_dataset(labeled, matcher, acfg, threads=threads)
-    augmented = _ensure_labels(augmented, matcher)
+    augmented = labeler.label_corpus(augmented, matcher, keep_existing=True)
     corpus.write_corpus(augmented, os.path.join(outdir, "augmented.jsonl"))
 
     after = pair_statistics(augmented, matcher, pairs)
@@ -389,7 +370,7 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
         "seed": cfg.seed,
         "records_original": len(original),
         "records_augmented": len(augmented),
-        "augmentation": asummary.to_dict(),
+        "augmentation": dataclasses.asdict(asummary),
         "pairs": [
             {
                 "a": blk_before["a"],
@@ -411,7 +392,7 @@ def _cmd_pipeline(args) -> int:
     summary = run_pipeline(
         _resolve_scenario(args.scenario), args.seed, args.outdir,
         n=args.n, rate=args.rate, threads=args.threads,
-        schema_path=args.schema, quiet=args.quiet,
+        schema_path=args.schema,
     )
     _run_sidecar(os.path.join(args.outdir, "summary.json"), "pipeline",
                  {"scenario": os.path.basename(args.scenario)},

@@ -363,7 +363,10 @@ def read_schema(path: str) -> LabelSchema:
         d = int(lines[0][2:])
     except ValueError:
         raise MalformedRecord(1, f"bad feature dimension {lines[0]!r}")
-    return make_schema(lines[1:], d)
+    try:
+        return make_schema(lines[1:], d)
+    except ValueError as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
 
 
 def atomic_write_text(path: str, data: str) -> None:
@@ -384,20 +387,23 @@ def record_to_line(record: Record, schema: LabelSchema) -> str:
                       separators=(",", ":"))
 
 
-def write_corpus(corpus: Corpus, path: str, sidecar: bool = True) -> None:
+def write_corpus(corpus: Corpus, path: str) -> None:
     """Write a corpus atomically; identical corpora yield identical bytes."""
     lines = [record_to_line(r, corpus.schema) for r in corpus.records]
     atomic_write_text(path, "".join(line + "\n" for line in lines))
-    if sidecar:
-        write_schema(corpus.schema, schema_path_for(path))
+    write_schema(corpus.schema, schema_path_for(path))
 
 
 def read_corpus(path: str, schema: Optional[LabelSchema] = None) -> Corpus:
-    """Read a corpus; the schema comes from the sidecar file unless given."""
+    """Read a corpus; the schema comes from the sidecar file unless given.
+    A given schema must equal the sidecar, when there is one."""
     if not os.path.exists(path):
         raise MissingFile(path)
+    sidecar = schema_path_for(path)
     if schema is None:
-        schema = read_schema(schema_path_for(path))
+        schema = read_schema(sidecar)
+    elif os.path.exists(sidecar) and read_schema(sidecar) != schema:
+        raise SchemaMismatch(f"{path}: the given schema differs from {sidecar}")
     records = []
     seen = set()
     with open(path, encoding="utf-8") as fh:

@@ -14,10 +14,14 @@ behind the same two functions.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .corpus import (
+    Corpus,
     DiseaseStatus,
     LabelSchema,
     Report,
@@ -26,8 +30,6 @@ from .corpus import (
     STATUS_RANK,
 )
 from .errors import DuplicateRule, MalformedRecord, MissingFile, UnknownDisease
-
-import os
 
 # Trailing periods of these tokens never end a sentence.
 ABBREVIATIONS = frozenset(
@@ -88,71 +90,83 @@ class CueList:
             raise ValueError("cue window must be >= 1")
         if set(self.negation) & set(self.uncertainty):
             raise ValueError("negation and uncertainty cues must be disjoint")
+        if not all(map(match_tokens, self.negation + self.uncertainty)):
+            raise ValueError("every cue phrase needs a word token")
 
 
 class Matcher:
-    """Compiled lexicon + cues against a fixed schema.
-
-    Immutable once built; safe to share across threads.
-    """
+    """Compiled lexicon + cues against a fixed schema.  ``label_text``
+    memoizes labels by sentence text for the matcher's lifetime, so its
+    memory grows with the distinct sentences labeled; an entry is a pure
+    function of its text, so the matcher is safe to share across threads."""
 
     def __init__(self, schema: LabelSchema, rules: list[LexiconRule], cues: CueList):
         self.schema = schema
         self.cues = cues
         self.rules = tuple(sorted(rules, key=lambda r: (r.disease_index, r.pattern)))
-        # index pattern token tuples by first token for the scan
-        self._by_first: dict[str, list[tuple[tuple[str, ...], int]]] = {}
+        # phrases indexed by first token: (tokens, disease) and (tokens, status)
+        self._patterns: dict[str, list[tuple[tuple[str, ...], int]]] = {}
+        self._cues: dict[str, list[tuple[tuple[str, ...], DiseaseStatus]]] = {}
         seen = set()
         for rule in self.rules:
             toks = tuple(match_tokens(rule.pattern))
             if not 1 <= len(toks) <= 5:
                 raise ValueError(f"pattern must be 1-5 tokens: {rule.pattern!r}")
-            key = (rule.disease_index, toks)
-            if key in seen:
+            if (toks, rule.disease_index) in seen:
                 raise DuplicateRule(f"duplicate rule {rule.pattern!r}")
-            seen.add(key)
-            self._by_first.setdefault(toks[0], []).append((toks, rule.disease_index))
-        # longest pattern first so the scan prefers specific phrases
-        for entries in self._by_first.values():
-            entries.sort(key=lambda e: (-len(e[0]), e[0]))
-        self._neg = tuple(tuple(match_tokens(c)) for c in cues.negation)
-        self._unc = tuple(tuple(match_tokens(c)) for c in cues.uncertainty)
+            seen.add((toks, rule.disease_index))
+            self._patterns.setdefault(toks[0], []).append((toks, rule.disease_index))
+        for phrases, status in ((cues.negation, DiseaseStatus.NEGATIVE),
+                                (cues.uncertainty, DiseaseStatus.UNCERTAIN)):
+            for toks in map(tuple, map(match_tokens, phrases)):
+                self._cues.setdefault(toks[0], []).append((toks, status))
+        # sentence text -> labels; label outcome -> its one read-only copy
+        self._memo: dict[str, Mapping[int, DiseaseStatus]] = {}
+        self._outcomes: dict[tuple, Mapping[int, DiseaseStatus]] = {}
 
-    def _cue_in_window(self, tokens: list[str], match_start: int,
-                       cue_seqs: tuple[tuple[str, ...], ...]) -> bool:
-        lo = max(0, match_start - self.cues.window)
-        for pos in range(lo, match_start):
-            for cue in cue_seqs:
-                end = pos + len(cue)
-                if end <= match_start and tuple(tokens[pos:end]) == cue:
-                    return True
-        return False
-
-    def label_tokens(self, tokens: list[str]) -> dict[int, DiseaseStatus]:
+    def label_tokens(self, tokens: Sequence[str]) -> dict[int, DiseaseStatus]:
+        tokens = tuple(tokens)
         # best match per disease: longest pattern wins, then leftmost
         best: dict[int, tuple[int, int]] = {}  # disease -> (-length, start)
-        for start, token in enumerate(tokens):
-            for toks, disease in self._by_first.get(token, ()):
-                if tuple(tokens[start:start + len(toks)]) != toks:
-                    continue
-                cand = (-len(toks), start)
-                if disease not in best or cand < best[disease]:
-                    best[disease] = cand
+        for start, end, disease in _occurrences(tokens, self._patterns):
+            cand = (start - end, start)
+            if disease not in best or cand < best[disease]:
+                best[disease] = cand
+        # cue positions once per sentence; a cue counts for a match when
+        # it starts at most `window` tokens before it and ends before it
+        cues = list(_occurrences(tokens, self._cues))
         labels: dict[int, DiseaseStatus] = {}
         for disease, (_, start) in sorted(best.items()):
-            if self._cue_in_window(tokens, start, self._neg):
-                labels[disease] = DiseaseStatus.NEGATIVE
-            elif self._cue_in_window(tokens, start, self._unc):
-                labels[disease] = DiseaseStatus.UNCERTAIN
-            else:
-                labels[disease] = DiseaseStatus.POSITIVE
+            lo = start - self.cues.window
+            found = {status for s, e, status in cues if lo <= s and e <= start}
+            # negation (rank 1) beats uncertainty (rank 2)
+            labels[disease] = min(found, key=STATUS_RANK.get, default=DiseaseStatus.POSITIVE)
+        return labels
+
+    def label_text(self, text: str) -> Mapping[int, DiseaseStatus]:
+        """Read-only labels of one sentence text, scanned once per text;
+        texts with the same outcome share one mapping."""
+        labels = self._memo.get(text)
+        if labels is None:
+            fresh = self.label_tokens(match_tokens(text))
+            labels = self._outcomes.setdefault(tuple(fresh.items()), MappingProxyType(fresh))
+            self._memo[text] = labels
         return labels
 
 
-def label_sentence(sentence: Sentence, matcher: Matcher) -> dict[int, DiseaseStatus]:
-    """Disease statuses asserted by one sentence (empty dict when no
-    pattern matches)."""
-    return matcher.label_tokens(match_tokens(sentence.text))
+def _occurrences(tokens: tuple[str, ...], by_first: dict):
+    """(start, end, value) of every indexed phrase found in *tokens*."""
+    for start, token in enumerate(tokens):
+        for toks, value in by_first.get(token, ()):
+            end = start + len(toks)
+            if tokens[start:end] == toks:
+                yield start, end, value
+
+
+def label_sentence(sentence: Sentence, matcher: Matcher) -> Mapping[int, DiseaseStatus]:
+    """Disease statuses asserted by one sentence (empty when no pattern
+    matches), as a read-only mapping shared by equal outcomes."""
+    return matcher.label_text(sentence.text)
 
 
 def label_report(report: Report, matcher: Matcher) -> ReportLabelVector:
@@ -163,6 +177,15 @@ def label_report(report: Report, matcher: Matcher) -> ReportLabelVector:
             if STATUS_RANK[status] > STATUS_RANK[statuses[disease]]:
                 statuses[disease] = status
     return ReportLabelVector(tuple(statuses))
+
+
+def label_corpus(corpus: Corpus, matcher: Matcher, keep_existing: bool = False) -> Corpus:
+    """Attach report labels to every record.  With *keep_existing*,
+    records that already carry labels keep them."""
+    return Corpus(corpus.schema, tuple(
+        r if keep_existing and r.labels is not None
+        else r.with_labels(label_report(r.report, matcher))
+        for r in corpus.records))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +203,8 @@ def parse_lexicon(lines: list[str], schema: LabelSchema) -> list[LexiconRule]:
         if len(parts) != 2:
             raise MalformedRecord(line_no, "expected 'disease<TAB>pattern'")
         name, pattern = parts[0].strip(), parts[1].strip().lower()
-        if not pattern:
-            raise MalformedRecord(line_no, "empty pattern")
+        if not 1 <= len(match_tokens(pattern)) <= 5:
+            raise MalformedRecord(line_no, f"pattern must be 1-5 word tokens: {pattern!r}")
         try:
             idx = schema.index_of(name)
         except KeyError:
@@ -211,8 +234,8 @@ def parse_cues(lines: list[str]) -> CueList:
         if len(parts) != 2 or parts[0] not in ("neg", "unc"):
             raise MalformedRecord(line_no, "expected 'neg<TAB>phrase' or 'unc<TAB>phrase'")
         phrase = parts[1].strip().lower()
-        if not phrase:
-            raise MalformedRecord(line_no, "empty cue phrase")
+        if not match_tokens(phrase):
+            raise MalformedRecord(line_no, "cue phrase has no word tokens")
         (negation if parts[0] == "neg" else uncertainty).append(phrase)
     try:
         return CueList(tuple(negation), tuple(uncertainty), window)

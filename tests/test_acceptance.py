@@ -36,7 +36,7 @@ from coaug.confound import (
     order_asymmetry,
 )
 from coaug.corpus import Corpus, DiseaseStatus, Provenance, Report, ReportLabelVector
-from coaug.labeler import label_report
+from coaug.labeler import label_corpus, label_report
 from coaug.metrics import ConfusionCounts, bleu4, bleu_stats, ce_confusion, ce_scores, rouge_l
 from coaug.rng import RngStream
 from coaug.synth import default_scenario_path, parse_scenario, synth_generate
@@ -55,13 +55,6 @@ def _report(number: int, name: str, started: float, budget_s: float) -> None:
     elapsed = time.monotonic() - started
     print(f"ACCEPTANCE {number} [{name}]: PASS ({elapsed:.2f}s, budget {budget_s:.0f}s)")
     assert elapsed < budget_s, f"criterion {number} exceeded its {budget_s}s budget"
-
-
-def _label_corpus(corpus, matcher):
-    return Corpus(
-        corpus.schema,
-        tuple(r.with_labels(label_report(r.report, matcher)) for r in corpus.records),
-    )
 
 
 def test_criterion_1_contingency_reproduction(schema, matcher):
@@ -187,7 +180,7 @@ def test_criterion_4_decoupling_effect(schema, matcher):
     started = time.monotonic()
     cfg = parse_scenario(default_scenario_path(), schema)  # n=20000, seed=7
     assert cfg.n_records == 20000
-    labeled = _label_corpus(synth_generate(cfg, schema), matcher)
+    labeled = label_corpus(synth_generate(cfg, schema), matcher)
 
     lift_before = co_mention_lift(labeled, A_IDX, B_IDX)
     asym_before = order_asymmetry(labeled, matcher, A_IDX, B_IDX)
@@ -196,13 +189,7 @@ def test_criterion_4_decoupling_effect(schema, matcher):
     augmented, _ = augment_dataset(
         labeled, matcher, AugmentationConfig(rate=1.0, seed=cfg.seed)
     )
-    relabeled = Corpus(
-        schema,
-        tuple(
-            r if r.labels is not None else r.with_labels(label_report(r.report, matcher))
-            for r in augmented.records
-        ),
-    )
+    relabeled = label_corpus(augmented, matcher, keep_existing=True)
     lift_after = co_mention_lift(relabeled, A_IDX, B_IDX)
     drop = lift_before - lift_after
     assert drop > LIFT_DROP_MARGIN_DEFAULT, (

@@ -21,7 +21,7 @@ from coaug.corpus import (
     write_corpus,
 )
 from coaug.errors import ConfigInvalid, MissingFeatures
-from coaug.labeler import label_report, label_sentence
+from coaug.labeler import label_corpus, label_report, label_sentence
 from coaug.rng import RngStream
 from coaug.synth import OrderPolicy, SynthConfig, synth_generate
 
@@ -293,28 +293,17 @@ def test_decoupling_invariant_on_strong_pair_corpus(schema, matcher):
     # lift down by more than the precomputed 99% Monte-Carlo margin
     # (tools/oracle_decoupling.py --final: 1% quantile +0.0635, frozen 0.06)
     from coaug.confound import co_mention_lift
-    from coaug.corpus import Corpus
-    from coaug.labeler import label_report
     from coaug.synth import parse_scenario, strong_pair_scenario_path, synth_generate
 
     cfg = parse_scenario(strong_pair_scenario_path(), schema)
     assert cfg.n_records == 20000
-    corpus = synth_generate(cfg, schema)
-    labeled = Corpus(
-        schema, tuple(r.with_labels(label_report(r.report, matcher)) for r in corpus)
-    )
+    labeled = label_corpus(synth_generate(cfg, schema), matcher)
     lift_before = co_mention_lift(labeled, 8, 9)
     assert lift_before >= 1.5
 
     augmented, _ = augment_dataset(
         labeled, matcher, AugmentationConfig(rate=1.0, seed=cfg.seed)
     )
-    relabeled = Corpus(
-        schema,
-        tuple(
-            r if r.labels is not None else r.with_labels(label_report(r.report, matcher))
-            for r in augmented.records
-        ),
-    )
+    relabeled = label_corpus(augmented, matcher, keep_existing=True)
     lift_after = co_mention_lift(relabeled, 8, 9)
     assert lift_before - lift_after > 0.06

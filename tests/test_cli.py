@@ -4,7 +4,15 @@ import os
 import pytest
 
 from coaug.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run
-from coaug.corpus import read_corpus, write_corpus, Corpus
+from coaug.corpus import (
+    Corpus,
+    DiseaseStatus,
+    ReportLabelVector,
+    make_schema,
+    read_corpus,
+    write_corpus,
+    write_schema,
+)
 
 from conftest import make_record
 
@@ -249,3 +257,74 @@ def test_augmenting_an_augmented_corpus_is_data_error(tmp_path):
     rc = run(["--quiet", "augment", "--corpus", str(first), "--rate", "0.5",
               "--seed", "5", "--out", str(tmp_path / "e.jsonl")])
     assert rc == EXIT_DATA
+
+
+def _small_corpus(tmp_path, n=30, seed=5):
+    path = tmp_path / "c.jsonl"
+    assert run(["--quiet", "synth", "--scenario", "default", "--n", str(n),
+                "--seed", str(seed), "--out", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pairs", "Edema,Nope"],
+    ["--pairs", "Edema,Pneumothorax", "--stratify", "disease:Nope"],
+])
+def test_unknown_disease_on_the_command_line_is_usage_error(tmp_path, flags):
+    corpus_path = _small_corpus(tmp_path)
+    rc = run(["--quiet", "analyze", "--corpus", str(corpus_path), *flags,
+              "--out", str(tmp_path / "r.txt")])
+    assert rc == EXIT_USAGE
+
+
+def test_schema_file_with_duplicate_names_is_data_error(tmp_path):
+    schema_path = tmp_path / "dup.schema"
+    schema_path.write_text("d=16\nEdema\nPneumothorax\nEdema\n")
+    rc = run(["--quiet", "--schema", str(schema_path), "synth", "--scenario", "default",
+              "--n", "5", "--out", str(tmp_path / "c.jsonl")])
+    assert rc == EXIT_DATA
+
+
+def test_lexicon_pattern_longer_than_five_tokens_is_data_error(tmp_path):
+    corpus_path = _small_corpus(tmp_path)
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("Edema\tedema\nPneumothorax\tone two three four five six\n")
+    rc = run(["--quiet", "label", "--corpus", str(corpus_path), "--lexicon", str(lexicon),
+              "--out", str(tmp_path / "l.jsonl")])
+    assert rc == EXIT_DATA
+
+
+def test_schema_that_disagrees_with_the_sidecar_is_data_error(tmp_path, schema):
+    corpus_path = _small_corpus(tmp_path)
+    reversed_path = tmp_path / "reversed.schema"
+    write_schema(make_schema(reversed(schema.names()), schema.d), str(reversed_path))
+    rc = run(["--quiet", "--schema", str(reversed_path), "augment", "--corpus",
+              str(corpus_path), "--rate", "1.0", "--out", str(tmp_path / "a.jsonl")])
+    assert rc == EXIT_DATA
+    assert not (tmp_path / "a.jsonl").exists()
+
+
+def test_label_rewrites_carried_labels_and_analyze_keeps_them(tmp_path, schema):
+    # every record claims both diseases Positive; the text negates one
+    carried = [DiseaseStatus.UNMENTIONED] * len(schema)
+    a, b = schema.index_of("Pneumothorax"), schema.index_of("Pleural Effusion")
+    carried[a] = carried[b] = DiseaseStatus.POSITIVE
+    records = [
+        make_record(f"r{i}", ["No pneumothorax.", "Small right pleural effusion."], schema,
+                    labels=ReportLabelVector(tuple(carried)))
+        for i in range(3)
+    ]
+    corpus_path = tmp_path / "c.jsonl"
+    write_corpus(Corpus(schema, tuple(records)), str(corpus_path))
+
+    report_path = tmp_path / "r.txt"
+    assert run(["--quiet", "analyze", "--corpus", str(corpus_path),
+                "--pairs", "Pneumothorax,Pleural Effusion", "--out", str(report_path)]) == EXIT_OK
+    assert "cells: n_pp=3 n_pm=0 n_mp=0 n_mm=0" in report_path.read_text()
+
+    labeled_path = tmp_path / "l.jsonl"
+    assert run(["--quiet", "label", "--corpus", str(corpus_path),
+                "--out", str(labeled_path)]) == EXIT_OK
+    for record in read_corpus(str(labeled_path)):
+        assert record.labels.statuses[a] is DiseaseStatus.NEGATIVE
+        assert record.labels.statuses[b] is DiseaseStatus.POSITIVE

@@ -28,7 +28,7 @@ from coaug.errors import (
     UndefinedLift,
 )
 from coaug.synth import OrderPolicy, PlantedPair, SynthConfig, synth_generate
-from coaug.labeler import label_report
+from coaug.labeler import label_corpus
 
 from conftest import make_record
 
@@ -340,10 +340,7 @@ def test_planted_lift_two_at_desk_scale(schema, matcher):
         mention_negative=0.0,
         noise_sigma=0.0,
     )
-    corpus = synth_generate(cfg, schema)
-    labeled = Corpus(
-        schema, tuple(r.with_labels(label_report(r.report, matcher)) for r in corpus)
-    )
+    labeled = label_corpus(synth_generate(cfg, schema), matcher)
     lift = co_mention_lift(labeled, 8, 9)
     assert 1.9 <= lift <= 2.1
 

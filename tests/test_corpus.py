@@ -134,6 +134,22 @@ def test_schema_sidecar_round_trip(tmp_path):
     assert read_schema(str(path)) == schema
 
 
+def test_schema_file_with_duplicate_names_is_a_data_error(tmp_path):
+    path = tmp_path / "dup.schema"
+    path.write_text("d=4\nA\nB\nA\n")
+    with pytest.raises(SchemaMismatch):
+        read_schema(str(path))
+
+
+def test_given_schema_must_match_the_sidecar(tmp_path, schema):
+    path = tmp_path / "c.jsonl"
+    write_corpus(Corpus(schema, (make_record("r", ["No pneumothorax."], schema),)), str(path))
+    assert read_corpus(str(path), schema).schema == schema
+    reversed_schema = make_schema(reversed(schema.names()), schema.d)
+    with pytest.raises(SchemaMismatch):
+        read_corpus(str(path), reversed_schema)
+
+
 def test_validate_record_ok(schema):
     record = make_record("r", ["First sentence.", "Second sentence."], schema)
     assert validate_record(record, schema) is None

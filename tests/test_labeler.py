@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coaug.corpus import DiseaseStatus, Report, Sentence, STATUS_RANK, make_schema
-from coaug.errors import DuplicateRule, UnknownDisease
+from coaug.errors import DuplicateRule, MalformedRecord, UnknownDisease
 from coaug.labeler import (
     CueList,
     LexiconRule,
     Matcher,
+    default_matcher,
     label_report,
     label_sentence,
+    match_tokens,
     parse_cues,
     parse_lexicon,
     segment,
@@ -99,6 +101,19 @@ def test_duplicate_rule(schema):
         parse_lexicon(
             ["Pneumothorax\tpneumothorax", "Pneumothorax\tpneumothorax"], schema
         )
+
+
+def test_pattern_longer_than_five_tokens_reports_its_line(schema):
+    with pytest.raises(MalformedRecord) as err:
+        parse_lexicon(["Edema\tedema", "# comment",
+                       "Pneumothorax\tone two three four five six"], schema)
+    assert err.value.line == 3
+
+
+def test_cue_without_word_tokens_reports_its_line():
+    with pytest.raises(MalformedRecord) as err:
+        parse_cues(["window=6", "neg\tno", "unc\t??"])
+    assert err.value.line == 3
 
 
 def test_cue_lists_must_be_disjoint():
@@ -223,3 +238,139 @@ def test_adding_a_sentence_never_lowers_status(schema, matcher, default_template
 def test_determinism(schema, matcher):
     sentence = Sentence("No pneumothorax or pleural effusion.")
     assert label_sentence(sentence, matcher) == label_sentence(sentence, matcher)
+
+
+# ---------------------------------------------------------------------------
+# memoized labels and the cue scan
+
+
+CUE_SENTENCES = [
+    "No pneumothorax or pleural effusion.",
+    "No evidence of focal consolidation or pneumothorax.",
+    "Free of pleural effusion, possible small pneumothorax.",
+    "Cannot exclude pneumonia; likely atelectasis.",
+    "Possibly no change in the moderate cardiomegaly.",
+    "There is no pneumothorax but the pleural effusion may be larger.",
+    "Suspicious for pulmonary edema without pleural effusion.",
+    "Could represent atelectasis, not pneumonia.",
+    "Patient is comfortable.",
+]
+
+
+def test_memoized_labels_equal_a_fresh_scan(schema, default_templates):
+    matcher = default_matcher(schema)
+    texts = sorted(set(default_templates.values())) + CUE_SENTENCES
+    for text in texts:
+        fresh = matcher.label_tokens(match_tokens(text))
+        first = label_sentence(Sentence(text), matcher)
+        second = label_sentence(Sentence(text), matcher)
+        assert dict(first) == fresh
+        assert dict(second) == fresh
+        assert second is first
+
+
+def test_returned_labels_cannot_change_a_later_lookup(schema):
+    matcher = default_matcher(schema)
+    sentence = Sentence("No pneumothorax or pleural effusion.")
+    expected = matcher.label_tokens(match_tokens(sentence.text))
+    labels = label_sentence(sentence, matcher)
+    with pytest.raises(TypeError):
+        labels[schema.index_of("Edema")] = POS
+    with pytest.raises(TypeError):
+        del labels[schema.index_of("Pneumothorax")]
+    assert dict(label_sentence(sentence, matcher)) == expected
+    empty = label_sentence(Sentence("Patient is comfortable."), matcher)
+    with pytest.raises(TypeError):
+        empty[0] = POS
+    assert dict(label_sentence(Sentence("Heart size is normal."), matcher)) == {}
+
+
+def _cue_in_window(tokens, match_start, cue_seqs, window):
+    """The labeler's original cue test: every window position x cue."""
+    lo = max(0, match_start - window)
+    for pos in range(lo, match_start):
+        for cue in cue_seqs:
+            end = pos + len(cue)
+            if end <= match_start and tuple(tokens[pos:end]) == cue:
+                return True
+    return False
+
+
+def _reference_label_tokens(matcher, tokens):
+    best = {}
+    for rule in matcher.rules:
+        toks = tuple(match_tokens(rule.pattern))
+        for start in range(len(tokens)):
+            if tuple(tokens[start:start + len(toks)]) == toks:
+                cand = (-len(toks), start)
+                if rule.disease_index not in best or cand < best[rule.disease_index]:
+                    best[rule.disease_index] = cand
+    neg = tuple(tuple(match_tokens(c)) for c in matcher.cues.negation)
+    unc = tuple(tuple(match_tokens(c)) for c in matcher.cues.uncertainty)
+    labels = {}
+    for disease, (_, start) in sorted(best.items()):
+        if _cue_in_window(tokens, start, neg, matcher.cues.window):
+            labels[disease] = NEG
+        elif _cue_in_window(tokens, start, unc, matcher.cues.window):
+            labels[disease] = UNC
+        else:
+            labels[disease] = POS
+    return labels
+
+
+_VOCAB = ["no", "not", "evidence", "of", "free", "may", "possible", "cannot", "exclude",
+          "pleural", "effusion", "pneumothorax", "small", "right", "the", "is", "or", "edema"]
+_PHRASES = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=3).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tokens=st.lists(st.sampled_from(_VOCAB), max_size=20),
+    negation=st.lists(_PHRASES, max_size=4, unique=True),
+    uncertainty=st.lists(_PHRASES, max_size=4, unique=True),
+    window=st.integers(min_value=1, max_value=8),
+)
+def test_cue_positions_agree_with_the_window_scan(schema, matcher, tokens, negation,
+                                                   uncertainty, window):
+    uncertainty = [c for c in uncertainty if c not in negation]
+    cues = CueList(tuple(negation), tuple(uncertainty), window)
+    other = Matcher(schema, list(matcher.rules), cues)
+    assert other.label_tokens(tokens) == _reference_label_tokens(other, tokens)
+
+
+def test_default_cues_agree_with_the_window_scan(schema, default_templates, matcher):
+    for text in sorted(set(default_templates.values())) + CUE_SENTENCES:
+        tokens = match_tokens(text)
+        assert matcher.label_tokens(tokens) == _reference_label_tokens(matcher, tokens)
+
+
+def test_threads_sharing_a_matcher_get_the_fresh_labels(schema, default_templates):
+    import sys
+    import threading
+
+    texts = sorted(set(default_templates.values())) + CUE_SENTENCES
+    expected = {t: default_matcher(schema).label_tokens(match_tokens(t)) for t in texts}
+    matcher = default_matcher(schema)
+    wrong = []
+
+    def work(offset):
+        for k in range(400):
+            text = texts[(offset + k) % len(texts)]
+            if dict(label_sentence(Sentence(text), matcher)) != expected[text]:
+                wrong.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
+    # one shared mapping per distinct outcome
+    outcomes = {tuple(labels.items()) for labels in expected.values()}
+    assert len({id(label_sentence(Sentence(t), matcher)) for t in texts}) == len(outcomes)
