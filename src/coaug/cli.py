@@ -74,13 +74,14 @@ def _write_json(path: str, obj) -> None:
 
 
 def _run_sidecar(out_path: str, command: str, inputs: dict, seed: Optional[int],
-                 counts: dict, started: float) -> None:
+                 counts: dict, started: float, **extra) -> None:
     _write_json(out_path + ".run.json", {
         "command": command,
         "inputs": inputs,
         "seed": seed,
         "counts": counts,
         "wall_time_s": round(time.monotonic() - started, 3),
+        **extra,
     })
 
 
@@ -292,21 +293,23 @@ _METRIC_CHOICES = ("ce", "bleu4", "rougel")
 
 def _cmd_evaluate(args) -> int:
     started = time.monotonic()
+    wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not wanted or any(m not in _METRIC_CHOICES for m in wanted):
+        raise UsageError(f"--metrics {args.metrics!r}: name one or more of "
+                         f"{', '.join(_METRIC_CHOICES)}")
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
     gold = corpus.read_corpus(args.gold, schema)
     gen = corpus.read_corpus(args.generated, schema)
-    wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for m in wanted:
-        if m not in _METRIC_CHOICES:
-            raise UsageError(f"unknown metric {m!r} (choose from {', '.join(_METRIC_CHOICES)})")
     if len(gold) != len(gen):
         raise CoaugError(
             f"gold has {len(gold)} records, generated has {len(gen)}"
         ) from None
 
     scores: dict = {"records": len(gold)}
+    stages: dict = {}
     if "ce" in wanted:
+        t = time.monotonic()
         gold_labels = [labeler.label_report(r.report, matcher) for r in gold]
         gen_labels = [labeler.label_report(r.report, matcher) for r in gen]
         counts = metrics.ce_confusion(gold_labels, gen_labels)
@@ -316,20 +319,28 @@ def _cmd_evaluate(args) -> int:
         if args.macro:
             scores["ce_macro"] = dataclasses.asdict(metrics.macro_ce_scores(
                 metrics.ce_confusion_per_disease(gold_labels, gen_labels)))
+        stages["ce"] = round(time.monotonic() - t, 3)
     gold_reports = [r.report for r in gold]
     gen_reports = [r.report for r in gen]
     if "bleu4" in wanted:
+        t = time.monotonic()
         precisions, bp, score = metrics.bleu_stats(gold_reports, gen_reports)
         scores["bleu4"] = score
         scores["bleu4_precisions"] = precisions
         scores["bleu4_brevity_penalty"] = bp
+        stages["bleu4"] = round(time.monotonic() - t, 3)
     if "rougel" in wanted:
+        t = time.monotonic()
         scores["rouge_l"] = metrics.rouge_l(gold_reports, gen_reports)
+        stages["rougel"] = round(time.monotonic() - t, 3)
     _write_json(args.out, scores)
+    totals = {"records": len(gold),
+              "gold_tokens": sum(len(metrics.report_tokens(r)) for r in gold_reports),
+              "generated_tokens": sum(len(metrics.report_tokens(r)) for r in gen_reports)}
     _run_sidecar(args.out, "evaluate",
                  {"gold": os.path.basename(args.gold),
                   "generated": os.path.basename(args.generated)},
-                 None, {"records": len(gold)}, started)
+                 None, totals, started, stages=stages)
     _info(args, f"evaluate: wrote scores to {args.out}")
     return EXIT_OK
 

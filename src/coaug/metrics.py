@@ -7,16 +7,22 @@ report.  The text scores are corpus BLEU-4 (pooled clipped n-gram
 precisions, geometric mean, brevity penalty) and ROUGE-L (per-pair LCS
 F-measure, beta = 1.2, averaged); both see a report as one token
 sequence, so cross-sentence n-grams at the junctions make them order
-sensitive by design.
+sensitive by design.  The LCS is the bit-vector algorithm of
+Allison-Dix (1986) and Hyyrö (2004): one Python-int match mask per
+distinct token, one add/or/and step per token of the other side.
 
-Tokenization everywhere: lowercase, punctuation as separate tokens.
+Tokenization everywhere: lowercase; a word is a run of Unicode letters
+and digits, and any other non-space character (punctuation, ``_``) is a
+token of its own.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .corpus import DiseaseStatus, Report, ReportLabelVector
@@ -27,7 +33,7 @@ class EmptyInput(CoaugError):
     pass
 
 
-_TOKEN = re.compile(r"[a-z0-9]+|[^\w\s]")
+_TOKEN = re.compile(r"[^\W_]+|\S")
 
 
 def tokenize(text: str) -> list[str]:
@@ -144,12 +150,8 @@ def macro_ce_scores(per_disease: Sequence[ConfusionCounts]) -> CeScores:
 # text overlap scores
 
 
-def _ngram_counts(tokens: list[str], n: int) -> dict[tuple[str, ...], int]:
-    counts: dict[tuple[str, ...], int] = {}
-    for i in range(len(tokens) - n + 1):
-        gram = tuple(tokens[i:i + n])
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
+def _ngram_counts(tokens: list[str], n: int) -> Counter:
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def bleu_stats(
@@ -172,10 +174,8 @@ def bleu_stats(
                 continue
             ref_counts = _ngram_counts(ref, n)
             totals[n - 1] += sum(cand_counts.values())
-            matches[n - 1] += sum(
-                min(count, ref_counts.get(gram, 0))
-                for gram, count in cand_counts.items()
-            )
+            matches[n - 1] += sum(map(min, cand_counts.values(),
+                                      map(ref_counts.get, cand_counts, repeat(0))))
     precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
     if cand_len == 0:
         return precisions, 0.0, 0.0
@@ -193,15 +193,16 @@ def bleu4(gold: Sequence[Report], gen: Sequence[Report]) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """After a[:i], bit j of ``v`` is 0 exactly where LCS(a[:i], b[:j + 1])
+    exceeds LCS(a[:i], b[:j]), so the zeros of ``v`` count LCS(a, b)."""
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = v = (1 << len(b)) - 1
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(gold: Sequence[Report], gen: Sequence[Report], beta: float = 1.2) -> float:

@@ -328,3 +328,107 @@ def test_label_rewrites_carried_labels_and_analyze_keeps_them(tmp_path, schema):
     for record in read_corpus(str(labeled_path)):
         assert record.labels.statuses[a] is DiseaseStatus.NEGATIVE
         assert record.labels.statuses[b] is DiseaseStatus.POSITIVE
+
+
+# ---------------------------------------------------------------------------
+# evaluate: metric list, pinned output bytes, run summary
+
+
+def _evaluate_pair(tmp_path, schema):
+    """Five gold reports and generated ones that reorder, drop, negate and
+    hedge sentences, so every score lies strictly between 0 and 1."""
+    gold = [
+        ["The heart is enlarged.", "No pneumothorax is seen.", "There is mild interstitial edema."],
+        ["There is a small right pleural effusion.", "No focal lung opacity is seen."],
+        ["A small pulmonary nodule is present in the right upper zone.",
+         "The lungs show no consolidation.", "No evidence of pneumonia."],
+        ["There is subsegmental atelectasis at the left base.", "No pleural effusion is present."],
+        ["A 1.2 cm nodule!", "Possible pneumonia.", "No cardiomegaly is present."],
+    ]
+    generated = [
+        ["No pneumothorax is seen.", "The heart is enlarged."],
+        ["No focal lung opacity is seen.", "There is a small right pleural effusion.",
+         "There is mild interstitial edema."],
+        ["No evidence of pneumonia.", "The lungs show no consolidation."],
+        ["There may be subsegmental atelectasis at the left base.", "No pleural effusion."],
+        ["A 1.2 cm nodule!", "There is right lower lobe pneumonia.", "No cardiomegaly is present."],
+    ]
+    paths = []
+    for name, reports in (("gold", gold), ("gen", generated)):
+        records = [make_record(f"r{i}", texts, schema, features=False)
+                   for i, texts in enumerate(reports)]
+        path = tmp_path / f"{name}.jsonl"
+        write_corpus(Corpus(schema, tuple(records)), str(path))
+        paths.append(str(path))
+    return paths
+
+
+# scores.json of the pair set above, as written before the bit-parallel
+# ROUGE-L and the Counter clip of BLEU: a text-metric rewrite keeps every byte
+PINNED_SCORES = """{
+  "bleu4": 0.6143477697456866,
+  "bleu4_brevity_penalty": 0.8869204367171574,
+  "bleu4_precisions": [
+    0.8266666666666667,
+    0.7428571428571429,
+    0.6615384615384615,
+    0.5666666666666667
+  ],
+  "ce": {
+    "accuracy": 0.9285714285714286,
+    "f1": 0.5454545454545454,
+    "precision": 0.6,
+    "recall": 0.5
+  },
+  "ce_macro": {
+    "accuracy": 0.9285714285714286,
+    "f1": 0.19047619047619047,
+    "precision": 0.21428571428571427,
+    "recall": 0.17857142857142858
+  },
+  "counts": {
+    "fn": 3,
+    "fp": 2,
+    "tn": 62,
+    "tp": 3
+  },
+  "records": 5,
+  "rouge_l": 0.6281392691993611
+}
+"""
+
+
+def test_evaluate_scores_bytes_are_pinned(tmp_path, schema):
+    gold_path, gen_path = _evaluate_pair(tmp_path, schema)
+    out = tmp_path / "scores.json"
+    assert run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path,
+                "--metrics", "ce,bleu4,rougel", "--macro", "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == PINNED_SCORES
+
+
+def test_evaluate_run_summary_has_stage_times_and_token_counts(tmp_path, schema):
+    gold_path, gen_path = _evaluate_pair(tmp_path, schema)
+    out = tmp_path / "scores.json"
+    assert run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path,
+                "--out", str(out)]) == EXIT_OK
+    summary = json.loads((tmp_path / "scores.json.run.json").read_text())
+    assert set(summary["stages"]) == {"ce", "bleu4", "rougel"}
+    assert set(summary["counts"]) == {"records", "gold_tokens", "generated_tokens"}
+    assert "stages" not in json.loads(out.read_text())
+
+
+def test_evaluate_unknown_metric_is_usage_error_before_reading(tmp_path):
+    rc = run(["--quiet", "evaluate", "--gold", str(tmp_path / "missing.jsonl"),
+              "--generated", str(tmp_path / "missing.jsonl"), "--metrics", "ce,bogus",
+              "--out", str(tmp_path / "scores.json")])
+    assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("metrics", ["", " , "])
+def test_evaluate_empty_metric_list_is_usage_error(tmp_path, schema, metrics):
+    gold_path, gen_path = _evaluate_pair(tmp_path, schema)
+    out = tmp_path / "scores.json"
+    rc = run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path,
+              "--metrics", metrics, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +10,13 @@ from coaug.metrics import (
     ConfusionCounts,
     EmptyInput,
     bleu4,
+    _lcs_length,
     bleu_stats,
     ce_confusion,
     ce_confusion_per_disease,
     ce_scores,
     macro_ce_scores,
+    report_tokens,
     rouge_l,
     tokenize,
 )
@@ -32,6 +36,10 @@ def vec(*statuses):
 def test_tokenizer_splits_punctuation():
     assert tokenize("No pneumothorax.") == ["no", "pneumothorax", "."]
     assert tokenize("A 1.2 cm effusion!") == ["a", "1", ".", "2", "cm", "effusion", "!"]
+
+
+def test_tokenizer_keeps_non_ascii_letters_and_underscores():
+    assert tokenize("Café, naïve _x_") == ["café", ",", "naïve", "_", "x", "_"]
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +157,6 @@ def test_bleu_clipped_unigram_case():
 
 
 def test_bleu_brevity_penalty():
-    import math
-
     gold = [R("a b c d e f g h")]
     gen = [R("a b c d")]
     _, bp, _ = bleu_stats(gold, gen)
@@ -223,3 +229,89 @@ def test_scores_stay_in_unit_interval(data):
     gen = [R(t) for t in other]
     assert 0.0 <= bleu4(gold, gen) <= 1.0
     assert 0.0 <= rouge_l(gold, gen) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the bit-parallel LCS and the Counter clip against the algorithms they replaced
+
+
+def _dp_lcs_length(a, b):
+    """The O(|a|*|b|) dynamic program that ``_lcs_length`` replaced."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def _dict_bleu_stats(gold, gen):
+    """``bleu_stats`` with the dict n-gram counts and the per-n-gram clip it
+    used before the Counter clip."""
+    def ngram_counts(tokens, n):
+        counts = {}
+        for i in range(len(tokens) - n + 1):
+            gram = tuple(tokens[i:i + n])
+            counts[gram] = counts.get(gram, 0) + 1
+        return counts
+
+    matches, totals = [0] * 4, [0] * 4
+    ref_len = cand_len = 0
+    for ref_report, cand_report in zip(gold, gen):
+        ref, cand = report_tokens(ref_report), report_tokens(cand_report)
+        ref_len += len(ref)
+        cand_len += len(cand)
+        for n in range(1, 5):
+            cand_counts = ngram_counts(cand, n)
+            if not cand_counts:
+                continue
+            ref_counts = ngram_counts(ref, n)
+            totals[n - 1] += sum(cand_counts.values())
+            matches[n - 1] += sum(min(count, ref_counts.get(gram, 0))
+                                  for gram, count in cand_counts.items())
+    precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
+    if cand_len == 0:
+        return precisions, 0.0, 0.0
+    bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    if any(p == 0.0 for p in precisions):
+        return precisions, bp, 0.0
+    return precisions, bp, bp * math.exp(sum(math.log(p) for p in precisions) / 4.0)
+
+
+# lengths on both sides of CPython's 30-bit int digits and of 64- and 128-bit
+# words, plus any other length up to 200
+_LENGTHS = (st.sampled_from([0, 1, 29, 30, 31, 60, 61, 63, 64, 65, 127, 128, 129, 200])
+            | st.integers(0, 200))
+
+
+def _draw_tokens(data, alphabet):
+    n = data.draw(_LENGTHS)
+    return data.draw(st.lists(alphabet, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lcs_length_equals_the_dynamic_program(data):
+    alphabet = st.sampled_from("abcdef"[:data.draw(st.integers(1, 6))])
+    a, b = _draw_tokens(data, alphabet), _draw_tokens(data, alphabet)
+    assert _lcs_length(a, b) == _dp_lcs_length(a, b)
+    assert _lcs_length(b, a) == _dp_lcs_length(a, b)
+
+
+def test_lcs_length_hand_cases():
+    assert _lcs_length([], ["a"]) == _lcs_length(["a"], []) == 0
+    assert _lcs_length(list("abcbdab"), list("bdcaba")) == 4
+    assert _lcs_length(["x"] * 130, ["x"] * 70) == 70
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bleu_stats_equals_the_dict_clip(data):
+    words = st.sampled_from("a b c d e .".split()[:data.draw(st.integers(1, 6))])
+    reports = st.lists(words, max_size=40).map(lambda ws: R(" ".join(ws)) if ws else R())
+    gold = data.draw(st.lists(reports, min_size=1, max_size=5))
+    gen = data.draw(st.lists(reports, min_size=len(gold), max_size=len(gold)))
+    assert bleu_stats(gold, gen) == _dict_bleu_stats(gold, gen)
