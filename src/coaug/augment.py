@@ -12,14 +12,13 @@ A counterfactual twin of a record is built in two serial steps:
   than two sentences).
 
 Each record draws from its own stream (seed + record id), so a dataset
-augmentation is a pure function of (corpus, lexicon, config) no matter
-how many workers process it.
+augmentation is a pure function of (corpus, lexicon, config) in whatever
+order its records are processed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
@@ -234,7 +233,6 @@ def augment_dataset(
     corpus: Corpus,
     matcher: Matcher,
     cfg: AugmentationConfig,
-    threads: int = 1,
 ) -> tuple[Corpus, AugmentSummary]:
     """Augment floor(rate * |corpus|) records chosen uniformly without
     replacement among the eligible ones; output is the originals in
@@ -251,17 +249,6 @@ def augment_dataset(
     eligible = [i for i, r in enumerate(corpus.records) if _is_eligible(r, cfg)]
     chosen = _select(eligible, target, cfg.seed)
 
-    def one(index: int) -> Union[AugmentationOutcome, Skip]:
-        record = corpus.records[index]
-        stream = RngStream.for_record(cfg.seed, record.id)
-        return augment_record(record, matcher, stream, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, chosen))
-    else:
-        outcomes = [one(i) for i in chosen]
-
     summary = AugmentSummary(
         originals=n,
         eligible=len(eligible),
@@ -269,7 +256,10 @@ def augment_dataset(
         shortfall=max(0, target - len(eligible)),
     )
     twins: list[Record] = []
-    for outcome in outcomes:
+    for index in chosen:
+        record = corpus.records[index]
+        stream = RngStream.for_record(cfg.seed, record.id)
+        outcome = augment_record(record, matcher, stream, cfg)
         if isinstance(outcome, Skip):
             summary.skipped += 1
             continue

@@ -4,8 +4,8 @@ Subcommands: synth, label, analyze, augment, evaluate, pipeline.  All
 outputs are written atomically (temp file + rename); every command that
 writes an --out file also writes a machine-readable run summary next to
 it (``<out>.run.json``, carrying inputs, seed, counts and wall time).
-Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data/validation error (an
+unreadable or unwritable path included), 3 internal error.
 """
 
 from __future__ import annotations
@@ -201,7 +201,10 @@ def _parse_pairs(spec_arg: Optional[str], schema: LabelSchema) -> list[tuple[int
         names = chunk.split(",")
         if len(names) != 2:
             raise UsageError(f"bad pair {chunk!r}, expected 'A,B'")
-        pairs.append((_disease_index(schema, names[0]), _disease_index(schema, names[1])))
+        ia, ib = _disease_index(schema, names[0]), _disease_index(schema, names[1])
+        if ia == ib:
+            raise UsageError(f"bad pair {chunk!r}: a disease cannot pair with itself")
+        pairs.append((ia, ib))
     return pairs
 
 
@@ -220,7 +223,7 @@ def _cmd_synth(args) -> int:
     started = time.monotonic()
     schema = _load_schema(args)
     cfg = _synth_config(_resolve_scenario(args.scenario), schema, args.n, args.seed)
-    c = synth.synth_generate(cfg, schema, threads=args.threads)
+    c = synth.synth_generate(cfg, schema)
     corpus.write_corpus(c, args.out)
     _run_sidecar(args.out, "synth",
                  {"scenario": os.path.basename(args.scenario)},
@@ -276,7 +279,7 @@ def _cmd_augment(args) -> int:
         enable_css=not args.no_css,
         enable_crr=not args.no_crr,
     )
-    augmented, summary = aug.augment_dataset(c, matcher, cfg, threads=args.threads)
+    augmented, summary = aug.augment_dataset(c, matcher, cfg)
     corpus.write_corpus(augmented, args.out)
     if args.summary:
         _write_json(args.summary, dataclasses.asdict(summary))
@@ -346,7 +349,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
-                 n: Optional[int] = None, rate: float = 1.0, threads: int = 1,
+                 n: Optional[int] = None, rate: float = 1.0,
                  schema_path: Optional[str] = None) -> dict:
     """synth -> label -> analyze(before) -> augment -> analyze(after),
     writing every artifact under *outdir* and returning the summary."""
@@ -355,7 +358,7 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
     cfg = _synth_config(scenario_path, schema, n, seed)
 
     os.makedirs(outdir, exist_ok=True)
-    original = synth.synth_generate(cfg, schema, threads=threads)
+    original = synth.synth_generate(cfg, schema)
     corpus.write_corpus(original, os.path.join(outdir, "original.jsonl"))
 
     labeled = labeler.label_corpus(original, matcher)
@@ -368,7 +371,7 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                       render_analysis(before, len(labeled)))
 
     acfg = aug.AugmentationConfig(rate=rate, seed=cfg.seed)
-    augmented, asummary = aug.augment_dataset(labeled, matcher, acfg, threads=threads)
+    augmented, asummary = aug.augment_dataset(labeled, matcher, acfg)
     augmented = labeler.label_corpus(augmented, matcher, keep_existing=True)
     corpus.write_corpus(augmented, os.path.join(outdir, "augmented.jsonl"))
 
@@ -402,8 +405,7 @@ def _cmd_pipeline(args) -> int:
     started = time.monotonic()
     summary = run_pipeline(
         _resolve_scenario(args.scenario), args.seed, args.outdir,
-        n=args.n, rate=args.rate, threads=args.threads,
-        schema_path=args.schema,
+        n=args.n, rate=args.rate, schema_path=args.schema,
     )
     _run_sidecar(os.path.join(args.outdir, "summary.json"), "pipeline",
                  {"scenario": os.path.basename(args.scenario)},
@@ -430,8 +432,6 @@ def _build_parser() -> _Parser:
 
         target.add_argument("--schema", default=dflt(None),
                             help="label schema file (default: COA_SCHEMA or packaged)")
-        target.add_argument("--threads", type=int, default=dflt(1),
-                            help="worker threads; output is identical for any value")
         target.add_argument("--quiet", action="store_true", default=dflt(False),
                             help="suppress status messages")
         target.add_argument("--seed", type=int, default=dflt(None),
@@ -494,8 +494,6 @@ def _build_parser() -> _Parser:
 
 
 def _validate(args) -> None:
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
     rate = getattr(args, "rate", None)
     if rate is not None and not 0.0 <= rate <= 1.0:
         raise UsageError(f"--rate must be in [0, 1], got {rate}")
@@ -510,7 +508,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CoaugError as exc:
+    except (CoaugError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit code 3

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -118,12 +118,10 @@ def _quantize(v: float) -> float:
 @dataclass(frozen=True)
 class Sentence:
     text: str
-    token_count: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not self.text.strip():
             raise ValueError("sentence text must be non-empty")
-        object.__setattr__(self, "token_count", len(self.text.split()))
 
 
 @dataclass(frozen=True)
@@ -168,9 +166,6 @@ class ReportLabelVector:
 
     statuses: tuple[DiseaseStatus, ...]
 
-    def status_of(self, index: int) -> DiseaseStatus:
-        return self.statuses[index]
-
     def mentioned(self, index: int) -> bool:
         return self.statuses[index] is not DiseaseStatus.UNMENTIONED
 
@@ -208,10 +203,9 @@ class Violation:
     message: str
 
 
-def validate_record(record: Record, schema: LabelSchema, d: Optional[int] = None) -> Optional[Violation]:
+def validate_record(record: Record, schema: LabelSchema) -> Optional[Violation]:
     """Return None when the record satisfies every invariant, else the
     first violation in a fixed check order."""
-    dim = schema.d if d is None else d
     n_c = len(schema)
     if not record.id:
         return Violation("EmptyId", "record id must be non-empty")
@@ -228,10 +222,10 @@ def validate_record(record: Record, schema: LabelSchema, d: Optional[int] = None
                 f"feature bundle has {len(record.features)} vectors, schema has {n_c}",
             )
         for i, vec in enumerate(record.features.per_disease):
-            if len(vec.values) != dim:
+            if len(vec.values) != schema.d:
                 return Violation(
                     "VectorLength",
-                    f"feature vector {i} has length {len(vec.values)}, expected {dim}",
+                    f"feature vector {i} has length {len(vec.values)}, expected {schema.d}",
                 )
             if vec.masked and any(v != 0.0 for v in vec.values):
                 return Violation("MaskNonZero", f"masked feature vector {i} has nonzero values")

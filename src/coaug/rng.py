@@ -1,9 +1,10 @@
 """Deterministic, platform-independent random streams.
 
 Every stochastic step in the pipeline draws from a per-record stream so
-that results do not depend on worker count or processing order.  The
-generator is splitmix64: the state advances by the golden-ratio constant
-and each output is the 64-bit finalizer (avalanche) of the new state.
+that results do not depend on the order in which records are processed.
+The generator is splitmix64: the state advances by the golden-ratio
+constant and each output is the 64-bit finalizer (avalanche) of the new
+state.
 
 Constants (fixed forever; changing them changes every seeded output):
 

@@ -8,13 +8,12 @@ templated sentence (schema order or a uniform shuffle); features are the
 status prototype plus spherical Gaussian noise.  Records mentioning
 nothing are discarded and regeneration continues until ``n_records``
 survive.  Everything is drawn from per-attempt streams, so generation is
-deterministic and order-independent.
+deterministic and each record depends only on (seed, attempt index).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -232,46 +231,28 @@ def _attempt_record(
     )
 
 
-def synth_generate(cfg: SynthConfig, schema: LabelSchema, threads: int = 1) -> Corpus:
-    """Generate a corpus of exactly ``cfg.n_records`` records.  Record
-    ids carry the attempt index, so streams and ids stay in lockstep no
-    matter how attempts are scheduled."""
+def synth_generate(cfg: SynthConfig, schema: LabelSchema) -> Corpus:
+    """Generate a corpus of exactly ``cfg.n_records`` records: the first
+    that many attempts that mention a disease, in attempt order.  Record
+    ids carry the attempt index, so streams and ids stay in lockstep."""
     validate_config(cfg, schema)
-    cfg_eff = SynthConfig(
-        n_records=cfg.n_records,
-        seed=cfg.seed,
-        marginals=effective_marginals(cfg),
-        templates=cfg.templates,
-        planted=cfg.planted,
-        order_policy=cfg.order_policy,
-        mention_positive=cfg.mention_positive,
-        mention_negative=cfg.mention_negative,
-        prototypes=cfg.prototypes,
-        noise_sigma=cfg.noise_sigma,
-    )
+    cfg_eff = replace(cfg, marginals=effective_marginals(cfg))
     prototypes = cfg.prototypes if cfg.prototypes is not None else auto_prototypes(schema)
 
     records: list[Record] = []
     attempt = 0
     max_attempts = 1000 + 50 * max(cfg.n_records, 1)
-    batch = max(256, cfg.n_records // 4)
     while len(records) < cfg.n_records:
         if attempt >= max_attempts:
             raise ConfigInvalid(
                 "n_records",
                 "generation stalled: records almost never mention a disease",
             )
-        attempts = range(attempt, attempt + batch)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                produced = list(
-                    pool.map(lambda i: _attempt_record(cfg_eff, schema, prototypes, i), attempts)
-                )
-        else:
-            produced = [_attempt_record(cfg_eff, schema, prototypes, i) for i in attempts]
-        records.extend(r for r in produced if r is not None)
-        attempt += batch
-    return Corpus(schema, tuple(records[: cfg.n_records]))
+        record = _attempt_record(cfg_eff, schema, prototypes, attempt)
+        if record is not None:
+            records.append(record)
+        attempt += 1
+    return Corpus(schema, tuple(records))
 
 
 # ---------------------------------------------------------------------------

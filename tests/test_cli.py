@@ -269,12 +269,33 @@ def _small_corpus(tmp_path, n=30, seed=5):
 @pytest.mark.parametrize("flags", [
     ["--pairs", "Edema,Nope"],
     ["--pairs", "Edema,Pneumothorax", "--stratify", "disease:Nope"],
+    ["--pairs", "Edema, Edema"],
 ])
 def test_unknown_disease_on_the_command_line_is_usage_error(tmp_path, flags):
     corpus_path = _small_corpus(tmp_path)
     rc = run(["--quiet", "analyze", "--corpus", str(corpus_path), *flags,
               "--out", str(tmp_path / "r.txt")])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("case", ["synth-out-in-missing-dir", "synth-out-is-dir",
+                                  "pipeline-outdir-is-file", "label-corpus-is-dir"])
+def test_unusable_path_is_data_error(tmp_path, capsys, case):
+    a_dir, a_file = tmp_path / "adir", tmp_path / "afile"
+    a_dir.mkdir()
+    a_file.write_text("x\n")
+    synth = ["--quiet", "synth", "--scenario", "default", "--n", "5", "--out"]
+    argv = {
+        "synth-out-in-missing-dir": synth + [str(tmp_path / "missing" / "c.jsonl")],
+        "synth-out-is-dir": synth + [str(a_dir)],
+        "pipeline-outdir-is-file": ["--quiet", "pipeline", "--scenario", "default",
+                                    "--n", "5", "--outdir", str(a_file)],
+        "label-corpus-is-dir": ["--quiet", "label", "--corpus", str(a_dir),
+                                "--out", str(tmp_path / "l.jsonl")],
+    }[case]
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Errno" in err
 
 
 def test_schema_file_with_duplicate_names_is_data_error(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from coaug import synth as synth_module
 from coaug.corpus import (
     Corpus,
     DiseaseStatus,
@@ -74,9 +75,33 @@ def test_generate_is_deterministic(tmp_path, schema, default_templates):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_generate_thread_count_does_not_change_output(schema, default_templates):
+def test_generate_is_a_prefix_of_a_longer_run(schema, default_templates):
     cfg = small_cfg(schema, default_templates, n_records=150, seed=5)
-    assert synth_generate(cfg, schema, threads=1) == synth_generate(cfg, schema, threads=4)
+    longer = synth_generate(dataclasses.replace(cfg, n_records=190), schema)
+    assert synth_generate(cfg, schema).records == longer.records[:150]
+
+
+def _count_attempts(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    attempt_record = synth_module._attempt_record
+
+    def counting(cfg, schema, prototypes, attempt):
+        calls.append(attempt)
+        return attempt_record(cfg, schema, prototypes, attempt)
+
+    monkeypatch.setattr(synth_module, "_attempt_record", counting)
+    return calls
+
+
+def test_generate_stops_at_the_last_kept_attempt(monkeypatch, schema, default_templates):
+    # about half the attempts mention nothing; 256 < n < 512
+    cfg = small_cfg(schema, default_templates, n_records=300, seed=9,
+                    marginals={i: 0.05 for i in range(14)}, mention_negative=0.0)
+    calls = _count_attempts(monkeypatch)
+    corpus = synth_generate(cfg, schema)
+    last = int(corpus.records[-1].id[1:])
+    assert len(corpus) == 300 < last + 1
+    assert len(calls) == last + 1
 
 
 def test_generated_records_validate(schema, default_templates):
@@ -257,6 +282,20 @@ def test_generation_stalls_cleanly(schema, default_templates):
     )
     with pytest.raises(ConfigInvalid):
         synth_generate(cfg, schema)
+
+
+def test_generation_stalls_after_exactly_max_attempts(monkeypatch, schema, default_templates):
+    cfg = small_cfg(
+        schema,
+        default_templates,
+        n_records=5,
+        marginals={i: 0.0 for i in range(14)},
+        mention_negative=0.0,
+    )
+    calls = _count_attempts(monkeypatch)
+    with pytest.raises(ConfigInvalid, match="stalled"):
+        synth_generate(cfg, schema)
+    assert len(calls) == 1000 + 50 * 5
 
 
 def test_scenario_unknown_disease(tmp_path, schema):
