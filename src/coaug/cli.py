@@ -249,8 +249,6 @@ def _cmd_label(args) -> int:
 def _cmd_analyze(args) -> int:
     started = time.monotonic()
     schema = _load_schema(args)
-    matcher = _load_matcher(args, schema)
-    c = corpus.read_corpus(args.corpus, schema)
     pairs = _parse_pairs(args.pairs, schema)
     stratify = None
     if args.stratify == "provenance":
@@ -259,6 +257,8 @@ def _cmd_analyze(args) -> int:
         stratify = _disease_index(schema, args.stratify[len("disease:"):])
     elif args.stratify not in (None, "none"):
         raise UsageError(f"unknown stratifier {args.stratify!r}")
+    matcher = _load_matcher(args, schema)
+    c = corpus.read_corpus(args.corpus, schema)
     blocks = pair_statistics(c, matcher, pairs, stratify)
     atomic_write_text(args.out, render_analysis(blocks, len(c)))
     _run_sidecar(args.out, "analyze",
@@ -350,34 +350,50 @@ def _cmd_evaluate(args) -> int:
 
 def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                  n: Optional[int] = None, rate: float = 1.0,
-                 schema_path: Optional[str] = None) -> dict:
+                 schema_path: Optional[str] = None) -> tuple[dict, dict]:
     """synth -> label -> analyze(before) -> augment -> analyze(after),
-    writing every artifact under *outdir* and returning the summary."""
+    writing every artifact under *outdir*; returns the summary and the
+    wall seconds of each stage."""
     schema = corpus.read_schema(schema_path or default_schema_path())
     matcher = labeler.default_matcher(schema)
     cfg = _synth_config(scenario_path, schema, n, seed)
 
     os.makedirs(outdir, exist_ok=True)
+    stages: dict = {}
+    marks = [time.monotonic()]
+
+    def lap(stage: str) -> None:
+        marks.append(time.monotonic())
+        stages[stage] = round(marks[-1] - marks[-2], 3)
+
     original = synth.synth_generate(cfg, schema)
+    lap("synth")
     corpus.write_corpus(original, os.path.join(outdir, "original.jsonl"))
+    lap("write_original")
 
     labeled = labeler.label_corpus(original, matcher)
+    lap("label")
     corpus.write_corpus(labeled, os.path.join(outdir, "labeled.jsonl"))
+    lap("write_labeled")
 
     pairs = [(p.a, p.b) for p in cfg.planted] or _parse_pairs(None, schema)
 
     before = pair_statistics(labeled, matcher, pairs)
     atomic_write_text(os.path.join(outdir, "before.txt"),
                       render_analysis(before, len(labeled)))
+    lap("analyze_before")
 
     acfg = aug.AugmentationConfig(rate=rate, seed=cfg.seed)
     augmented, asummary = aug.augment_dataset(labeled, matcher, acfg)
     augmented = labeler.label_corpus(augmented, matcher, keep_existing=True)
+    lap("augment")
     corpus.write_corpus(augmented, os.path.join(outdir, "augmented.jsonl"))
+    lap("write_augmented")
 
     after = pair_statistics(augmented, matcher, pairs)
     atomic_write_text(os.path.join(outdir, "after.txt"),
                       render_analysis(after, len(augmented)))
+    lap("analyze_after")
 
     summary = {
         "scenario": os.path.basename(scenario_path),
@@ -398,19 +414,18 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
         ],
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)
-    return summary
+    return summary, stages
 
 
 def _cmd_pipeline(args) -> int:
     started = time.monotonic()
-    summary = run_pipeline(
-        _resolve_scenario(args.scenario), args.seed, args.outdir,
-        n=args.n, rate=args.rate, schema_path=args.schema,
-    )
+    summary, stages = run_pipeline(_resolve_scenario(args.scenario), args.seed,
+                                   args.outdir, args.n, args.rate, args.schema)
     _run_sidecar(os.path.join(args.outdir, "summary.json"), "pipeline",
                  {"scenario": os.path.basename(args.scenario)},
                  summary["seed"],
-                 {"records_augmented": summary["records_augmented"]}, started)
+                 {"records_augmented": summary["records_augmented"]}, started,
+                 stages=stages)
     _info(args, f"pipeline: artifacts in {args.outdir}")
     return EXIT_OK
 

@@ -9,6 +9,9 @@ and the feature dimension.
 Serialization is deterministic: fixed key order, floats quantized to
 9 significant digits at construction time, so writing the same corpus
 twice produces identical bytes and read(write(c)) == c.
+Lines are streamed to a temporary file renamed over the target when
+complete.  Each feature vector's JSON text is built once and shared by
+every record holding the vector (a labeled copy, a counterfactual twin).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import os
 import tempfile
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .errors import MalformedRecord, MissingFile, SchemaMismatch
@@ -110,11 +114,6 @@ def make_schema(names: Iterable[str], d: int = 16) -> LabelSchema:
     return LabelSchema(tuple(DiseaseId(i, n) for i, n in enumerate(names)), d)
 
 
-def _quantize(v: float) -> float:
-    # 9 significant digits keeps golden files stable across platforms
-    return float(format(float(v), ".9g"))
-
-
 @dataclass(frozen=True)
 class Sentence:
     text: str
@@ -145,7 +144,21 @@ class FeatureVector:
     masked: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_quantize(v) for v in self.values))
+        # 9 significant digits keeps golden files stable across platforms
+        object.__setattr__(
+            self, "values", tuple(map(float, map(format, self.values, repeat(".9g"))))
+        )
+
+    def to_json(self) -> str:
+        """The JSON object of this vector; built once, kept outside ``==``."""
+        text = self.__dict__.get("_json")
+        if text is None:
+            # json writes a finite float as its repr; only nan/inf have an "n"
+            body = ",".join(map(float.__repr__, self.values))
+            text = (_dumps({"vec": list(self.values), "masked": self.masked}) if "n" in body
+                    else f'{{"vec":[{body}],"masked":{"true" if self.masked else "false"}}}')
+            self.__dict__["_json"] = text
+        return text
 
 
 def masked_vector(d: int) -> FeatureVector:
@@ -241,24 +254,8 @@ def validate_record(record: Record, schema: LabelSchema) -> Optional[Violation]:
 # serialization
 
 
-def _record_to_obj(record: Record, schema: LabelSchema) -> dict:
-    obj: dict = {"id": record.id, "report": record.report.texts()}
-    if record.features is not None:
-        obj["features"] = [
-            {"vec": list(v.values), "masked": v.masked}
-            for v in record.features.per_disease
-        ]
-    if record.labels is not None:
-        labels = {}
-        for dz in schema.diseases:
-            status = record.labels.statuses[dz.index]
-            if status is not DiseaseStatus.UNMENTIONED:
-                labels[dz.name] = status.value
-        obj["labels"] = labels
-    obj["provenance"] = record.provenance.value
-    if record.source_id is not None:
-        obj["source_id"] = record.source_id
-    return obj
+def _dumps(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
 def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int) -> Record:
@@ -363,12 +360,13 @@ def read_schema(path: str) -> LabelSchema:
         raise SchemaMismatch(f"{path}: {exc}") from None
 
 
-def atomic_write_text(path: str, data: str) -> None:
+def atomic_write_lines(path: str, lines: Iterable[str]) -> None:
+    """Stream *lines* to a temporary file renamed over *path*; on error, *path* is kept."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-coaug-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -376,15 +374,31 @@ def atomic_write_text(path: str, data: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, data: str) -> None:
+    atomic_write_lines(path, (data,))
+
+
 def record_to_line(record: Record, schema: LabelSchema) -> str:
-    return json.dumps(_record_to_obj(record, schema), ensure_ascii=False,
-                      separators=(",", ":"))
+    head = {"id": record.id, "report": record.report.texts()}
+    tail: dict = {}
+    if record.labels is not None:
+        statuses = record.labels.statuses
+        tail["labels"] = {dz.name: statuses[dz.index].value for dz in schema.diseases
+                          if statuses[dz.index] is not DiseaseStatus.UNMENTIONED}
+    tail["provenance"] = record.provenance.value
+    if record.source_id is not None:
+        tail["source_id"] = record.source_id
+    if record.features is None:
+        return _dumps({**head, **tail})
+    # the vectors' kept texts, spliced in where json puts "features"
+    features = ",".join([v.to_json() for v in record.features.per_disease])
+    return f'{_dumps(head)[:-1]},"features":[{features}],{_dumps(tail)[1:]}'
 
 
 def write_corpus(corpus: Corpus, path: str) -> None:
     """Write a corpus atomically; identical corpora yield identical bytes."""
-    lines = [record_to_line(r, corpus.schema) for r in corpus.records]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    lines = (record_to_line(r, corpus.schema) + "\n" for r in corpus.records)
+    atomic_write_lines(path, lines)
     write_schema(corpus.schema, schema_path_for(path))
 
 

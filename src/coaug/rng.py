@@ -15,6 +15,9 @@ Constants (fixed forever; changing them changes every seeded output):
 Stream derivation: ``mix64(seed, fnv1a64(key))`` where *key* is
 ``"record:" + record_id`` for per-record streams and a fixed short label
 for auxiliary streams (e.g. ``"augment:selection"``).
+
+``RngStream.gauss_n(n, sigma)`` is n draws of ``gauss(0.0, sigma)`` in one
+fused loop, identical to the repeated calls, final state included.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 
 _MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+_UNIT = 1.0 / (1 << 53)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -80,7 +84,7 @@ class RngStream:
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        return (self.next_u64() >> 11) * _UNIT
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling (unbiased)."""
@@ -117,3 +121,31 @@ class RngStream:
         theta = 2.0 * math.pi * u2
         self._gauss_spare = r * math.sin(theta)
         return mu + sigma * (r * math.cos(theta))
+
+    def gauss_n(self, n: int, sigma: float) -> list[float]:
+        """``[self.gauss(0.0, sigma) for _ in range(n)]`` with splitmix64
+        and Box-Muller inlined: the same draws, the same final state."""
+        out: list[float] = []
+        spare, state = self._gauss_spare, self.state
+        sqrt, log, cos, sin, two_pi = math.sqrt, math.log, math.cos, math.sin, 2.0 * math.pi
+        for _ in range(n):
+            if spare is not None:
+                out.append(0.0 + sigma * spare)  # 0.0 + turns -0.0 into 0.0, as gauss does
+                spare = None
+                continue
+            u1 = 0.0
+            while True:  # u1 is redrawn while it is 0.0; the uniform after it is u2
+                state = (state + GOLDEN) & _MASK
+                z = state ^ (state >> 30)
+                z = (z * 0xBF58476D1CE4E5B9) & _MASK
+                z ^= z >> 27
+                z = (z * 0x94D049BB133111EB) & _MASK
+                u = ((z ^ (z >> 31)) >> 11) * _UNIT
+                if u1 > 0.0:
+                    break
+                u1 = u
+            r = sqrt(-2.0 * log(u1))
+            spare = r * sin(two_pi * u)
+            out.append(0.0 + sigma * (r * cos(two_pi * u)))
+        self._gauss_spare, self.state = spare, state
+        return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import add
 from typing import Optional, Sequence
 
 from .corpus import (
@@ -170,15 +171,13 @@ def sample_features(
 ) -> FeatureBundle:
     """Status prototype plus spherical Gaussian noise; Unmentioned and
     Uncertain fall back to the Negative prototype."""
+    noise = stream.gauss_n(len(statuses) * d, noise_sigma) if noise_sigma > 0 else None
     vecs = []
     for idx, status in enumerate(statuses):
         pos, neg = prototypes[idx]
         base = pos if status is DiseaseStatus.POSITIVE else neg
-        if noise_sigma > 0:
-            values = tuple(base[j] + stream.gauss(0.0, noise_sigma) for j in range(d))
-        else:
-            values = tuple(base)
-        vecs.append(FeatureVector(values))
+        noisy = base if noise is None else map(add, base, noise[idx * d:(idx + 1) * d])
+        vecs.append(FeatureVector(tuple(noisy)))
     return FeatureBundle(tuple(vecs))
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from coaug.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run
+from coaug.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run, run_pipeline
 from coaug.corpus import (
     Corpus,
     DiseaseStatus,
@@ -13,6 +15,7 @@ from coaug.corpus import (
     write_corpus,
     write_schema,
 )
+from coaug.synth import default_scenario_path
 
 from conftest import make_record
 
@@ -453,3 +456,37 @@ def test_evaluate_empty_metric_list_is_usage_error(tmp_path, schema, metrics):
               "--metrics", metrics, "--out", str(out)])
     assert rc == EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--pairs", "Edema,Edema"], ["--stratify", "bogus"]])
+def test_analyze_checks_its_arguments_before_reading_the_corpus(tmp_path, flags):
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text("{not json\n")
+    rc = run(["--quiet", "analyze", "--corpus", str(corpus_path), *flags,
+              "--out", str(tmp_path / "r.txt")])
+    assert rc == EXIT_USAGE
+
+
+def test_pipeline_run_summary_has_stage_times(tmp_path):
+    argv = ["--quiet", "pipeline", "--scenario", "default", "--n", "60", "--seed", "3"]
+    assert run(argv + ["--outdir", str(tmp_path / "a")]) == EXIT_OK
+    run_summary = json.loads((tmp_path / "a" / "summary.json.run.json").read_text())
+    assert set(run_summary["stages"]) == {
+        "synth", "write_original", "label", "write_labeled",
+        "analyze_before", "augment", "write_augmented", "analyze_after"}
+    assert all(t >= 0 for t in run_summary["stages"].values())
+    summary = (tmp_path / "a" / "summary.json").read_bytes()
+    assert b"stages" not in summary
+    assert run_pipeline(default_scenario_path(), seed=3, outdir=str(tmp_path / "b"),
+                        n=60)[0] == json.loads(summary)
+    assert (tmp_path / "b" / "summary.json").read_bytes() == summary
+
+
+def test_pipeline_bytes_match_the_reference_digests(tmp_path):
+    reference = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json")
+        .read_text())["pipeline-default"]
+    run_pipeline(default_scenario_path(), seed=7, outdir=str(tmp_path), n=1600, rate=1.0)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in reference}
+    assert digests == reference

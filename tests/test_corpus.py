@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from coaug.corpus import (
     masked_vector,
     read_corpus,
     read_schema,
+    record_to_line,
     validate_record,
     write_corpus,
     write_schema,
@@ -255,3 +257,105 @@ def test_masked_features_survive_round_trip(tmp_path, schema, matcher):
     masked = [v for v in twin.features.per_disease if v.masked]
     assert masked and all(set(v.values) == {0.0} for v in masked)
     assert back == corpus
+
+
+# ---------------------------------------------------------------------------
+# the encoder before per-vector JSON texts: the reference for record_to_line
+
+
+def _old_quantize(v):
+    return float(format(float(v), ".9g"))
+
+
+def _old_record_to_line(record, schema):
+    obj = {"id": record.id, "report": record.report.texts()}
+    if record.features is not None:
+        obj["features"] = [
+            {"vec": list(v.values), "masked": v.masked}
+            for v in record.features.per_disease
+        ]
+    if record.labels is not None:
+        obj["labels"] = {
+            dz.name: record.labels.statuses[dz.index].value
+            for dz in schema.diseases
+            if record.labels.statuses[dz.index] is not DiseaseStatus.UNMENTIONED
+        }
+    obj["provenance"] = record.provenance.value
+    if record.source_id is not None:
+        obj["source_id"] = record.source_id
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+_feature_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 1e16, 5e-324, -2.2250738585072014e-308, math.nan,
+                     math.inf, -math.inf]),
+    st.integers(-(2 ** 70), 2 ** 70),  # json reads 3 and 1e2 as int and float
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    raw=st.lists(st.lists(_feature_values, min_size=1, max_size=6), min_size=1, max_size=3),
+    masked=st.lists(st.booleans(), min_size=3, max_size=3),
+    rid=st.text(min_size=1, max_size=8),
+    texts=st.lists(st.text(min_size=1, max_size=12).filter(str.strip), max_size=3),
+    statuses=st.none() | st.lists(st.sampled_from(DiseaseStatus), min_size=3, max_size=3),
+    source_id=st.none() | st.text(max_size=5),
+    with_features=st.booleans(),
+)
+def test_record_to_line_matches_the_whole_record_encoder(
+        raw, masked, rid, texts, statuses, source_id, with_features):
+    schema = make_schema(["A", "B", "C"], d=1)
+    vecs = tuple(FeatureVector(tuple(v), m) for v, m in zip(raw, masked))
+    for vec, values in zip(vecs, raw):
+        assert [x.hex() for x in vec.values] == [_old_quantize(x).hex() for x in values]
+    record = Record(
+        rid,
+        Report.from_texts(texts),
+        FeatureBundle(vecs) if with_features else None,
+        ReportLabelVector(tuple(statuses)) if statuses is not None else None,
+        Provenance.ORIGINAL if source_id is None else Provenance.COUNTERFACTUAL,
+        source_id,
+    )
+    assert record_to_line(record, schema) == _old_record_to_line(record, schema)
+    # a second encoding reuses each vector's kept text
+    assert record_to_line(record, schema) == _old_record_to_line(record, schema)
+
+
+def test_non_finite_features_read_and_write_back_unchanged(tmp_path):
+    schema = make_schema(["A", "B"], d=3)
+    path = tmp_path / "c.jsonl"
+    write_schema(schema, str(path) + ".schema")
+    path.write_text(
+        '{"id":"a","report":["One."],"features":[{"vec":[NaN,Infinity,-Infinity],'
+        '"masked":false},{"vec":[-0.0,1e16,5e-324],"masked":false}],'
+        '"provenance":"Original"}\n'
+        '{"id":"b","report":["Two."],"features":[{"vec":[1,2.5,-3],"masked":false},'
+        '{"vec":[0,0,0],"masked":true}],"provenance":"Original"}\n',
+        encoding="utf-8",
+    )
+    corpus = read_corpus(str(path))
+    expected = "".join(_old_record_to_line(r, schema) + "\n" for r in corpus)
+    assert "NaN,Infinity,-Infinity" in expected
+    out = tmp_path / "out.jsonl"
+    write_corpus(corpus, str(out))
+    assert out.read_text(encoding="utf-8") == expected
+    write_corpus(read_corpus(str(out)), str(out))
+    assert out.read_text(encoding="utf-8") == expected
+
+
+def test_failed_write_leaves_the_target_and_no_temporary_file(tmp_path, schema):
+    path = tmp_path / "c.jsonl"
+    good = [make_record(f"r{i}", ["A sentence."], schema) for i in range(500)]
+    write_corpus(Corpus(schema, tuple(good[:3])), str(path))
+    before = path.read_bytes()
+    # not a DiseaseStatus: encoding this record raises after the 500
+    # before it (well over one buffer) have gone to the temporary file
+    bad = make_record("bad", ["A sentence."], schema,
+                      labels=ReportLabelVector(("bogus",) * len(schema)))
+    with pytest.raises(AttributeError):
+        write_corpus(Corpus(schema, (*good, bad)), str(path))
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob(".tmp-coaug-*"))

@@ -1,6 +1,9 @@
 import math
 
-from coaug.rng import RngStream, finalize64, fnv1a64, mix64
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coaug.rng import _MASK, GOLDEN, RngStream, finalize64, fnv1a64, mix64
 
 # published reference outputs of the splitmix64 generator seeded with 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -63,3 +66,41 @@ def test_gauss_moments_and_determinism():
     assert abs(mean) < 0.06
     assert abs(var - 1.0) < 0.1
     assert all(math.isfinite(x) for x in xs)
+
+
+def _bits(xs):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [x.hex() for x in xs]
+
+
+def _gauss_n_agrees_with_gauss(stream: RngStream, n: int, sigma: float) -> None:
+    reference = RngStream(stream.state)
+    reference._gauss_spare = stream._gauss_spare
+    expected = [reference.gauss(0.0, sigma) for _ in range(n)]
+    assert _bits(stream.gauss_n(n, sigma)) == _bits(expected)
+    assert stream.state == reference.state
+    assert stream._gauss_spare == reference._gauss_spare
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=st.integers(0, _MASK), n=st.integers(0, 300),
+       sigma=st.floats(-10, 10), pending=st.booleans())
+def test_gauss_n_equals_repeated_gauss(state, n, sigma, pending):
+    stream = RngStream(state)
+    if pending:
+        stream.gauss(0.0, 1.0)  # leaves a spare for the next draw
+        assert stream._gauss_spare is not None
+    _gauss_n_agrees_with_gauss(stream, n, sigma)
+
+
+def test_gauss_n_rejects_a_zero_uniform():
+    stream = RngStream((-GOLDEN) & _MASK)
+    assert RngStream(stream.state).random() == 0.0
+    for n in (0, 1, 2, 5):
+        _gauss_n_agrees_with_gauss(RngStream((-GOLDEN) & _MASK), n, 0.5)
+
+
+def test_gauss_n_keeps_the_sign_rule_of_gauss():
+    # 0.0 + sigma * z, never sigma * z alone: sigma -0.0 gives 0.0
+    stream = RngStream(5)
+    assert _bits(stream.gauss_n(4, -0.0)) == _bits([0.0] * 4)

@@ -7,6 +7,8 @@ from coaug import synth as synth_module
 from coaug.corpus import (
     Corpus,
     DiseaseStatus,
+    FeatureBundle,
+    FeatureVector,
     default_schema,
     make_schema,
     validate_record,
@@ -200,6 +202,35 @@ def test_features_exact_at_zero_noise(schema):
     assert bundle.per_disease[2].values == protos[2][0]
     assert bundle.per_disease[3].values == protos[3][1]
     assert not any(v.masked for v in bundle.per_disease)
+
+
+def _per_call_sample_features(statuses, prototypes, noise_sigma, stream, d):
+    """sample_features as one gauss() call per float: the reference for
+    the fused draw."""
+    vecs = []
+    for idx, status in enumerate(statuses):
+        pos, neg = prototypes[idx]
+        base = pos if status is DiseaseStatus.POSITIVE else neg
+        if noise_sigma > 0:
+            values = tuple(base[j] + stream.gauss(0.0, noise_sigma) for j in range(d))
+        else:
+            values = tuple(base)
+        vecs.append(FeatureVector(values))
+    return FeatureBundle(tuple(vecs))
+
+
+@pytest.mark.parametrize("d, noise_sigma", [(3, 0.1), (16, 0.1), (16, 0.0)])
+def test_generate_matches_per_call_feature_draws(monkeypatch, default_templates, d, noise_sigma):
+    # d=3: a Box-Muller pair spans two vectors of the bundle
+    schema = make_schema(DEFAULT_DISEASES, d=d)
+    cfg = small_cfg(schema, default_templates, n_records=60, noise_sigma=noise_sigma)
+    fused = synth_generate(cfg, schema)
+    monkeypatch.setattr(synth_module, "sample_features", _per_call_sample_features)
+    reference = synth_generate(cfg, schema)
+    assert fused == reference
+    for a, b in zip(fused, reference):
+        assert [v.to_json() for v in a.features.per_disease] == \
+            [v.to_json() for v in b.features.per_disease]
 
 
 def test_features_differ_across_stream_positions(schema):
