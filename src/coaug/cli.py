@@ -512,6 +512,9 @@ def _validate(args) -> None:
     rate = getattr(args, "rate", None)
     if rate is not None and not 0.0 <= rate <= 1.0:
         raise UsageError(f"--rate must be in [0, 1], got {rate}")
+    n = getattr(args, "n", None)
+    if n is not None and n < 0:
+        raise UsageError(f"--n must be >= 0, got {n}")
 
 
 def run(argv: Optional[list[str]] = None) -> int:

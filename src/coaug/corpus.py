@@ -12,6 +12,12 @@ twice produces identical bytes and read(write(c)) == c.
 Lines are streamed to a temporary file renamed over the target when
 complete.  Each feature vector's JSON text is built once and shared by
 every record holding the vector (a labeled copy, a counterfactual twin).
+The text comes from the quantization itself: the ``%.9g`` pieces that
+quantize the values are kept as the JSON text when each has a ``.`` and
+no exponent, since such a piece is the ``repr`` of its float; any other
+vector (integral values, exponents, NaN/Infinity) is encoded through
+``float.__repr__`` and ``json.dumps`` when first written.  CSS twins share
+one interned masked vector per dimension.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import repeat
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import MalformedRecord, MissingFile, SchemaMismatch
@@ -138,30 +144,44 @@ class Report:
         return len(self.sentences)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=64)
+def _g9_format(n: int) -> str:
+    return ",".join(["%.9g"] * n)
+
+
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
     values: tuple[float, ...]
     masked: bool = False
+    _json: Optional[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # 9 significant digits keeps golden files stable across platforms
-        object.__setattr__(
-            self, "values", tuple(map(float, map(format, self.values, repeat(".9g"))))
-        )
+        values = tuple(self.values)
+        body = _g9_format(len(values)) % values
+        object.__setattr__(self, "values", tuple(map(float, body.split(","))) if values else ())
+        # a .9g text with a "." and no "e" is the repr of its float (nan and inf have no ".")
+        kept = body.count(".") == len(values) and "e" not in body
+        object.__setattr__(self, "_json", self._vec_json(body) if kept else None)
+
+    def _vec_json(self, body: str) -> str:
+        return f'{{"vec":[{body}],"masked":{"true" if self.masked else "false"}}}'
 
     def to_json(self) -> str:
         """The JSON object of this vector; built once, kept outside ``==``."""
-        text = self.__dict__.get("_json")
+        text = self._json
         if text is None:
             # json writes a finite float as its repr; only nan/inf have an "n"
             body = ",".join(map(float.__repr__, self.values))
             text = (_dumps({"vec": list(self.values), "masked": self.masked}) if "n" in body
-                    else f'{{"vec":[{body}],"masked":{"true" if self.masked else "false"}}}')
-            self.__dict__["_json"] = text
+                    else self._vec_json(body))
+            object.__setattr__(self, "_json", text)
         return text
 
 
+@lru_cache(maxsize=None)
 def masked_vector(d: int) -> FeatureVector:
+    """The all-zero masked vector of dimension d, one shared instance per d."""
     return FeatureVector((0.0,) * d, masked=True)
 
 

@@ -16,17 +16,31 @@ Stream derivation: ``mix64(seed, fnv1a64(key))`` where *key* is
 ``"record:" + record_id`` for per-record streams and a fixed short label
 for auxiliary streams (e.g. ``"augment:selection"``).
 
-``RngStream.gauss_n(n, sigma)`` is n draws of ``gauss(0.0, sigma)`` in one
-fused loop, identical to the repeated calls, final state included.
+splitmix64 is counter-based: the k-th output after state s is
+``finalize64(s + k·GOLDEN)``, so any number of outputs can be computed at
+once.  ``RngStream.gauss_n(n, sigma)``, n draws of ``gauss(0.0, sigma)``,
+does so: the uniforms sit in 128-bit lanes of one Python int, the
+finalizer runs as whole-int shifts, masks and multiplies (a 64x64-bit
+product stays inside its lane), the lanes are read back through a
+memoryview and Box-Muller runs as C-level maps.  The floats, the final
+state and the pending spare equal those of the repeated calls; a u1 of
+0.0, which ``gauss`` redraws, sends the call to ``gauss`` itself.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from functools import lru_cache
+from itertools import repeat
+from math import cos, log, sin, sqrt
+from operator import mul
 
 _MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _UNIT = 1.0 / (1 << 53)
+_TWO_PI, _MINUS_TWO, _ZERO = 2.0 * math.pi, -2.0, 0.0
+_LITTLE_ENDIAN = sys.byteorder == "little"  # the lanes are read back as native "Q"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -123,29 +137,47 @@ class RngStream:
         return mu + sigma * (r * math.cos(theta))
 
     def gauss_n(self, n: int, sigma: float) -> list[float]:
-        """``[self.gauss(0.0, sigma) for _ in range(n)]`` with splitmix64
-        and Box-Muller inlined: the same draws, the same final state."""
-        out: list[float] = []
-        spare, state = self._gauss_spare, self.state
-        sqrt, log, cos, sin, two_pi = math.sqrt, math.log, math.cos, math.sin, 2.0 * math.pi
-        for _ in range(n):
-            if spare is not None:
-                out.append(0.0 + sigma * spare)  # 0.0 + turns -0.0 into 0.0, as gauss does
-                spare = None
-                continue
-            u1 = 0.0
-            while True:  # u1 is redrawn while it is 0.0; the uniform after it is u2
-                state = (state + GOLDEN) & _MASK
-                z = state ^ (state >> 30)
-                z = (z * 0xBF58476D1CE4E5B9) & _MASK
-                z ^= z >> 27
-                z = (z * 0x94D049BB133111EB) & _MASK
-                u = ((z ^ (z >> 31)) >> 11) * _UNIT
-                if u1 > 0.0:
-                    break
-                u1 = u
-            r = sqrt(-2.0 * log(u1))
-            spare = r * sin(two_pi * u)
-            out.append(0.0 + sigma * (r * cos(two_pi * u)))
-        self._gauss_spare, self.state = spare, state
+        """``[self.gauss(0.0, sigma) for _ in range(n)]`` from one packed
+        draw of the uniforms: the same floats, final state and spare."""
+        spare = self._gauss_spare
+        head = [] if spare is None else [0.0 + sigma * spare]
+        rest = n - len(head)
+        pairs = (rest + 1) // 2
+        bits = _uniform_bits(self.state, 2 * pairs) if pairs and _LITTLE_ENDIAN else None
+        if bits is None or 0 in bits[::2]:
+            # gauss redraws a u1 of 0.0, which shifts every later draw
+            return [self.gauss(0.0, sigma) for _ in range(n)]
+        r = list(map(sqrt, map(_MINUS_TWO.__mul__, map(log, map(_UNIT.__mul__, bits[::2])))))
+        theta = list(map(_TWO_PI.__mul__, map(_UNIT.__mul__, bits[1::2])))
+        cosines = map(mul, r, map(cos, theta))
+        sines = list(map(mul, r, map(sin, theta)))
+        self._gauss_spare = sines.pop() if rest % 2 else None
+        self.state = (self.state + 2 * pairs * GOLDEN) & _MASK
+        # 0.0 + sigma * z, as gauss computes it: 0.0 + turns -0.0 into 0.0
+        out = head + [0.0] * rest
+        out[len(head)::2] = map(_ZERO.__add__, map(mul, repeat(sigma), cosines))
+        out[len(head) + 1::2] = map(_ZERO.__add__, map(mul, repeat(sigma), sines))
         return out
+
+
+@lru_cache(maxsize=16)
+def _lanes(m: int) -> tuple[int, int, int, int]:
+    """Constants for m lanes of 128 bits: a 1 in each lane, k·GOLDEN in
+    lane k-1, the 64-bit lane mask and the 53-bit lane mask."""
+    ones = sum(1 << (128 * i) for i in range(m))
+    steps = sum((((i + 1) * GOLDEN) & _MASK) << (128 * i) for i in range(m))
+    return ones, steps, ones * _MASK, ones * ((1 << 53) - 1)
+
+
+def _uniform_bits(state: int, m: int) -> memoryview:
+    """The 53-bit uniforms of the next m splitmix64 outputs after *state*,
+    ``finalize64(state + k·GOLDEN) >> 11`` for k = 1..m, computed in 128-bit
+    lanes of one int: a 64x64-bit product never reaches the next lane."""
+    ones, steps, lane, lane53 = _lanes(m)
+    z = (state * ones + steps) & lane
+    z = (z ^ (z >> 30)) & lane
+    z = (z * 0xBF58476D1CE4E5B9) & lane
+    z = (z ^ (z >> 27)) & lane
+    z = (z * 0x94D049BB133111EB) & lane
+    z = ((z ^ (z >> 31)) >> 11) & lane53
+    return memoryview(z.to_bytes(16 * m, "little")).cast("Q")[::2]

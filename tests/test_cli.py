@@ -15,7 +15,7 @@ from coaug.corpus import (
     write_corpus,
     write_schema,
 )
-from coaug.synth import default_scenario_path
+from coaug.synth import default_scenario_path, strong_pair_scenario_path
 
 from conftest import make_record
 
@@ -36,6 +36,16 @@ def test_rate_out_of_range_is_usage_error(tmp_path):
         ["--quiet", "augment", "--corpus", "x.jsonl", "--rate", "1.5", "--out", "y.jsonl"]
     )
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command,out_flag", [("synth", "--out"), ("pipeline", "--outdir")])
+def test_negative_n_is_usage_error_before_reading_the_scenario(tmp_path, command, out_flag):
+    # a missing scenario would exit 2: exit 1 shows --n is checked before any I/O
+    out = tmp_path / "out"
+    rc = run(["--quiet", command, "--scenario", str(tmp_path / "missing.cfg"),
+              "--n", "-3", out_flag, str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_unknown_flag_is_usage_error():
@@ -490,3 +500,26 @@ def test_pipeline_bytes_match_the_reference_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in reference}
     assert digests == reference
+
+
+# sha256 of the nine artifacts of run_pipeline(strong_pair, seed=11, n=400,
+# rate=0.5), as written before the packed Gaussian draws and the kept
+# .9g vector texts; rate 0.5 also takes augment's partial selection shuffle
+STRONG_PAIR_SEED11_DIGESTS = {
+    "after.txt": "e27fecfb140921a12a4e40c7212d64ca62c74af5cb9bb098027b70b4f8490ff9",
+    "augmented.jsonl": "2372fe53639922e84b3df2ba2b3d9d79c6c057faca8a2fc940e2b6212fc6698e",
+    "augmented.jsonl.schema":
+        "9cc1dd8e1bb49e92e323dce5fec48ebd8b84483b1b3e457a8c8a1a845436e01c",
+    "before.txt": "76ed2502d8ada95b37488e6fc53c5a5da8494225e697763ca7cde4bc4c36b413",
+    "labeled.jsonl": "ce0761bcf3e8e5d2b4fbf16a8afbd274594afb7fd7a713c7efc3a1c5f0276c3c",
+    "labeled.jsonl.schema": "9cc1dd8e1bb49e92e323dce5fec48ebd8b84483b1b3e457a8c8a1a845436e01c",
+    "original.jsonl": "d2a20461e97661a418362da3c6c5c7521be8f78fdcb1b043db4370cad68c1f61",
+    "original.jsonl.schema": "9cc1dd8e1bb49e92e323dce5fec48ebd8b84483b1b3e457a8c8a1a845436e01c",
+    "summary.json": "f328b9dbb3ce28f06963f6b9613b68fb0ace643a3f3944f7c3c979d8dce2c2ec",
+}
+
+
+def test_pipeline_bytes_are_pinned_for_strong_pair_at_half_rate(tmp_path):
+    run_pipeline(strong_pair_scenario_path(), seed=11, outdir=str(tmp_path), n=400, rate=0.5)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == STRONG_PAIR_SEED11_DIGESTS

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coaug.corpus import (
@@ -257,6 +257,50 @@ def test_masked_features_survive_round_trip(tmp_path, schema, matcher):
     masked = [v for v in twin.features.per_disease if v.masked]
     assert masked and all(set(v.values) == {0.0} for v in masked)
     assert back == corpus
+
+
+def test_masked_vector_is_interned_and_its_text_is_repr_zeros(schema, matcher):
+    from coaug.augment import AugmentationConfig, css_augment
+    from coaug.rng import RngStream
+
+    assert masked_vector(4) is masked_vector(4)
+    assert masked_vector(4).to_json() == '{"vec":[0.0,0.0,0.0,0.0],"masked":true}'
+    record = make_record(
+        "src", ["No pneumothorax.", "Small right pleural effusion."], schema
+    )
+    twin = css_augment(record, matcher, RngStream.for_record(3, "src"),
+                       AugmentationConfig()).record
+    masked = [v for v in twin.features.per_disease if v.masked]
+    assert masked and all(v is masked_vector(schema.d) for v in masked)
+
+
+# the vector encoder before the kept .9g texts: float.__repr__, json.dumps for nan/inf
+def _repr_vector_json(vec):
+    body = ",".join(map(float.__repr__, vec.values))
+    if "n" in body:
+        return json.dumps({"vec": list(vec.values), "masked": vec.masked},
+                          ensure_ascii=False, separators=(",", ":"))
+    return f'{{"vec":[{body}],"masked":{"true" if vec.masked else "false"}}}'
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(), st.floats(-1e9, 1e9),
+                                 st.floats(-1e-3, 1e-3)), max_size=20),
+       masked=st.booleans())
+@example(values=[1e-4], masked=False)
+@example(values=[9.99999999e-5], masked=False)
+@example(values=[123456789.0], masked=False)
+@example(values=[999999999.5], masked=False)
+@example(values=[0.0], masked=True)
+@example(values=[-0.0], masked=False)
+@example(values=[1.0, 0.5], masked=False)
+@example(values=[5e-324], masked=False)
+@example(values=[math.nan, 0.25], masked=False)
+@example(values=[math.inf, -math.inf], masked=False)
+@example(values=[-0.000123456789, 12345678.9], masked=False)
+def test_kept_vector_text_equals_the_repr_encoder(values, masked):
+    vec = FeatureVector(tuple(values), masked)
+    assert vec.to_json() == _repr_vector_json(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coaug import rng
 from coaug.rng import _MASK, GOLDEN, RngStream, finalize64, fnv1a64, mix64
 
 # published reference outputs of the splitmix64 generator seeded with 0
@@ -104,3 +106,35 @@ def test_gauss_n_keeps_the_sign_rule_of_gauss():
     # 0.0 + sigma * z, never sigma * z alone: sigma -0.0 gives 0.0
     stream = RngStream(5)
     assert _bits(stream.gauss_n(4, -0.0)) == _bits([0.0] * 4)
+
+
+def _stream(state: int, pending: bool) -> RngStream:
+    stream = RngStream(state)
+    if pending:
+        stream._gauss_spare = -1.25  # as if a gauss call had left its sine
+    return stream
+
+
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("n", [8, 15, 224, 230])
+@pytest.mark.parametrize("k", [3, 5, 223])
+def test_gauss_n_redraws_a_zero_inner_u1(k, n, pending):
+    # the k-th draw after this state is finalize64(0) = 0: for odd k a u1;
+    # n 8 and 15 end before draw 223, so they take the packed path, odd n included
+    state = (-k * GOLDEN) & _MASK
+    probe = RngStream(state)
+    assert [probe.random() for _ in range(k)][-1] == 0.0
+    _gauss_n_agrees_with_gauss(_stream(state, pending), n, 0.5)
+
+
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("sigma", [0.5, -0.5])
+def test_gauss_n_zero_u2_gives_a_zero_sine(pending, sigma):
+    # the 4th draw is 0.0, a u2: theta is 0, its sine 0.0 and its cosine r
+    _gauss_n_agrees_with_gauss(_stream((-4 * GOLDEN) & _MASK, pending), 6, sigma)
+
+
+def test_gauss_n_scalar_path_off_little_endian_hosts(monkeypatch):
+    monkeypatch.setattr(rng, "_LITTLE_ENDIAN", False)
+    for pending in (False, True):
+        _gauss_n_agrees_with_gauss(_stream(99, pending), 15, 0.3)
