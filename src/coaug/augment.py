@@ -78,8 +78,16 @@ class AugmentationOutcome:
     flags: frozenset[str]
 
 
-def _counterfactual_id(source_id: str) -> str:
-    return source_id + "#cf"
+def _twin(record: Record, report: Report, features: Optional[FeatureBundle]) -> Record:
+    """The unlabeled counterfactual twin of *record*."""
+    return Record(
+        id=record.id + "#cf",
+        report=report,
+        features=features,
+        labels=None,
+        provenance=Provenance.COUNTERFACTUAL,
+        source_id=record.id,
+    )
 
 
 def css_augment(
@@ -128,16 +136,8 @@ def css_augment(
             for i, vec in enumerate(record.features.per_disease)
         )
     )
-    twin = Record(
-        id=_counterfactual_id(record.id),
-        report=Report(retained),
-        features=bundle,
-        labels=None,
-        provenance=Provenance.COUNTERFACTUAL,
-        source_id=record.id,
-    )
     return AugmentationOutcome(
-        record=twin,
+        record=_twin(record, Report(retained), bundle),
         popped_sentence_index=popped_index,
         popped_labels=popped_labels,
         masked_indices=masked,
@@ -174,16 +174,8 @@ def augment_record(
         if isinstance(outcome, Skip):
             return outcome
     else:
-        twin = Record(
-            id=_counterfactual_id(record.id),
-            report=record.report,
-            features=record.features,
-            labels=None,
-            provenance=Provenance.COUNTERFACTUAL,
-            source_id=record.id,
-        )
         outcome = AugmentationOutcome(
-            record=twin,
+            record=_twin(record, record.report, record.features),
             popped_sentence_index=None,
             popped_labels={},
             masked_indices=frozenset(),

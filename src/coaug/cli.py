@@ -91,17 +91,16 @@ def _info(args, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pair statistics shared by analyze and pipeline
+# pair statistics of a labeled corpus, shared by analyze and pipeline
 
 
 def pair_statistics(c: Corpus, matcher: labeler.Matcher,
                     pairs: list[tuple[int, int]],
                     stratify=None) -> list[dict]:
-    labeled = labeler.label_corpus(c, matcher, keep_existing=True)
-    firsts = confound.first_mention_table(labeled, matcher)
+    firsts = confound.first_mention_table(c, matcher)
     blocks = []
     for ia, ib in pairs:
-        st = confound.build_contingency(labeled, ia, ib, stratify)
+        st = confound.build_contingency(c, ia, ib, stratify)
         table = st.aggregate
         block: dict = {
             "a": c.schema.diseases[ia].name,
@@ -131,7 +130,7 @@ def pair_statistics(c: Corpus, matcher: labeler.Matcher,
             block["odds_ratio"] = None
             block["independence_gap"] = None
         try:
-            block["co_mention_lift"] = confound.co_mention_lift(labeled, ia, ib)
+            block["co_mention_lift"] = confound.co_mention_lift(c, ia, ib)
         except CoaugError:
             block["co_mention_lift"] = None
         try:
@@ -258,7 +257,8 @@ def _cmd_analyze(args) -> int:
     elif args.stratify not in (None, "none"):
         raise UsageError(f"unknown stratifier {args.stratify!r}")
     matcher = _load_matcher(args, schema)
-    c = corpus.read_corpus(args.corpus, schema)
+    c = labeler.label_corpus(corpus.read_corpus(args.corpus, schema), matcher,
+                             keep_existing=True)
     blocks = pair_statistics(c, matcher, pairs, stratify)
     atomic_write_text(args.out, render_analysis(blocks, len(c)))
     _run_sidecar(args.out, "analyze",

@@ -19,9 +19,9 @@ exact integer cross-multiplication so scaling all counts never flips it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .corpus import Corpus, DiseaseId, DiseaseStatus, Record
+from .corpus import Corpus, DiseaseStatus, Record
 from .errors import (
     EmptyTable,
     InsufficientStrata,
@@ -121,8 +121,6 @@ class StratifiedTables:
 
 @dataclass(frozen=True)
 class AssociationStats:
-    p_b_given_a_pos: float
-    p_b_given_a_neg: float
     odds_ratio: float
     independence_gap: float
 
@@ -136,7 +134,6 @@ class SimpsonReport:
 
 @dataclass(frozen=True)
 class OrderAsymmetry:
-    pair: tuple[int, int]
     co_occur_count: int
     asym: float
 
@@ -192,10 +189,7 @@ def association_stats(t: ContingencyTable) -> AssociationStats:
     if n == 0:
         raise EmptyTable("all four cells are zero")
     gap = t.n_pp / n - ((t.n_pp + t.n_pm) / n) * ((t.n_pp + t.n_mp) / n)
-    # a zero exposure margin leaves that conditional undefined; report 0
     return AssociationStats(
-        p_b_given_a_pos=t.n_pp / t.margin_a_pos if t.margin_a_pos else 0.0,
-        p_b_given_a_neg=t.n_mp / t.margin_a_neg if t.margin_a_neg else 0.0,
         odds_ratio=odds_ratio(t),
         independence_gap=gap,
     )
@@ -217,10 +211,6 @@ def detect_simpson_reversal(st: StratifiedTables) -> SimpsonReport:
 # corpus scans
 
 
-def _as_index(disease: Union[int, DiseaseId]) -> int:
-    return disease.index if isinstance(disease, DiseaseId) else disease
-
-
 def _require_labels(record: Record) -> None:
     if record.labels is None:
         raise MissingLabels(f"record {record.id!r} has no labels; run label_report first")
@@ -234,25 +224,23 @@ _PROVENANCE_STRATA = ("Original", "Counterfactual")
 
 def build_contingency(
     corpus: Corpus,
-    a: Union[int, DiseaseId],
-    b: Union[int, DiseaseId],
-    stratify_by: Union[None, str, int, DiseaseId] = None,
+    a: int,
+    b: int,
+    stratify_by: Optional[str | int] = None,
 ) -> StratifiedTables:
     """Count A-vs-B cells over a labeled corpus.
 
     Records where either disease is Uncertain/Unmentioned contribute to
     ``total_population`` (and, when A is classified, to the A margin)
     but to no cell.  ``stratify_by`` is None, ``"provenance"``, or a
-    third disease (stratum = its status).
+    third disease index (stratum = its status).
     """
-    ia, ib = _as_index(a), _as_index(b)
     if stratify_by is None:
         keys: tuple[str, ...] = ("all",)
     elif stratify_by == "provenance":
         keys = _PROVENANCE_STRATA
     else:
         keys = _STATUS_STRATA
-        ic = _as_index(stratify_by)
 
     counts = {key: [0, 0, 0, 0, 0, 0, 0] for key in keys}  # cells + margins + total
     for record in corpus:
@@ -262,11 +250,11 @@ def build_contingency(
         elif stratify_by == "provenance":
             key = record.provenance.value
         else:
-            key = record.labels.statuses[ic].value
+            key = record.labels.statuses[stratify_by].value
         row = counts[key]
         row[6] += 1
-        st_a = record.labels.statuses[ia]
-        st_b = record.labels.statuses[ib]
+        st_a = record.labels.statuses[a]
+        st_b = record.labels.statuses[b]
         if st_a is DiseaseStatus.POSITIVE:
             row[4] += 1
         elif st_a is DiseaseStatus.NEGATIVE:
@@ -287,18 +275,17 @@ def build_contingency(
     return StratifiedTables(strata, aggregate)
 
 
-def co_mention_lift(corpus: Corpus, a: Union[int, DiseaseId], b: Union[int, DiseaseId]) -> float:
+def co_mention_lift(corpus: Corpus, a: int, b: int) -> float:
     """P(a and b both mentioned) / (P(a mentioned) * P(b mentioned)),
     where mentioned means any status but Unmentioned."""
-    ia, ib = _as_index(a), _as_index(b)
     n = len(corpus)
     if n == 0:
         raise UndefinedLift("empty corpus")
     n_a = n_b = n_ab = 0
     for record in corpus:
         _require_labels(record)
-        ma = record.labels.mentioned(ia)
-        mb = record.labels.mentioned(ib)
+        ma = record.labels.mentioned(a)
+        mb = record.labels.mentioned(b)
         n_a += ma
         n_b += mb
         n_ab += ma and mb
@@ -324,13 +311,12 @@ def first_mention_table(corpus: Corpus, matcher: Matcher) -> list[list[Optional[
 
 def order_asymmetry_from_table(
     table: Sequence[Sequence[Optional[int]]],
-    a: Union[int, DiseaseId],
-    b: Union[int, DiseaseId],
+    a: int,
+    b: int,
 ) -> OrderAsymmetry:
-    ia, ib = _as_index(a), _as_index(b)
     a_first = b_first = 0
     for firsts in table:
-        sa, sb = firsts[ia], firsts[ib]
+        sa, sb = firsts[a], firsts[b]
         if sa is None or sb is None or sa == sb:
             continue
         if sa < sb:
@@ -340,14 +326,14 @@ def order_asymmetry_from_table(
     count = a_first + b_first
     if count == 0:
         raise NoCooccurrence("no report mentions both diseases in distinct sentences")
-    return OrderAsymmetry((ia, ib), count, abs(a_first - b_first) / count)
+    return OrderAsymmetry(count, abs(a_first - b_first) / count)
 
 
 def order_asymmetry(
     corpus: Corpus,
     matcher: Matcher,
-    a: Union[int, DiseaseId],
-    b: Union[int, DiseaseId],
+    a: int,
+    b: int,
 ) -> OrderAsymmetry:
     """Directional bias of sentence order for a disease pair: 1.0 when
     one disease's first sentence always precedes the other's, 0 when

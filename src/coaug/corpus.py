@@ -111,9 +111,7 @@ DEFAULT_DISEASES = (
 
 
 def default_schema(d: int = 16) -> LabelSchema:
-    return LabelSchema(
-        tuple(DiseaseId(i, n) for i, n in enumerate(DEFAULT_DISEASES)), d
-    )
+    return make_schema(DEFAULT_DISEASES, d)
 
 
 def make_schema(names: Iterable[str], d: int = 16) -> LabelSchema:
@@ -362,12 +360,16 @@ def write_schema(schema: LabelSchema, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_schema(path: str) -> LabelSchema:
+def read_lines(path: str) -> list[str]:
+    """Every line of a UTF-8 text file, newlines kept."""
     if not os.path.exists(path):
         raise MissingFile(path)
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        return fh.readlines()
+
+
+def read_schema(path: str) -> LabelSchema:
+    lines = [ln.rstrip("\n") for ln in read_lines(path) if ln.strip()]
     if not lines or not lines[0].startswith("d="):
         raise MalformedRecord(1, "schema file must start with 'd=<int>'")
     try:

@@ -28,8 +28,9 @@ from .corpus import (
     ReportLabelVector,
     Sentence,
     STATUS_RANK,
+    read_lines,
 )
-from .errors import DuplicateRule, MalformedRecord, MissingFile, UnknownDisease
+from .errors import DuplicateRule, MalformedRecord, UnknownDisease
 
 # Trailing periods of these tokens never end a sentence.
 ABBREVIATIONS = frozenset(
@@ -243,18 +244,11 @@ def parse_cues(lines: list[str]) -> CueList:
         raise MalformedRecord(0, str(exc))
 
 
-def _read_lines(path: str) -> list[str]:
-    if not os.path.exists(path):
-        raise MissingFile(path)
-    with open(path, encoding="utf-8") as fh:
-        return fh.readlines()
-
-
 def compile_lexicon(rules_path: str, cues_path: str, schema: LabelSchema) -> Matcher:
     """Compile lexicon and cue files into a matcher.  Compilation is
     independent of rule-file ordering."""
-    rules = parse_lexicon(_read_lines(rules_path), schema)
-    cues = parse_cues(_read_lines(cues_path))
+    rules = parse_lexicon(read_lines(rules_path), schema)
+    cues = parse_cues(read_lines(cues_path))
     return Matcher(schema, rules, cues)
 
 

@@ -77,31 +77,16 @@ class CeScores:
 def _check_pairs(gold: Sequence[ReportLabelVector], gen: Sequence[ReportLabelVector]) -> None:
     if len(gold) != len(gen):
         raise LengthMismatch(f"{len(gold)} gold vs {len(gen)} generated label vectors")
-    for g, h in zip(gold, gen):
-        if len(g.statuses) != len(h.statuses):
-            raise SchemaMismatch("label vectors of different schema size")
+    if len({len(v.statuses) for v in (*gold, *gen)}) > 1:
+        raise SchemaMismatch("label vectors of different schema size")
 
 
 def ce_confusion(
     gold: Sequence[ReportLabelVector], gen: Sequence[ReportLabelVector]
 ) -> ConfusionCounts:
-    """Micro-pooled positive-vs-rest confusion cells.  Uncertain,
-    Negative and Unmentioned all binarize to 0."""
-    _check_pairs(gold, gen)
-    tp = fp = fn = tn = 0
-    for g, h in zip(gold, gen):
-        for sg, sh in zip(g.statuses, h.statuses):
-            pg = sg is DiseaseStatus.POSITIVE
-            ph = sh is DiseaseStatus.POSITIVE
-            if pg and ph:
-                tp += 1
-            elif ph:
-                fp += 1
-            elif pg:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp, fp, fn, tn)
+    """Micro-pooled positive-vs-rest confusion cells: the per-disease
+    cells summed.  Uncertain, Negative and Unmentioned all binarize to 0."""
+    return sum(ce_confusion_per_disease(gold, gen), ConfusionCounts())
 
 
 def ce_confusion_per_disease(
@@ -205,14 +190,14 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_l(gold: Sequence[Report], gen: Sequence[Report], beta: float = 1.2) -> float:
+def rouge_l(gold: Sequence[Report], gen: Sequence[Report]) -> float:
     """Mean per-pair LCS F-measure; a pair with an empty side scores 0."""
     if len(gold) != len(gen):
         raise LengthMismatch(f"{len(gold)} gold vs {len(gen)} generated reports")
     if not gold:
         return 0.0
     total = 0.0
-    b2 = beta * beta
+    b2 = 1.2 * 1.2  # beta = 1.2
     for ref_report, cand_report in zip(gold, gen):
         ref = report_tokens(ref_report)
         cand = report_tokens(cand_report)

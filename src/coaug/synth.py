@@ -28,8 +28,9 @@ from .corpus import (
     Record,
     Report,
     Sentence,
+    read_lines,
 )
-from .errors import ConfigInvalid, MissingFile, MissingTemplate, UnknownDisease
+from .errors import ConfigInvalid, MissingTemplate, UnknownDisease
 from .rng import RngStream
 
 import os
@@ -267,7 +268,8 @@ def strong_pair_scenario_path() -> str:
 
 
 def _parse_sections(lines: list[str]) -> dict[str, list[tuple[int, str]]]:
-    sections: dict[str, list[tuple[int, str]]] = {"general": []}
+    sections: dict[str, list[tuple[int, str]]] = {
+        "general": [], "marginals": [], "planted": [], "templates": [], "prototypes": []}
     current = "general"
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -275,7 +277,9 @@ def _parse_sections(lines: list[str]) -> dict[str, list[tuple[int, str]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            sections.setdefault(current, [])
+            if current not in sections:
+                raise ConfigInvalid(f"line {line_no}", f"unknown section [{current}]; "
+                                    f"expected one of {', '.join(sections)}")
             continue
         sections[current].append((line_no, line))
     return sections
@@ -291,21 +295,18 @@ def _split_kv(line: str, line_no: int) -> tuple[str, str]:
 def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
     """Parse a line-based ``key = value`` scenario file.
 
-    Sections: [general] (n_records, seed, order_policy, mention_*,
-    noise_sigma, prototypes), [marginals] (disease = probability),
-    [planted] (``A -> B = p_pos_given_pos, p_pos_given_neg``),
-    [templates] (``disease | positive = sentence``), and optionally
-    [prototypes] (``disease | positive = v1, v2, ...``).
+    Sections, any other being a ``ConfigInvalid``: [general] (n_records,
+    seed, order_policy, mention_*, noise_sigma, prototypes), [marginals]
+    (disease = probability), [planted] (``A -> B = p_pos_given_pos,
+    p_pos_given_neg``), [templates] (``disease | positive = sentence``),
+    and optionally [prototypes] (``disease | positive = v1, v2, ...``).
     """
-    if not os.path.exists(path):
-        raise MissingFile(path)
-    with open(path, encoding="utf-8") as fh:
-        sections = _parse_sections(fh.readlines())
+    sections = _parse_sections(read_lines(path))
 
     general = {"n_records": "1000", "seed": "0", "order_policy": "schema",
                "mention_positive": "1.0", "mention_negative": "0.6",
                "noise_sigma": "0.1", "prototypes": "auto"}
-    for line_no, line in sections.get("general", []):
+    for line_no, line in sections["general"]:
         key, value = _split_kv(line, line_no)
         if key not in general:
             raise ConfigInvalid(f"general.{key}", "unknown key")
@@ -318,7 +319,7 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
             raise UnknownDisease(name.strip())
 
     marginals: dict[int, float] = {}
-    for line_no, line in sections.get("marginals", []):
+    for line_no, line in sections["marginals"]:
         key, value = _split_kv(line, line_no)
         try:
             marginals[resolve(key)] = float(value)
@@ -326,7 +327,7 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
             raise ConfigInvalid(f"marginals.{key}", f"bad probability {value!r}")
 
     planted: list[PlantedPair] = []
-    for line_no, line in sections.get("planted", []):
+    for line_no, line in sections["planted"]:
         key, value = _split_kv(line, line_no)
         if "->" not in key:
             raise ConfigInvalid(f"line {line_no}", "planted key must be 'A -> B'")
@@ -342,7 +343,7 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
             raise ConfigInvalid(f"planted.{key}", f"bad conditionals {value!r}")
 
     templates: dict[tuple[int, DiseaseStatus], str] = {}
-    for line_no, line in sections.get("templates", []):
+    for line_no, line in sections["templates"]:
         key, value = _split_kv(line, line_no)
         if "|" not in key:
             raise ConfigInvalid(f"line {line_no}", "template key must be 'disease | status'")
@@ -356,7 +357,7 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
         templates[(resolve(name), status)] = value
 
     prototypes: Optional[Prototypes] = None
-    if sections.get("prototypes"):
+    if sections["prototypes"]:
         raw: dict[tuple[int, str], tuple[float, ...]] = {}
         for line_no, line in sections["prototypes"]:
             key, value = _split_kv(line, line_no)

@@ -523,3 +523,27 @@ def test_pipeline_bytes_are_pinned_for_strong_pair_at_half_rate(tmp_path):
     run_pipeline(strong_pair_scenario_path(), seed=11, outdir=str(tmp_path), n=400, rate=0.5)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == STRONG_PAIR_SEED11_DIGESTS
+
+
+def test_unknown_scenario_section_is_data_error(tmp_path):
+    scenario = tmp_path / "typo.cfg"
+    scenario.write_text(Path(default_scenario_path()).read_text() + "\n[prototype]\n")
+    out = tmp_path / "c.jsonl"
+    rc = run(["--quiet", "synth", "--scenario", str(scenario), "--n", "5", "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert not out.exists()
+
+
+def test_perfbench_tracer_finds_every_attribute_it_wraps():
+    # perfbench/tracer.py wraps coaug module attributes by name; a renamed or
+    # removed one fails here instead of at the first traced benchmark run
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from tracer import Tracer, instrument; instrument(Tracer('t'))")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-c", probe, str(root / "perfbench")],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr

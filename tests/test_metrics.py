@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coaug.corpus import DiseaseStatus, Report, ReportLabelVector
-from coaug.errors import LengthMismatch
+from coaug.errors import LengthMismatch, SchemaMismatch
 from coaug.metrics import (
     ConfusionCounts,
     EmptyInput,
@@ -76,6 +76,15 @@ def test_uncertain_binarizes_to_zero():
 def test_length_mismatch():
     with pytest.raises(LengthMismatch):
         ce_confusion([vec()], [vec(), vec()])
+
+
+@pytest.mark.parametrize("sizes", [(14, 13), (13, 14)])
+def test_schema_size_must_agree_across_all_pairs(sizes):
+    # each pair agrees with itself; the two pairs disagree with each other
+    vectors = [ReportLabelVector((POS,) + (UNM,) * (n - 1)) for n in sizes]
+    for count in (ce_confusion, ce_confusion_per_disease):
+        with pytest.raises(SchemaMismatch):
+            count(vectors, vectors)
 
 
 def test_scores_hand_case():

@@ -354,3 +354,68 @@ def test_labels_mirror_mentions(schema, matcher, default_templates):
 def test_render_report_empty_when_nothing_mentioned(schema, default_templates):
     report = render_report([NEG] * 14, [], default_templates, OrderPolicy.SCHEMA, RngStream(0))
     assert len(report) == 0
+
+
+# ---------------------------------------------------------------------------
+# [prototypes] section and unknown sections
+
+
+def _prototype_pair(i, d):
+    # binary fractions, exact under the 9-digit quantization
+    pos = tuple(0.5 * i + 0.25 * k for k in range(d))
+    neg = tuple(-0.5 * i - 0.125 * k for k in range(d))
+    return pos, neg
+
+
+def _prototype_lines(schema):
+    """[prototypes] lines for both statuses of every disease."""
+    return [f"{dz.name} | {status} = " + ", ".join(map(repr, vec))
+            for dz in schema.diseases
+            for status, vec in zip(("positive", "negative"),
+                                   _prototype_pair(dz.index, schema.d))]
+
+
+def _scenario_with_prototypes(lines, header="[prototypes]"):
+    """The shipped default scenario at zero noise plus *lines* under *header*."""
+    text = open(default_scenario_path(), encoding="utf-8").read()
+    text = text.replace("noise_sigma = 0.1", "noise_sigma = 0")
+    return text + f"\n{header}\n" + "\n".join(lines) + "\n"
+
+
+def test_scenario_prototypes_are_the_features_at_zero_noise(tmp_path, schema, matcher):
+    path = tmp_path / "protos.cfg"
+    path.write_text(_scenario_with_prototypes(_prototype_lines(schema)))
+    cfg = dataclasses.replace(parse_scenario(str(path), schema), n_records=40)
+    assert cfg.noise_sigma == 0.0
+    assert cfg.prototypes == {i: _prototype_pair(i, schema.d) for i in range(len(schema))}
+    for record in synth_generate(cfg, schema):
+        # Positive diseases are always mentioned, so the labels give the status
+        statuses = label_report(record.report, matcher).statuses
+        for i, vec in enumerate(record.features.per_disease):
+            pos, neg = _prototype_pair(i, schema.d)
+            assert vec.values == (pos if statuses[i] is DiseaseStatus.POSITIVE else neg)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: [ln for ln in ls if not ln.startswith("Edema | negative")],
+     "need both positive and negative"),
+    (lambda ls: [ln.replace("Edema | positive", "Edema | maybe") for ln in ls],
+     "bad status"),
+    (lambda ls: [ln.replace("Edema | positive = 2.0,", "Edema | positive = 2.0, x,")
+                 for ln in ls], "bad vector"),
+    (lambda ls: [ln + ", 1.0" if ln.startswith("Edema | positive") else ln for ln in ls],
+     "length 16"),
+], ids=["one-status", "bad-status", "non-numeric", "wrong-length"])
+def test_scenario_prototypes_reject_bad_lines(tmp_path, schema, edit, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(_scenario_with_prototypes(edit(_prototype_lines(schema))))
+    with pytest.raises(ConfigInvalid, match=message):
+        parse_scenario(str(path), schema)
+
+
+def test_scenario_unknown_section_is_rejected(tmp_path, schema):
+    # a misspelled [prototypes] must not fall back to the auto prototypes
+    path = tmp_path / "typo.cfg"
+    path.write_text(_scenario_with_prototypes(_prototype_lines(schema), header="[prototype]"))
+    with pytest.raises(ConfigInvalid, match=r"unknown section \[prototype\]"):
+        parse_scenario(str(path), schema)
