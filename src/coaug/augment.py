@@ -11,6 +11,10 @@ A counterfactual twin of a record is built in two serial steps:
   uniform non-identity permutation (identity only for reports shorter
   than two sentences).
 
+The twin record and its outcome are then built once.  A twin is labeled
+exactly when its source is, with ``label_report`` of its own report;
+labels ignore sentence order, so the reordering cannot change them.
+
 Each record draws from its own stream (seed + record id), so a dataset
 augmentation is a pure function of (corpus, lexicon, config) in whatever
 order its records are processed.
@@ -19,7 +23,7 @@ order its records are processed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .corpus import (
@@ -32,12 +36,15 @@ from .corpus import (
     masked_vector,
 )
 from .errors import CoaugError, ConfigInvalid, MissingFeatures
-from .labeler import Matcher, label_sentence
+from .labeler import Matcher, label_report, label_sentence
 from .rng import RngStream
 
 ORPHAN_MENTION = "OrphanMention"
 
 _SELECTION_KEY = "augment:selection"
+
+MAX_RESAMPLE = 5  # sentence draws before CSS gives up on a record
+MIN_SENTENCES = 2  # CSS leaves at least one sentence
 
 
 @dataclass(frozen=True)
@@ -46,18 +53,12 @@ class AugmentationConfig:
     seed: int = 0
     enable_css: bool = True
     enable_crr: bool = True
-    max_resample: int = 5
-    min_sentences: int = 2
 
     def __post_init__(self):
         if not 0.0 <= self.rate <= 1.0:
             raise ConfigInvalid("rate", f"must be in [0, 1], got {self.rate}")
         if not (self.enable_css or self.enable_crr):
             raise ConfigInvalid("enable_css/enable_crr", "at least one must be true")
-        if self.max_resample < 1:
-            raise ConfigInvalid("max_resample", "must be >= 1")
-        if self.min_sentences < 2:
-            raise ConfigInvalid("min_sentences", "must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,43 @@ class AugmentationOutcome:
     flags: frozenset[str]
 
 
-def _twin(record: Record, report: Report, features: Optional[FeatureBundle]) -> Record:
-    """The unlabeled counterfactual twin of *record*."""
-    return Record(
-        id=record.id + "#cf",
-        report=report,
-        features=features,
-        labels=None,
-        provenance=Provenance.COUNTERFACTUAL,
-        source_id=record.id,
-    )
+def _pop_sentence(record: Record, matcher: Matcher, stream: RngStream
+                  ) -> Union[tuple[int, Mapping[int, DiseaseStatus], Report], Skip]:
+    """CSS's draw: the popped index, its labels and the kept sentences."""
+    if record.provenance is not Provenance.ORIGINAL:
+        raise ValueError("css_augment requires an Original record")
+    if record.features is None:
+        raise MissingFeatures(f"record {record.id!r} has no feature bundle")
+    sentences = record.report.sentences
+    if len(sentences) < MIN_SENTENCES:
+        return Skip(record.id, "below-min-sentences")
+    for _ in range(MAX_RESAMPLE):
+        idx = stream.randrange(len(sentences))
+        labels = label_sentence(sentences[idx], matcher)
+        if labels:
+            return idx, labels, Report(sentences[:idx] + sentences[idx + 1:])
+    return Skip(record.id, "no-labelable-sentence")
+
+
+def _counterfactual(record: Record, matcher: Matcher, report: Report,
+                    permutation: tuple[int, ...], popped_index: Optional[int],
+                    popped_labels: Mapping[int, DiseaseStatus]) -> AugmentationOutcome:
+    """The twin of *record* with *report*, and its outcome.  The popped
+    diseases' vectors are masked; the twin's labels, kept when its source
+    has labels, also flag a masked disease a kept sentence still mentions."""
+    masked = frozenset(popped_labels)
+    features = record.features
+    if masked:
+        features = FeatureBundle(tuple(
+            masked_vector(len(vec.values)) if i in masked else vec
+            for i, vec in enumerate(features.per_disease)))
+    labels = label_report(report, matcher) if masked or record.labels is not None else None
+    orphan = any(labels.mentioned(i) for i in masked)
+    twin = Record(record.id + "#cf", report, features,
+                  labels if record.labels is not None else None,
+                  Provenance.COUNTERFACTUAL, record.id)
+    return AugmentationOutcome(twin, popped_index, popped_labels, masked, permutation,
+                               frozenset({ORPHAN_MENTION}) if orphan else frozenset())
 
 
 def css_augment(
@@ -102,48 +130,11 @@ def css_augment(
     retained sentence mentions the same disease; that case is surfaced
     via the OrphanMention flag rather than silently avoided.
     """
-    if record.provenance is not Provenance.ORIGINAL:
-        raise ValueError("css_augment requires an Original record")
-    if record.features is None:
-        raise MissingFeatures(f"record {record.id!r} has no feature bundle")
-    n = len(record.report)
-    if n < cfg.min_sentences:
-        return Skip(record.id, "below-min-sentences")
-
-    popped_index = -1
-    popped_labels: Mapping[int, DiseaseStatus] = {}
-    for _ in range(cfg.max_resample):
-        idx = stream.randrange(n)
-        labels = label_sentence(record.report.sentences[idx], matcher)
-        if labels:
-            popped_index, popped_labels = idx, labels
-            break
-    else:
-        return Skip(record.id, "no-labelable-sentence")
-
-    masked = frozenset(popped_labels)
-    retained = (
-        record.report.sentences[:popped_index]
-        + record.report.sentences[popped_index + 1:]
-    )
-    orphan = any(
-        masked.intersection(label_sentence(s, matcher)) for s in retained
-    )
-    d = len(record.features.per_disease[0].values) if record.features.per_disease else 0
-    bundle = FeatureBundle(
-        tuple(
-            masked_vector(d) if i in masked else vec
-            for i, vec in enumerate(record.features.per_disease)
-        )
-    )
-    return AugmentationOutcome(
-        record=_twin(record, Report(retained), bundle),
-        popped_sentence_index=popped_index,
-        popped_labels=popped_labels,
-        masked_indices=masked,
-        permutation=tuple(range(len(retained))),
-        flags=frozenset({ORPHAN_MENTION}) if orphan else frozenset(),
-    )
+    popped = _pop_sentence(record, matcher, stream)
+    if isinstance(popped, Skip):
+        return popped
+    index, labels, kept = popped
+    return _counterfactual(record, matcher, kept, tuple(range(len(kept))), index, labels)
 
 
 def crr_augment(report: Report, stream: RngStream) -> tuple[Report, tuple[int, ...]]:
@@ -169,27 +160,16 @@ def augment_record(
 ) -> Union[AugmentationOutcome, Skip]:
     """Serial composition: pop-and-mask first (when enabled), then
     reorder what remains (when enabled)."""
+    index, labels, report = None, {}, record.report
     if cfg.enable_css:
-        outcome = css_augment(record, matcher, stream, cfg)
-        if isinstance(outcome, Skip):
-            return outcome
-    else:
-        outcome = AugmentationOutcome(
-            record=_twin(record, record.report, record.features),
-            popped_sentence_index=None,
-            popped_labels={},
-            masked_indices=frozenset(),
-            permutation=tuple(range(len(record.report))),
-            flags=frozenset(),
-        )
+        popped = _pop_sentence(record, matcher, stream)
+        if isinstance(popped, Skip):
+            return popped
+        index, labels, report = popped
+    permutation = tuple(range(len(report)))
     if cfg.enable_crr:
-        reordered, perm = crr_augment(outcome.record.report, stream)
-        outcome = replace(
-            outcome,
-            record=replace(outcome.record, report=reordered),
-            permutation=perm,
-        )
-    return outcome
+        report, permutation = crr_augment(report, stream)
+    return _counterfactual(record, matcher, report, permutation, index, labels)
 
 
 @dataclass
@@ -206,7 +186,7 @@ class AugmentSummary:
 def _is_eligible(record: Record, cfg: AugmentationConfig) -> bool:
     if not cfg.enable_css:
         return True
-    return record.features is not None and len(record.report) >= cfg.min_sentences
+    return record.features is not None and len(record.report) >= MIN_SENTENCES
 
 
 def _select(indices: list[int], target: int, seed: int) -> list[int]:

@@ -385,7 +385,6 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
 
     acfg = aug.AugmentationConfig(rate=rate, seed=cfg.seed)
     augmented, asummary = aug.augment_dataset(labeled, matcher, acfg)
-    augmented = labeler.label_corpus(augmented, matcher, keep_existing=True)
     lap("augment")
     corpus.write_corpus(augmented, os.path.join(outdir, "augmented.jsonl"))
     lap("write_augmented")

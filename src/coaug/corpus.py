@@ -307,15 +307,17 @@ def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int) -> Record:
             if not isinstance(entry, dict) or "vec" not in entry:
                 fail("feature entry must be an object with a 'vec' field")
             vec = entry["vec"]
-            if not isinstance(vec, list) or any(
-                not isinstance(x, (int, float)) for x in vec
-            ):
+            # json's true/false are ints to isinstance; only int and float are numbers
+            if not isinstance(vec, list) or any(type(x) not in (int, float) for x in vec):
                 fail("feature 'vec' must be a list of numbers")
+            masked = entry.get("masked", False)
+            if not isinstance(masked, bool):
+                fail(f"feature 'masked' must be true or false, got {masked!r}")
             if len(vec) != schema.d:
                 raise SchemaMismatch(
                     f"line {line_no}: feature vector of length {len(vec)}, expected d={schema.d}"
                 )
-            vecs.append(FeatureVector(tuple(vec), bool(entry.get("masked", False))))
+            vecs.append(FeatureVector(tuple(vec), masked))
         features = FeatureBundle(tuple(vecs))
 
     labels = None

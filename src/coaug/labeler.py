@@ -99,7 +99,7 @@ class Matcher:
     """Compiled lexicon + cues against a fixed schema.  ``label_text``
     memoizes labels by sentence text for the matcher's lifetime, so its
     memory grows with the distinct sentences labeled; an entry is a pure
-    function of its text, so the matcher is safe to share across threads."""
+    function of its text."""
 
     def __init__(self, schema: LabelSchema, rules: list[LexiconRule], cues: CueList):
         self.schema = schema

@@ -311,6 +311,9 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
         if key not in general:
             raise ConfigInvalid(f"general.{key}", "unknown key")
         general[key] = value
+    if general["prototypes"] != "auto":
+        raise ConfigInvalid("general.prototypes",
+                            "must be 'auto'; give other vectors in a [prototypes] section")
 
     def resolve(name: str) -> int:
         try:
@@ -376,8 +379,6 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
                 prototypes[idx] = (raw[(idx, "positive")], raw[(idx, "negative")])
             except KeyError:
                 raise ConfigInvalid(f"prototypes[{idx}]", "need both positive and negative")
-    elif general["prototypes"] != "auto":
-        raise ConfigInvalid("general.prototypes", "must be 'auto' or a [prototypes] section")
 
     try:
         policy = OrderPolicy(general["order_policy"])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coaug.augment import (
+    MIN_SENTENCES,
     ORPHAN_MENTION,
     AugmentationConfig,
     Skip,
@@ -38,8 +39,6 @@ def test_config_validation():
         AugmentationConfig(rate=1.5)
     with pytest.raises(ConfigInvalid):
         AugmentationConfig(enable_css=False, enable_crr=False)
-    with pytest.raises(ConfigInvalid):
-        AugmentationConfig(max_resample=0)
 
 
 def test_css_pops_effusion_sentence(schema, matcher):
@@ -175,6 +174,30 @@ def test_augment_record_css_only_two_sentences(schema, matcher):
     assert out.permutation == (0,)
 
 
+MODES = {
+    "css-crr": AugmentationConfig(),
+    "css-only": AugmentationConfig(enable_crr=False),
+    "crr-only": AugmentationConfig(enable_css=False),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("source_labeled", [True, False], ids=["labeled", "unlabeled"])
+def test_twin_is_labeled_exactly_when_its_source_is(schema, matcher, mode, source_labeled):
+    texts = CSS_TEXTS + ["The pleural effusion is unchanged."]  # an orphan-prone pop
+    for seed in range(20):
+        record = make_record("r1", texts, schema)
+        if source_labeled:
+            record = record.with_labels(label_report(record.report, matcher))
+        out = augment_record(record, matcher, RngStream.for_record(seed, "r1"), MODES[mode])
+        assert not isinstance(out, Skip)
+        twin = out.record
+        if source_labeled:
+            assert twin.labels == label_report(twin.report, matcher)
+        else:
+            assert twin.labels is None
+
+
 # ---------------------------------------------------------------------------
 # dataset level
 
@@ -187,6 +210,19 @@ def _synth_corpus(schema, n, seed=3, mention_negative=1.0):
         base, n_records=n, seed=seed, mention_negative=mention_negative, noise_sigma=0.0
     )
     return synth_generate(cfg, schema)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dataset_twins_carry_the_labels_a_relabel_would_give(schema, matcher, mode):
+    labeled = label_corpus(_synth_corpus(schema, 60, seed=5, mention_negative=0.8), matcher)
+    cfg = dataclasses.replace(MODES[mode], seed=3)
+    out, summary = augment_dataset(labeled, matcher, cfg)
+    assert summary.augmented > 0
+    assert label_corpus(out, matcher) == out
+    unlabeled, _ = augment_dataset(_synth_corpus(schema, 60, seed=5, mention_negative=0.8),
+                                   matcher, cfg)
+    assert all(r.labels is None for r in unlabeled)
+    assert [r.report for r in unlabeled] == [r.report for r in out]
 
 
 def test_rate_zero_returns_input(schema, matcher):
@@ -254,7 +290,7 @@ def test_label_conservation_and_mask_pairing(schema, matcher):
     corpus = _synth_corpus(schema, 300, seed=8, mention_negative=0.8)
     cfg = AugmentationConfig(rate=1.0, seed=21)
     for record in corpus.records:
-        if len(record.report) < cfg.min_sentences:
+        if len(record.report) < MIN_SENTENCES:
             continue
         out = augment_record(record, matcher, RngStream.for_record(cfg.seed, record.id), cfg)
         if isinstance(out, Skip):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -547,3 +548,63 @@ def test_perfbench_tracer_finds_every_attribute_it_wraps():
     result = subprocess.run([sys.executable, "-c", probe, str(root / "perfbench")],
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+
+
+def test_label_rejects_a_feature_mask_that_is_not_a_boolean(tmp_path):
+    # an all-zero vector with "masked":"false" was read as masked and
+    # written back as "masked":true
+    corpus_path = _small_corpus(tmp_path, n=3)
+    text = corpus_path.read_text(encoding="utf-8")
+    zeros = '{"vec":[' + ",".join(["0.0"] * 16) + '],"masked":"false"}'
+    bad = re.sub(r'\{"vec":\[[^\]]*\],"masked":false\}', lambda _: zeros, text, count=1)
+    assert bad.count('"masked":"false"') == 1
+    corpus_path.write_text(bad, encoding="utf-8")
+    out = tmp_path / "l.jsonl"
+    assert run(["--quiet", "label", "--corpus", str(corpus_path), "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
+
+
+PIPELINE_CORPORA = ("original.jsonl", "labeled.jsonl", "augmented.jsonl")
+
+
+def test_subcommand_chain_writes_the_pipeline_bytes(tmp_path):
+    # synth | label | analyze | augment | analyze is the pipeline, byte for byte
+    chain, pipe = tmp_path / "chain", tmp_path / "pipe"
+    chain.mkdir()
+    q = ["--quiet"]
+    pair = ["--pairs", "Pneumothorax,Pleural Effusion"]
+    steps = [
+        ["synth", "--scenario", "default", "--n", "400", "--seed", "7",
+         "--out", chain / "original.jsonl"],
+        ["label", "--corpus", chain / "original.jsonl", "--out", chain / "labeled.jsonl"],
+        ["analyze", "--corpus", chain / "labeled.jsonl", *pair, "--out", chain / "before.txt"],
+        ["augment", "--corpus", chain / "labeled.jsonl", "--rate", "1.0", "--seed", "7",
+         "--out", chain / "augmented.jsonl"],
+        ["analyze", "--corpus", chain / "augmented.jsonl", *pair, "--out", chain / "after.txt"],
+    ]
+    for step in steps:
+        assert run(q + [str(arg) for arg in step]) == EXIT_OK
+    assert run(q + ["pipeline", "--scenario", "default", "--n", "400", "--seed", "7",
+                    "--outdir", str(pipe)]) == EXIT_OK
+    names = [*PIPELINE_CORPORA, *(n + ".schema" for n in PIPELINE_CORPORA),
+             "before.txt", "after.txt"]
+    differ = [n for n in names if (chain / n).read_bytes() != (pipe / n).read_bytes()]
+    assert differ == []
+
+
+# sha256 of `coaug augment` on the unlabeled `synth --scenario default --n 200
+# --seed 7` corpus, as written when twins were labeled only by the pipeline
+@pytest.mark.parametrize("flags, digest", [
+    (["--rate", "1.0"], "58cc539ead8e8d92726f103f7b6526ec92d3c2da048a124321c5dfa9f6f88f4d"),
+    (["--rate", "1.0", "--no-css"],
+     "5995999565e265d5bbcb024210db75fdae4a417515508fea517a7aa5fdb17bf0"),
+    (["--rate", "0.5", "--no-crr"],
+     "83a23a3b7256895dbbb04b018110ee058f1a94e7c27f5549b059876b763398b2"),
+], ids=["css-crr", "crr-only", "css-only"])
+def test_augment_bytes_on_an_unlabeled_corpus_are_pinned(tmp_path, flags, digest):
+    corpus_path = _small_corpus(tmp_path, n=200, seed=7)
+    out = tmp_path / "a.jsonl"
+    assert run(["--quiet", "augment", "--corpus", str(corpus_path), "--seed", "7", *flags,
+                "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert all(r.labels is None for r in read_corpus(str(out)))

@@ -116,6 +116,34 @@ def test_malformed_line_reports_line_number(tmp_path, schema):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("entry", [
+    {"vec": [0.0] * 16, "masked": "false"},
+    {"vec": [0.0] * 16, "masked": 0},
+    {"vec": [0.0] * 16, "masked": None},
+    {"vec": [True] + [0.0] * 15, "masked": False},
+], ids=["masked-string", "masked-int", "masked-null", "bool-in-vec"])
+def test_feature_entry_with_non_boolean_mask_or_boolean_value_is_malformed(
+        tmp_path, schema, entry):
+    # json's true/false are not numbers, and "false" is not a boolean
+    path = tmp_path / "c.jsonl"
+    good = {"vec": [0.0] * schema.d, "masked": False}
+    obj = {"id": "x", "report": ["A sentence."],
+           "features": [entry] + [good] * (len(schema) - 1), "provenance": "Original"}
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(MalformedRecord) as err:
+        read_corpus(str(path), schema)
+    assert err.value.line == 1
+
+
+def test_feature_entry_without_a_mask_reads_as_unmasked(tmp_path, schema):
+    path = tmp_path / "c.jsonl"
+    obj = {"id": "x", "report": ["A sentence."],
+           "features": [{"vec": [0.5] * schema.d}] * len(schema), "provenance": "Original"}
+    path.write_text(json.dumps(obj) + "\n")
+    (record,) = read_corpus(str(path), schema)
+    assert not any(v.masked for v in record.features.per_disease)
+
+
 def test_duplicate_id_rejected(tmp_path, schema):
     line = json.dumps({"id": "dup", "report": ["Fine."], "provenance": "Original"})
     path = tmp_path / "c.jsonl"

@@ -419,3 +419,13 @@ def test_scenario_unknown_section_is_rejected(tmp_path, schema):
     path.write_text(_scenario_with_prototypes(_prototype_lines(schema), header="[prototype]"))
     with pytest.raises(ConfigInvalid, match=r"unknown section \[prototype\]"):
         parse_scenario(str(path), schema)
+
+
+def test_scenario_general_prototypes_must_be_auto_even_with_a_section(tmp_path, schema):
+    # the [prototypes] section gives the vectors; [general] only says "auto"
+    text = _scenario_with_prototypes(_prototype_lines(schema))
+    assert "prototypes = auto" in text
+    path = tmp_path / "bogus.cfg"
+    path.write_text(text.replace("prototypes = auto", "prototypes = bogus"))
+    with pytest.raises(ConfigInvalid, match="general.prototypes"):
+        parse_scenario(str(path), schema)
