@@ -122,7 +122,6 @@ def css_augment(
     record: Record,
     matcher: Matcher,
     stream: RngStream,
-    cfg: AugmentationConfig,
 ) -> Union[AugmentationOutcome, Skip]:
     """Pop one labeled sentence and mask the matching feature vectors.
 

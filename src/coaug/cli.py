@@ -35,10 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def default_schema_path() -> str:
-    env = os.environ.get("COA_SCHEMA")
-    if env:
-        return env
-    return os.path.join(os.path.dirname(__file__), "data", "default_schema.txt")
+    return os.environ.get("COA_SCHEMA") or corpus.default_schema_path()
 
 
 def _resolve_scenario(arg: str) -> str:
@@ -315,13 +312,12 @@ def _cmd_evaluate(args) -> int:
         t = time.monotonic()
         gold_labels = [labeler.label_report(r.report, matcher) for r in gold]
         gen_labels = [labeler.label_report(r.report, matcher) for r in gen]
-        counts = metrics.ce_confusion(gold_labels, gen_labels)
-        ce = metrics.ce_scores(counts)
+        per_disease = metrics.ce_confusion_per_disease(gold_labels, gen_labels)
+        counts = sum(per_disease, metrics.ConfusionCounts())  # micro: the cells pooled
         scores["counts"] = dataclasses.asdict(counts)
-        scores["ce"] = dataclasses.asdict(ce)
+        scores["ce"] = dataclasses.asdict(metrics.ce_scores(counts))
         if args.macro:
-            scores["ce_macro"] = dataclasses.asdict(metrics.macro_ce_scores(
-                metrics.ce_confusion_per_disease(gold_labels, gen_labels)))
+            scores["ce_macro"] = dataclasses.asdict(metrics.macro_ce_scores(per_disease))
         stages["ce"] = round(time.monotonic() - t, 3)
     gold_reports = [r.report for r in gold]
     gen_reports = [r.report for r in gen]

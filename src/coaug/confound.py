@@ -12,16 +12,23 @@ that association reverses inside sub-populations:
 * aggregate-vs-strata reversal detection on log-odds-ratio signs;
 * report-level co-mention lift and directional sentence-order asymmetry.
 
+Contingency tables and lift are read off one joint count per pair: how
+many records have each (stratum, status of A, status of B).
+
 Association direction is the sign of the log odds ratio, computed by
 exact integer cross-multiplication so scaling all counts never flips it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import reduce
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
-from .corpus import Corpus, DiseaseStatus, Record
+from .corpus import Corpus, DiseaseStatus
 from .errors import (
     EmptyTable,
     InsufficientStrata,
@@ -211,15 +218,23 @@ def detect_simpson_reversal(st: StratifiedTables) -> SimpsonReport:
 # corpus scans
 
 
-def _require_labels(record: Record) -> None:
-    if record.labels is None:
-        raise MissingLabels(f"record {record.id!r} has no labels; run label_report first")
-
-
-_BINARY = (DiseaseStatus.POSITIVE, DiseaseStatus.NEGATIVE)
-
+_POS, _NEG, _UNM = DiseaseStatus.POSITIVE, DiseaseStatus.NEGATIVE, DiseaseStatus.UNMENTIONED
 _STATUS_STRATA = ("Positive", "Negative", "Uncertain", "Unmentioned")
 _PROVENANCE_STRATA = ("Original", "Counterfactual")
+
+
+def _joint_counts(corpus: Corpus, a: int, b: int, strata: Iterable[str]) -> Counter:
+    """Records per (stratum, status of a, status of b).  ``strata`` runs in
+    step with the records and is drawn only once every record is known to
+    carry labels, so a generator over the records may read them."""
+    try:
+        rows = [record.labels.statuses for record in corpus]
+    except AttributeError:
+        record = next(r for r in corpus if r.labels is None)
+        raise MissingLabels(
+            f"record {record.id!r} has no labels; run label_report first"
+        ) from None
+    return Counter(zip(strata, map(itemgetter(a), rows), map(itemgetter(b), rows)))
 
 
 def build_contingency(
@@ -237,42 +252,26 @@ def build_contingency(
     """
     if stratify_by is None:
         keys: tuple[str, ...] = ("all",)
+        strata: Iterable[str] = repeat("all")
     elif stratify_by == "provenance":
         keys = _PROVENANCE_STRATA
+        strata = (record.provenance.value for record in corpus)
     else:
         keys = _STATUS_STRATA
+        strata = (record.labels.statuses[stratify_by].value for record in corpus)
+    counts = _joint_counts(corpus, a, b, strata)
 
-    counts = {key: [0, 0, 0, 0, 0, 0, 0] for key in keys}  # cells + margins + total
-    for record in corpus:
-        _require_labels(record)
-        if stratify_by is None:
-            key = "all"
-        elif stratify_by == "provenance":
-            key = record.provenance.value
-        else:
-            key = record.labels.statuses[stratify_by].value
-        row = counts[key]
-        row[6] += 1
-        st_a = record.labels.statuses[a]
-        st_b = record.labels.statuses[b]
-        if st_a is DiseaseStatus.POSITIVE:
-            row[4] += 1
-        elif st_a is DiseaseStatus.NEGATIVE:
-            row[5] += 1
-        if st_a in _BINARY and st_b in _BINARY:
-            cell = (0 if st_a is DiseaseStatus.POSITIVE else 2) + (
-                0 if st_b is DiseaseStatus.POSITIVE else 1
-            )
-            row[cell] += 1
-
-    strata = {
-        key: ContingencyTable(*row[:4], row[4], row[5], row[6])
-        for key, row in counts.items()
-    }
-    aggregate = ContingencyTable(0, 0, 0, 0, 0, 0, 0)
-    for table in strata.values():
-        aggregate = add_tables(aggregate, table)
-    return StratifiedTables(strata, aggregate)
+    tables = {}
+    for key in keys:
+        by_a = [(sa, c) for (k, sa, _), c in counts.items() if k == key]
+        tables[key] = ContingencyTable(
+            counts[key, _POS, _POS], counts[key, _POS, _NEG],
+            counts[key, _NEG, _POS], counts[key, _NEG, _NEG],
+            sum(c for sa, c in by_a if sa is _POS),
+            sum(c for sa, c in by_a if sa is _NEG),
+            sum(c for _, c in by_a),
+        )
+    return StratifiedTables(tables, reduce(add_tables, tables.values()))
 
 
 def co_mention_lift(corpus: Corpus, a: int, b: int) -> float:
@@ -281,14 +280,10 @@ def co_mention_lift(corpus: Corpus, a: int, b: int) -> float:
     n = len(corpus)
     if n == 0:
         raise UndefinedLift("empty corpus")
-    n_a = n_b = n_ab = 0
-    for record in corpus:
-        _require_labels(record)
-        ma = record.labels.mentioned(a)
-        mb = record.labels.mentioned(b)
-        n_a += ma
-        n_b += mb
-        n_ab += ma and mb
+    counts = _joint_counts(corpus, a, b, repeat("all"))
+    n_a = sum(c for (_, sa, _), c in counts.items() if sa is not _UNM)
+    n_b = sum(c for (_, _, sb), c in counts.items() if sb is not _UNM)
+    n_ab = sum(c for (_, sa, sb), c in counts.items() if sa is not _UNM and sb is not _UNM)
     if n_a == 0 or n_b == 0:
         raise UndefinedLift("a disease is never mentioned")
     return (n_ab / n) / ((n_a / n) * (n_b / n))

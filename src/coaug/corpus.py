@@ -92,28 +92,6 @@ class LabelSchema:
         return [dz.name for dz in self.diseases]
 
 
-DEFAULT_DISEASES = (
-    "Enlarged Cardiomediastinum",
-    "Cardiomegaly",
-    "Lung Opacity",
-    "Lung Lesion",
-    "Edema",
-    "Consolidation",
-    "Pneumonia",
-    "Atelectasis",
-    "Pneumothorax",
-    "Pleural Effusion",
-    "Pleural Other",
-    "Fracture",
-    "Support Devices",
-    "No Finding",
-)
-
-
-def default_schema(d: int = 16) -> LabelSchema:
-    return make_schema(DEFAULT_DISEASES, d)
-
-
 def make_schema(names: Iterable[str], d: int = 16) -> LabelSchema:
     return LabelSchema(tuple(DiseaseId(i, n) for i, n in enumerate(names)), d)
 
@@ -382,6 +360,15 @@ def read_schema(path: str) -> LabelSchema:
         return make_schema(lines[1:], d)
     except ValueError as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
+
+
+def default_schema_path() -> str:
+    """The 14-disease schema (d=16) that ships in the package."""
+    return os.path.join(os.path.dirname(__file__), "data", "default_schema.txt")
+
+
+def default_schema(d: int = 16) -> LabelSchema:
+    return replace(read_schema(default_schema_path()), d=d)
 
 
 def atomic_write_lines(path: str, lines: Iterable[str]) -> None:

@@ -13,6 +13,8 @@ deterministic and each record depends only on (seed, attempt index).
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from operator import add
@@ -32,8 +34,6 @@ from .corpus import (
 )
 from .errors import ConfigInvalid, MissingTemplate, UnknownDisease
 from .rng import RngStream
-
-import os
 
 
 class OrderPolicy(Enum):
@@ -75,8 +75,8 @@ def validate_config(cfg: SynthConfig, schema: LabelSchema) -> None:
     n_c = len(schema)
     if cfg.n_records < 0:
         raise ConfigInvalid("n_records", "must be >= 0")
-    if cfg.noise_sigma < 0:
-        raise ConfigInvalid("noise_sigma", "must be >= 0")
+    if not 0 <= cfg.noise_sigma < math.inf:
+        raise ConfigInvalid("noise_sigma", f"must be finite and >= 0, got {cfg.noise_sigma}")
     _check_prob(cfg.mention_positive, "mention_positive")
     _check_prob(cfg.mention_negative, "mention_negative")
     planted_members: set[int] = set()
@@ -115,6 +115,8 @@ def validate_config(cfg: SynthConfig, schema: LabelSchema) -> None:
             pos, neg = cfg.prototypes[idx]
             if len(pos) != schema.d or len(neg) != schema.d:
                 raise ConfigInvalid(f"prototypes[{idx}]", f"vectors must have length {schema.d}")
+            if not all(map(math.isfinite, pos + neg)):
+                raise ConfigInvalid(f"prototypes[{idx}]", "values must be finite")
 
 
 def effective_marginals(cfg: SynthConfig) -> dict[int, float]:

@@ -44,7 +44,7 @@ def test_config_validation():
 def test_css_pops_effusion_sentence(schema, matcher):
     # stream (seed=1, id="r1") draws sentence index 1 on its first try
     record = make_record("r1", CSS_TEXTS, schema)
-    out = css_augment(record, matcher, RngStream.for_record(1, "r1"), AugmentationConfig())
+    out = css_augment(record, matcher, RngStream.for_record(1, "r1"))
     assert not isinstance(out, Skip)
     assert out.popped_sentence_index == 1
     assert out.masked_indices == {schema.index_of("Pleural Effusion")}
@@ -61,7 +61,7 @@ def test_css_pops_effusion_sentence(schema, matcher):
 
 def test_css_single_sentence_skips(schema, matcher):
     record = make_record("r1", ["No pneumothorax."], schema)
-    out = css_augment(record, matcher, RngStream.for_record(0, "r1"), AugmentationConfig())
+    out = css_augment(record, matcher, RngStream.for_record(0, "r1"))
     assert isinstance(out, Skip)
     assert out.reason == "below-min-sentences"
 
@@ -72,10 +72,9 @@ def test_css_merged_normal_sentence_masks_both(schema, matcher):
         "The heart is enlarged.",
     ]
     record = make_record("r1", texts, schema)
-    cfg = AugmentationConfig()
     # find a stream that pops sentence 0 (both diseases merged into it)
     for seed in range(50):
-        out = css_augment(record, matcher, RngStream.for_record(seed, "r1"), cfg)
+        out = css_augment(record, matcher, RngStream.for_record(seed, "r1"))
         assert not isinstance(out, Skip)
         if out.popped_sentence_index == 0:
             assert out.masked_indices == {
@@ -93,12 +92,12 @@ def test_css_merged_normal_sentence_masks_both(schema, matcher):
 def test_css_requires_features(schema, matcher):
     record = make_record("r1", CSS_TEXTS, schema, features=False)
     with pytest.raises(MissingFeatures):
-        css_augment(record, matcher, RngStream.for_record(0, "r1"), AugmentationConfig())
+        css_augment(record, matcher, RngStream.for_record(0, "r1"))
 
 
 def test_css_skips_when_nothing_labelable(schema, matcher):
     record = make_record("r1", ["Patient is comfortable.", "Patient is resting."], schema)
-    out = css_augment(record, matcher, RngStream.for_record(0, "r1"), AugmentationConfig())
+    out = css_augment(record, matcher, RngStream.for_record(0, "r1"))
     assert isinstance(out, Skip)
     assert out.reason == "no-labelable-sentence"
 
@@ -109,7 +108,7 @@ def test_css_orphan_mention_flag(schema, matcher):
         "The pleural effusion is unchanged.",
     ]
     record = make_record("r1", texts, schema)
-    out = css_augment(record, matcher, RngStream.for_record(0, "r1"), AugmentationConfig())
+    out = css_augment(record, matcher, RngStream.for_record(0, "r1"))
     assert not isinstance(out, Skip)
     assert ORPHAN_MENTION in out.flags  # either pop leaves the twin mention
 

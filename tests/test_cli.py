@@ -320,6 +320,18 @@ def test_schema_file_with_duplicate_names_is_data_error(tmp_path):
     assert rc == EXIT_DATA
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_noise_sigma_is_data_error(tmp_path, capsys, sigma):
+    text = Path(default_scenario_path()).read_text(encoding="utf-8")
+    scenario = tmp_path / "sigma.cfg"
+    scenario.write_text(text.replace("noise_sigma = 0.1", f"noise_sigma = {sigma}"))
+    out = tmp_path / "c.jsonl"
+    rc = run(["--quiet", "synth", "--scenario", str(scenario), "--n", "3", "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lexicon_pattern_longer_than_five_tokens_is_data_error(tmp_path):
     corpus_path = _small_corpus(tmp_path)
     lexicon = tmp_path / "lexicon.tsv"

@@ -345,6 +345,148 @@ def test_planted_lift_two_at_desk_scale(schema, matcher):
     assert 1.9 <= lift <= 2.1
 
 
+# ---------------------------------------------------------------------------
+# the joint-count scans against the per-record loops they replaced
+
+
+def _loop_require_labels(record):
+    if record.labels is None:
+        raise MissingLabels(f"record {record.id!r} has no labels; run label_report first")
+
+
+def _loop_build_contingency(corpus, a, b, stratify_by=None):
+    """The per-record loop that ``build_contingency`` replaced."""
+    binary = (POS, NEG)
+    if stratify_by is None:
+        keys = ("all",)
+    elif stratify_by == "provenance":
+        keys = ("Original", "Counterfactual")
+    else:
+        keys = ("Positive", "Negative", "Uncertain", "Unmentioned")
+    counts = {key: [0, 0, 0, 0, 0, 0, 0] for key in keys}  # cells + margins + total
+    for record in corpus:
+        _loop_require_labels(record)
+        if stratify_by is None:
+            key = "all"
+        elif stratify_by == "provenance":
+            key = record.provenance.value
+        else:
+            key = record.labels.statuses[stratify_by].value
+        row = counts[key]
+        row[6] += 1
+        st_a = record.labels.statuses[a]
+        st_b = record.labels.statuses[b]
+        if st_a is POS:
+            row[4] += 1
+        elif st_a is NEG:
+            row[5] += 1
+        if st_a in binary and st_b in binary:
+            row[(0 if st_a is POS else 2) + (0 if st_b is POS else 1)] += 1
+    strata = {
+        key: ContingencyTable(*row[:4], row[4], row[5], row[6]) for key, row in counts.items()
+    }
+    aggregate = ContingencyTable(0, 0, 0, 0, 0, 0, 0)
+    for table in strata.values():
+        aggregate = add_tables(aggregate, table)
+    return StratifiedTables(strata, aggregate)
+
+
+def _loop_co_mention_lift(corpus, a, b):
+    """The per-record loop that ``co_mention_lift`` replaced."""
+    n = len(corpus)
+    if n == 0:
+        raise UndefinedLift("empty corpus")
+    n_a = n_b = n_ab = 0
+    for record in corpus:
+        _loop_require_labels(record)
+        ma = record.labels.mentioned(a)
+        mb = record.labels.mentioned(b)
+        n_a += ma
+        n_b += mb
+        n_ab += ma and mb
+    if n_a == 0 or n_b == 0:
+        raise UndefinedLift("a disease is never mentioned")
+    return (n_ab / n) / ((n_a / n) * (n_b / n))
+
+
+def _outcome(fn, *args):
+    """The result, or the error's type and message; strata compared in key order."""
+    try:
+        out = fn(*args)
+    except (MissingLabels, UndefinedLift) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, StratifiedTables):
+        return list(out.strata.items()), out.aggregate
+    return out
+
+
+ALL_STATUSES = [POS, NEG, DiseaseStatus.UNCERTAIN, UNM]
+
+
+def _scan_corpus(schema, statuses, unlabeled=()):
+    """One record per status row (diseases 0..len(row)-1, the rest
+    Unmentioned), alternating provenance; positions in *unlabeled* get none."""
+    records = []
+    for i, row in enumerate(statuses):
+        labels = ReportLabelVector(tuple(row) + (UNM,) * (len(schema) - len(row)))
+        prov = Provenance.ORIGINAL if i % 3 else Provenance.COUNTERFACTUAL
+        records.append(make_record(
+            f"r{i}", ["Sentence."], schema, features=False,
+            labels=None if i in unlabeled else labels, provenance=prov,
+            source_id="src" if prov is Provenance.COUNTERFACTUAL else None,
+        ))
+    return Corpus(schema, tuple(records))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scans_equal_the_per_record_loops(schema, data):
+    n = data.draw(st.integers(min_value=0, max_value=40), label="n")
+    statuses = [
+        data.draw(st.lists(st.sampled_from(ALL_STATUSES), min_size=4, max_size=4))
+        for _ in range(n)
+    ]
+    where = data.draw(st.sampled_from(["none", "first", "middle", "last"]), label="unlabeled")
+    unlabeled = {"none": (), "first": (0,), "middle": (n // 2, n - 1),
+                 "last": (n - 1,)}[where] if n else ()
+    corpus = _scan_corpus(schema, statuses, unlabeled)
+    a = data.draw(st.integers(0, 3), label="a")
+    b = data.draw(st.integers(0, 3), label="b")
+    stratify_by = data.draw(st.sampled_from([None, "provenance", 2, 3, a, b]), label="stratify")
+    assert (_outcome(build_contingency, corpus, a, b, stratify_by)
+            == _outcome(_loop_build_contingency, corpus, a, b, stratify_by))
+    assert (_outcome(co_mention_lift, corpus, a, b)
+            == _outcome(_loop_co_mention_lift, corpus, a, b))
+
+
+@pytest.mark.parametrize("unlabeled, rid", [((0,), "'r0'"), ((3, 5), "'r3'")])
+def test_scans_name_the_first_unlabeled_record(schema, unlabeled, rid):
+    corpus = _scan_corpus(schema, [[POS, NEG, POS, UNM]] * 7, unlabeled)
+    for scan in (build_contingency, co_mention_lift):
+        with pytest.raises(MissingLabels, match=rid):
+            scan(corpus, 0, 1)
+    with pytest.raises(MissingLabels, match=rid):
+        build_contingency(corpus, 0, 1, 2)
+
+
+@pytest.mark.parametrize("statuses, message", [
+    ([], "empty corpus"),
+    ([[UNM, POS]] * 3, "a disease is never mentioned"),
+    ([[DiseaseStatus.UNCERTAIN, UNM]] * 3, "a disease is never mentioned"),
+])
+def test_lift_undefined_cases_match_the_loop(schema, statuses, message):
+    corpus = _scan_corpus(schema, statuses)
+    assert _outcome(co_mention_lift, corpus, 0, 1) == (UndefinedLift, message)
+    assert _outcome(_loop_co_mention_lift, corpus, 0, 1) == (UndefinedLift, message)
+
+
+def test_empty_corpus_tables_equal_the_loop(schema):
+    empty = Corpus(schema, ())
+    for stratify_by in (None, "provenance", 4, 8, 9):
+        assert (_outcome(build_contingency, empty, 8, 9, stratify_by)
+                == _outcome(_loop_build_contingency, empty, 8, 9, stratify_by))
+
+
 def _templates(schema):
     from coaug.synth import parse_scenario, default_scenario_path
 

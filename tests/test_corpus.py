@@ -270,13 +270,13 @@ def test_round_trip_random_features(tmp_path_factory, payload, schema):
 
 
 def test_masked_features_survive_round_trip(tmp_path, schema, matcher):
-    from coaug.augment import AugmentationConfig, css_augment
+    from coaug.augment import css_augment
     from coaug.rng import RngStream
 
     record = make_record(
         "src", ["No pneumothorax.", "Small right pleural effusion."], schema
     )
-    out = css_augment(record, matcher, RngStream.for_record(3, "src"), AugmentationConfig())
+    out = css_augment(record, matcher, RngStream.for_record(3, "src"))
     corpus = Corpus(schema, (record, out.record))
     path = tmp_path / "cf.jsonl"
     write_corpus(corpus, str(path))
@@ -288,7 +288,7 @@ def test_masked_features_survive_round_trip(tmp_path, schema, matcher):
 
 
 def test_masked_vector_is_interned_and_its_text_is_repr_zeros(schema, matcher):
-    from coaug.augment import AugmentationConfig, css_augment
+    from coaug.augment import css_augment
     from coaug.rng import RngStream
 
     assert masked_vector(4) is masked_vector(4)
@@ -296,8 +296,7 @@ def test_masked_vector_is_interned_and_its_text_is_repr_zeros(schema, matcher):
     record = make_record(
         "src", ["No pneumothorax.", "Small right pleural effusion."], schema
     )
-    twin = css_augment(record, matcher, RngStream.for_record(3, "src"),
-                       AugmentationConfig()).record
+    twin = css_augment(record, matcher, RngStream.for_record(3, "src")).record
     masked = [v for v in twin.features.per_disease if v.masked]
     assert masked and all(v is masked_vector(schema.d) for v in masked)
 

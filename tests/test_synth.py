@@ -10,10 +10,8 @@ from coaug.corpus import (
     FeatureBundle,
     FeatureVector,
     default_schema,
-    make_schema,
     validate_record,
     write_corpus,
-    DEFAULT_DISEASES,
 )
 from coaug.errors import ConfigInvalid, MissingTemplate, UnknownDisease
 from coaug.labeler import label_report
@@ -118,7 +116,7 @@ def test_generated_records_validate(schema, default_templates):
 def test_marginals_and_planted_conditionals_converge(default_templates):
     # law-of-large-numbers check at the documented +/-0.02 tolerance;
     # d=4 keeps the feature draws cheap at this scale
-    schema = make_schema(DEFAULT_DISEASES, d=4)
+    schema = default_schema(d=4)
     marginals = {i: 0.25 for i in range(14)}
     marginals[8] = 0.038
     del marginals[9]
@@ -222,7 +220,7 @@ def _per_call_sample_features(statuses, prototypes, noise_sigma, stream, d):
 @pytest.mark.parametrize("d, noise_sigma", [(3, 0.1), (16, 0.1), (16, 0.0)])
 def test_generate_matches_per_call_feature_draws(monkeypatch, default_templates, d, noise_sigma):
     # d=3: a Box-Muller pair spans two vectors of the bundle
-    schema = make_schema(DEFAULT_DISEASES, d=d)
+    schema = default_schema(d=d)
     cfg = small_cfg(schema, default_templates, n_records=60, noise_sigma=noise_sigma)
     fused = synth_generate(cfg, schema)
     monkeypatch.setattr(synth_module, "sample_features", _per_call_sample_features)
@@ -295,6 +293,24 @@ def test_config_rejects_bad_probability(schema, default_templates):
     with pytest.raises(ConfigInvalid) as err:
         synth_generate(cfg, schema)
     assert "mention_negative" in str(err.value)
+
+
+@pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+def test_config_rejects_noise_sigma_that_is_not_finite_and_nonnegative(
+        schema, default_templates, sigma):
+    cfg = small_cfg(schema, default_templates, noise_sigma=sigma)
+    with pytest.raises(ConfigInvalid, match="noise_sigma"):
+        synth_generate(cfg, schema)
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+def test_scenario_rejects_non_finite_noise_sigma(tmp_path, schema, sigma):
+    text = open(default_scenario_path(), encoding="utf-8").read()
+    assert "noise_sigma = 0.1" in text
+    path = tmp_path / "sigma.cfg"
+    path.write_text(text.replace("noise_sigma = 0.1", f"noise_sigma = {sigma}"))
+    with pytest.raises(ConfigInvalid, match="noise_sigma"):
+        parse_scenario(str(path), schema)
 
 
 def test_config_requires_all_marginals(schema, default_templates):
@@ -405,7 +421,11 @@ def test_scenario_prototypes_are_the_features_at_zero_noise(tmp_path, schema, ma
                  for ln in ls], "bad vector"),
     (lambda ls: [ln + ", 1.0" if ln.startswith("Edema | positive") else ln for ln in ls],
      "length 16"),
-], ids=["one-status", "bad-status", "non-numeric", "wrong-length"])
+    (lambda ls: [ln.replace("Edema | positive = 2.0,", "Edema | positive = nan,")
+                 for ln in ls], "finite"),
+    (lambda ls: [ln.replace("Edema | negative = -2.0,", "Edema | negative = -inf,")
+                 for ln in ls], "finite"),
+], ids=["one-status", "bad-status", "non-numeric", "wrong-length", "nan", "inf"])
 def test_scenario_prototypes_reject_bad_lines(tmp_path, schema, edit, message):
     path = tmp_path / "bad.cfg"
     path.write_text(_scenario_with_prototypes(edit(_prototype_lines(schema))))
