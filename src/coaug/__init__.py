@@ -27,7 +27,6 @@ from .confound import (
 )
 from .corpus import (
     Corpus,
-    DiseaseId,
     DiseaseStatus,
     FeatureBundle,
     FeatureVector,

@@ -61,6 +61,9 @@ class AugmentationConfig:
             raise ConfigInvalid("enable_css/enable_crr", "at least one must be true")
 
 
+_CSS_ONLY = AugmentationConfig(enable_crr=False)
+
+
 @dataclass(frozen=True)
 class Skip:
     """A record the augmenter declined to touch, with the reason."""
@@ -129,11 +132,7 @@ def css_augment(
     retained sentence mentions the same disease; that case is surfaced
     via the OrphanMention flag rather than silently avoided.
     """
-    popped = _pop_sentence(record, matcher, stream)
-    if isinstance(popped, Skip):
-        return popped
-    index, labels, kept = popped
-    return _counterfactual(record, matcher, kept, tuple(range(len(kept))), index, labels)
+    return augment_record(record, matcher, stream, _CSS_ONLY)
 
 
 def crr_augment(report: Report, stream: RngStream) -> tuple[Report, tuple[int, ...]]:

@@ -21,7 +21,7 @@ from typing import Optional
 from . import augment as aug
 from . import confound, corpus, labeler, metrics, synth
 from .corpus import Corpus, LabelSchema, atomic_write_text
-from .errors import CoaugError, NoCooccurrence, UsageError
+from .errors import CoaugError, NoCooccurrence, UnknownDisease, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,8 +100,8 @@ def pair_statistics(c: Corpus, matcher: labeler.Matcher,
         st = confound.build_contingency(c, ia, ib, stratify)
         table = st.aggregate
         block: dict = {
-            "a": c.schema.diseases[ia].name,
-            "b": c.schema.diseases[ib].name,
+            "a": c.schema.names[ia],
+            "b": c.schema.names[ib],
             "cells": {"n_pp": table.n_pp, "n_pm": table.n_pm,
                       "n_mp": table.n_mp, "n_mm": table.n_mm},
             "margin_a_pos": table.margin_a_pos,
@@ -207,7 +207,7 @@ def _parse_pairs(spec_arg: Optional[str], schema: LabelSchema) -> list[tuple[int
 def _disease_index(schema: LabelSchema, name: str) -> int:
     try:
         return schema.index_of(name.strip())
-    except KeyError:
+    except UnknownDisease:
         raise UsageError(f"unknown disease {name.strip()!r}") from None
 
 

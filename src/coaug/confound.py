@@ -28,7 +28,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .corpus import Corpus, DiseaseStatus
+from .corpus import Corpus, DiseaseStatus, Provenance
 from .errors import (
     EmptyTable,
     InsufficientStrata,
@@ -219,8 +219,8 @@ def detect_simpson_reversal(st: StratifiedTables) -> SimpsonReport:
 
 
 _POS, _NEG, _UNM = DiseaseStatus.POSITIVE, DiseaseStatus.NEGATIVE, DiseaseStatus.UNMENTIONED
-_STATUS_STRATA = ("Positive", "Negative", "Uncertain", "Unmentioned")
-_PROVENANCE_STRATA = ("Original", "Counterfactual")
+_STATUS_STRATA = tuple(status.value for status in DiseaseStatus)
+_PROVENANCE_STRATA = tuple(provenance.value for provenance in Provenance)
 
 
 def _joint_counts(corpus: Corpus, a: int, b: int, strata: Iterable[str]) -> Counter:

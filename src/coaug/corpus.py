@@ -30,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .errors import MalformedRecord, MissingFile, SchemaMismatch
+from .errors import MalformedRecord, MissingFile, SchemaMismatch, UnknownDisease
 
 
 class DiseaseStatus(Enum):
@@ -55,45 +55,32 @@ class Provenance(Enum):
 
 
 @dataclass(frozen=True)
-class DiseaseId:
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
 class LabelSchema:
     """Disease names in index order plus the feature dimension d."""
 
-    diseases: tuple[DiseaseId, ...]
+    names: tuple[str, ...]
     d: int = 16
 
     def __post_init__(self):
-        names = [dz.name for dz in self.diseases]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate disease names in schema")
-        for i, dz in enumerate(self.diseases):
-            if dz.index != i:
-                raise ValueError(f"disease index {dz.index} at position {i}")
-            if not dz.name.strip():
-                raise ValueError("blank disease name")
+        if not all(name.strip() for name in self.names):
+            raise ValueError("blank disease name")
         if self.d < 1:
             raise ValueError("feature dimension must be >= 1")
 
     def __len__(self) -> int:
-        return len(self.diseases)
+        return len(self.names)
 
     def index_of(self, name: str) -> int:
-        for dz in self.diseases:
-            if dz.name == name:
-                return dz.index
-        raise KeyError(name)
-
-    def names(self) -> list[str]:
-        return [dz.name for dz in self.diseases]
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise UnknownDisease(name) from None
 
 
 def make_schema(names: Iterable[str], d: int = 16) -> LabelSchema:
-    return LabelSchema(tuple(DiseaseId(i, n) for i, n in enumerate(names)), d)
+    return LabelSchema(tuple(names), d)
 
 
 @dataclass(frozen=True)
@@ -307,7 +294,7 @@ def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int) -> Record:
         for name, value in raw.items():
             try:
                 idx = schema.index_of(name)
-            except KeyError:
+            except UnknownDisease:
                 raise SchemaMismatch(f"line {line_no}: unknown disease name {name!r}")
             try:
                 statuses[idx] = DiseaseStatus(value)
@@ -336,7 +323,7 @@ def schema_path_for(path: str) -> str:
 
 
 def write_schema(schema: LabelSchema, path: str) -> None:
-    lines = [f"d={schema.d}"] + schema.names()
+    lines = [f"d={schema.d}", *schema.names]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -349,15 +336,17 @@ def read_lines(path: str) -> list[str]:
 
 
 def read_schema(path: str) -> LabelSchema:
-    lines = [ln.rstrip("\n") for ln in read_lines(path) if ln.strip()]
-    if not lines or not lines[0].startswith("d="):
-        raise MalformedRecord(1, "schema file must start with 'd=<int>'")
+    lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(read_lines(path), start=1)
+             if ln.strip()]
+    line_no, head = lines[0] if lines else (1, "")
+    if not head.startswith("d="):
+        raise MalformedRecord(line_no, "schema file must start with 'd=<int>'")
     try:
-        d = int(lines[0][2:])
+        d = int(head[2:])
     except ValueError:
-        raise MalformedRecord(1, f"bad feature dimension {lines[0]!r}")
+        raise MalformedRecord(line_no, f"bad feature dimension {head!r}")
     try:
-        return make_schema(lines[1:], d)
+        return make_schema((name for _, name in lines[1:]), d)
     except ValueError as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
 
@@ -393,9 +382,9 @@ def record_to_line(record: Record, schema: LabelSchema) -> str:
     head = {"id": record.id, "report": record.report.texts()}
     tail: dict = {}
     if record.labels is not None:
-        statuses = record.labels.statuses
-        tail["labels"] = {dz.name: statuses[dz.index].value for dz in schema.diseases
-                          if statuses[dz.index] is not DiseaseStatus.UNMENTIONED}
+        tail["labels"] = {name: status.value
+                          for name, status in zip(schema.names, record.labels.statuses)
+                          if status is not DiseaseStatus.UNMENTIONED}
     tail["provenance"] = record.provenance.value
     if record.source_id is not None:
         tail["source_id"] = record.source_id

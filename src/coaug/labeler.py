@@ -30,7 +30,7 @@ from .corpus import (
     STATUS_RANK,
     read_lines,
 )
-from .errors import DuplicateRule, MalformedRecord, UnknownDisease
+from .errors import DuplicateRule, MalformedRecord
 
 # Trailing periods of these tokens never end a sentence.
 ABBREVIATIONS = frozenset(
@@ -204,16 +204,14 @@ def parse_lexicon(lines: list[str], schema: LabelSchema) -> list[LexiconRule]:
         if len(parts) != 2:
             raise MalformedRecord(line_no, "expected 'disease<TAB>pattern'")
         name, pattern = parts[0].strip(), parts[1].strip().lower()
-        if not 1 <= len(match_tokens(pattern)) <= 5:
+        tokens = tuple(match_tokens(pattern))
+        if not 1 <= len(tokens) <= 5:
             raise MalformedRecord(line_no, f"pattern must be 1-5 word tokens: {pattern!r}")
-        try:
-            idx = schema.index_of(name)
-        except KeyError:
-            raise UnknownDisease(name)
-        key = (idx, pattern)
-        if key in seen:
+        idx = schema.index_of(name)
+        # the matcher keys a rule by its tokens, so "a-b" repeats "a b"
+        if (idx, tokens) in seen:
             raise DuplicateRule(f"line {line_no}: duplicate rule ({name!r}, {pattern!r})")
-        seen.add(key)
+        seen.add((idx, tokens))
         rules.append(LexiconRule(idx, pattern))
     return rules
 
@@ -230,6 +228,8 @@ def parse_cues(lines: list[str]) -> CueList:
                 window = int(line[len("window="):])
             except ValueError:
                 raise MalformedRecord(line_no, f"bad window value {line!r}")
+            if window < 1:
+                raise MalformedRecord(line_no, "cue window must be >= 1")
             continue
         parts = line.split("\t")
         if len(parts) != 2 or parts[0] not in ("neg", "unc"):
@@ -237,11 +237,11 @@ def parse_cues(lines: list[str]) -> CueList:
         phrase = parts[1].strip().lower()
         if not match_tokens(phrase):
             raise MalformedRecord(line_no, "cue phrase has no word tokens")
-        (negation if parts[0] == "neg" else uncertainty).append(phrase)
-    try:
-        return CueList(tuple(negation), tuple(uncertainty), window)
-    except ValueError as exc:
-        raise MalformedRecord(0, str(exc))
+        own, other = (negation, uncertainty) if parts[0] == "neg" else (uncertainty, negation)
+        if phrase in other:
+            raise MalformedRecord(line_no, "negation and uncertainty cues must be disjoint")
+        own.append(phrase)
+    return CueList(tuple(negation), tuple(uncertainty), window)
 
 
 def compile_lexicon(rules_path: str, cues_path: str, schema: LabelSchema) -> Matcher:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import add
 from typing import Optional, Sequence
@@ -32,7 +32,7 @@ from .corpus import (
     Sentence,
     read_lines,
 )
-from .errors import ConfigInvalid, MissingTemplate, UnknownDisease
+from .errors import ConfigInvalid, MissingTemplate
 from .rng import RngStream
 
 
@@ -105,7 +105,7 @@ def validate_config(cfg: SynthConfig, schema: LabelSchema) -> None:
         for status in (DiseaseStatus.POSITIVE, DiseaseStatus.NEGATIVE):
             if (idx, status) not in cfg.templates:
                 raise ConfigInvalid(
-                    f"templates[{schema.diseases[idx].name}|{status.value.lower()}]",
+                    f"templates[{schema.names[idx]}|{status.value.lower()}]",
                     "missing template",
                 )
     if cfg.prototypes is not None:
@@ -117,15 +117,6 @@ def validate_config(cfg: SynthConfig, schema: LabelSchema) -> None:
                 raise ConfigInvalid(f"prototypes[{idx}]", f"vectors must have length {schema.d}")
             if not all(map(math.isfinite, pos + neg)):
                 raise ConfigInvalid(f"prototypes[{idx}]", "values must be finite")
-
-
-def effective_marginals(cfg: SynthConfig) -> dict[int, float]:
-    """Marginals with each planted outcome replaced by its induced value."""
-    out = dict(cfg.marginals)
-    for pair in cfg.planted:
-        pa = cfg.marginals[pair.a]
-        out[pair.b] = pa * pair.p_pos_given_pos + (1 - pa) * pair.p_pos_given_neg
-    return out
 
 
 def auto_prototypes(schema: LabelSchema) -> Prototypes:
@@ -238,7 +229,6 @@ def synth_generate(cfg: SynthConfig, schema: LabelSchema) -> Corpus:
     that many attempts that mention a disease, in attempt order.  Record
     ids carry the attempt index, so streams and ids stay in lockstep."""
     validate_config(cfg, schema)
-    cfg_eff = replace(cfg, marginals=effective_marginals(cfg))
     prototypes = cfg.prototypes if cfg.prototypes is not None else auto_prototypes(schema)
 
     records: list[Record] = []
@@ -250,7 +240,7 @@ def synth_generate(cfg: SynthConfig, schema: LabelSchema) -> Corpus:
                 "n_records",
                 "generation stalled: records almost never mention a disease",
             )
-        record = _attempt_record(cfg_eff, schema, prototypes, attempt)
+        record = _attempt_record(cfg, schema, prototypes, attempt)
         if record is not None:
             records.append(record)
         attempt += 1
@@ -294,6 +284,19 @@ def _split_kv(line: str, line_no: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+_KEY_STATUSES = {s.value.lower(): s for s in (DiseaseStatus.POSITIVE, DiseaseStatus.NEGATIVE)}
+
+
+def _status_key(section: str, key: str, schema: LabelSchema) -> tuple[int, DiseaseStatus]:
+    """The disease index and status of a ``disease | status`` key."""
+    name, _, status = key.partition("|")
+    status = status.strip().lower()
+    if status not in _KEY_STATUSES:
+        raise ConfigInvalid(f"{section}.{key}", f"bad status {status!r}, expected "
+                            "'disease | positive' or 'disease | negative'")
+    return schema.index_of(name.strip()), _KEY_STATUSES[status]
+
+
 def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
     """Parse a line-based ``key = value`` scenario file.
 
@@ -317,17 +320,11 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
         raise ConfigInvalid("general.prototypes",
                             "must be 'auto'; give other vectors in a [prototypes] section")
 
-    def resolve(name: str) -> int:
-        try:
-            return schema.index_of(name.strip())
-        except KeyError:
-            raise UnknownDisease(name.strip())
-
     marginals: dict[int, float] = {}
     for line_no, line in sections["marginals"]:
         key, value = _split_kv(line, line_no)
         try:
-            marginals[resolve(key)] = float(value)
+            marginals[schema.index_of(key)] = float(value)
         except ValueError:
             raise ConfigInvalid(f"marginals.{key}", f"bad probability {value!r}")
 
@@ -340,45 +337,35 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
         parts = [p.strip() for p in value.split(",")]
         if len(parts) != 2:
             raise ConfigInvalid(f"planted.{key}", "expected two conditionals")
+        a, b = schema.index_of(a_name.strip()), schema.index_of(b_name.strip())
         try:
-            planted.append(
-                PlantedPair(resolve(a_name), resolve(b_name), float(parts[0]), float(parts[1]))
-            )
+            planted.append(PlantedPair(a, b, float(parts[0]), float(parts[1])))
         except ValueError:
             raise ConfigInvalid(f"planted.{key}", f"bad conditionals {value!r}")
 
     templates: dict[tuple[int, DiseaseStatus], str] = {}
     for line_no, line in sections["templates"]:
         key, value = _split_kv(line, line_no)
-        if "|" not in key:
-            raise ConfigInvalid(f"line {line_no}", "template key must be 'disease | status'")
-        name, status_raw = key.split("|", 1)
-        status_raw = status_raw.strip().lower()
-        if status_raw not in ("positive", "negative"):
-            raise ConfigInvalid(f"templates.{key}", f"bad status {status_raw!r}")
-        status = DiseaseStatus.POSITIVE if status_raw == "positive" else DiseaseStatus.NEGATIVE
+        status_key = _status_key("templates", key, schema)
         if not value:
             raise ConfigInvalid(f"templates.{key}", "empty template")
-        templates[(resolve(name), status)] = value
+        templates[status_key] = value
 
     prototypes: Optional[Prototypes] = None
     if sections["prototypes"]:
-        raw: dict[tuple[int, str], tuple[float, ...]] = {}
+        raw: dict[tuple[int, DiseaseStatus], tuple[float, ...]] = {}
         for line_no, line in sections["prototypes"]:
             key, value = _split_kv(line, line_no)
-            name, status_raw = (key.split("|", 1) + [""])[:2]
-            status_raw = status_raw.strip().lower()
-            if status_raw not in ("positive", "negative"):
-                raise ConfigInvalid(f"prototypes.{key}", f"bad status {status_raw!r}")
+            status_key = _status_key("prototypes", key, schema)
             try:
-                vec = tuple(float(x) for x in value.replace(",", " ").split())
+                raw[status_key] = tuple(float(x) for x in value.replace(",", " ").split())
             except ValueError:
                 raise ConfigInvalid(f"prototypes.{key}", f"bad vector {value!r}")
-            raw[(resolve(name), status_raw)] = vec
         prototypes = {}
         for idx in {i for i, _ in raw}:
             try:
-                prototypes[idx] = (raw[(idx, "positive")], raw[(idx, "negative")])
+                prototypes[idx] = (raw[idx, DiseaseStatus.POSITIVE],
+                                   raw[idx, DiseaseStatus.NEGATIVE])
             except KeyError:
                 raise ConfigInvalid(f"prototypes[{idx}]", "need both positive and negative")
 

@@ -192,7 +192,7 @@ def test_pipeline_without_planted_pair_stays_near_independence(tmp_path, schema)
     from coaug.synth import default_scenario_path
 
     scenario = tmp_path / "noplant.cfg"
-    base = open(default_scenario_path()).read()
+    base = Path(default_scenario_path()).read_text()
     head, _, tail = base.partition("[planted]")
     templates = tail[tail.index("[templates]"):]
     scenario.write_text(
@@ -344,7 +344,7 @@ def test_lexicon_pattern_longer_than_five_tokens_is_data_error(tmp_path):
 def test_schema_that_disagrees_with_the_sidecar_is_data_error(tmp_path, schema):
     corpus_path = _small_corpus(tmp_path)
     reversed_path = tmp_path / "reversed.schema"
-    write_schema(make_schema(reversed(schema.names()), schema.d), str(reversed_path))
+    write_schema(make_schema(reversed(schema.names), schema.d), str(reversed_path))
     rc = run(["--quiet", "--schema", str(reversed_path), "augment", "--corpus",
               str(corpus_path), "--rate", "1.0", "--out", str(tmp_path / "a.jsonl")])
     assert rc == EXIT_DATA

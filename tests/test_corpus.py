@@ -25,7 +25,7 @@ from coaug.corpus import (
     write_corpus,
     write_schema,
 )
-from coaug.errors import MalformedRecord, MissingFile, SchemaMismatch
+from coaug.errors import MalformedRecord, MissingFile, SchemaMismatch, UnknownDisease
 
 from conftest import make_record
 
@@ -171,11 +171,36 @@ def test_schema_file_with_duplicate_names_is_a_data_error(tmp_path):
         read_schema(str(path))
 
 
+def test_bad_feature_dimension_reports_its_line(tmp_path):
+    path = tmp_path / "bad.schema"
+    path.write_text("\n\nd=x\nEdema\n")
+    with pytest.raises(MalformedRecord, match="bad feature dimension") as err:
+        read_schema(str(path))
+    assert err.value.line == 3
+
+
+def test_index_of_an_unknown_name_raises_unknown_disease(schema):
+    assert schema.index_of("Edema") == schema.names.index("Edema")
+    with pytest.raises(UnknownDisease):
+        schema.index_of("Nope")
+
+
+def test_labels_naming_a_disease_outside_the_schema_are_a_mismatch(tmp_path, schema):
+    path = tmp_path / "c.jsonl"
+    good = json.dumps({"id": "a", "report": ["Fine."], "labels": {"Edema": "Positive"},
+                       "provenance": "Original"})
+    bad = json.dumps({"id": "b", "report": ["Fine."], "labels": {"Nessie": "Positive"},
+                      "provenance": "Original"})
+    path.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(SchemaMismatch, match=r"line 2: unknown disease name 'Nessie'"):
+        read_corpus(str(path), schema)
+
+
 def test_given_schema_must_match_the_sidecar(tmp_path, schema):
     path = tmp_path / "c.jsonl"
     write_corpus(Corpus(schema, (make_record("r", ["No pneumothorax."], schema),)), str(path))
     assert read_corpus(str(path), schema).schema == schema
-    reversed_schema = make_schema(reversed(schema.names()), schema.d)
+    reversed_schema = make_schema(reversed(schema.names), schema.d)
     with pytest.raises(SchemaMismatch):
         read_corpus(str(path), reversed_schema)
 
@@ -347,9 +372,9 @@ def _old_record_to_line(record, schema):
         ]
     if record.labels is not None:
         obj["labels"] = {
-            dz.name: record.labels.statuses[dz.index].value
-            for dz in schema.diseases
-            if record.labels.statuses[dz.index] is not DiseaseStatus.UNMENTIONED
+            name: record.labels.statuses[index].value
+            for index, name in enumerate(schema.names)
+            if record.labels.statuses[index] is not DiseaseStatus.UNMENTIONED
         }
     obj["provenance"] = record.provenance.value
     if record.source_id is not None:

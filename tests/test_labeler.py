@@ -4,12 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coaug.corpus import DiseaseStatus, Report, Sentence, STATUS_RANK, make_schema
+from coaug.corpus import (
+    DiseaseStatus,
+    Report,
+    Sentence,
+    STATUS_RANK,
+    make_schema,
+    read_lines,
+)
 from coaug.errors import DuplicateRule, MalformedRecord, UnknownDisease
 from coaug.labeler import (
     CueList,
     LexiconRule,
     Matcher,
+    default_lexicon_path,
     default_matcher,
     label_report,
     label_sentence,
@@ -28,7 +36,7 @@ POS, NEG, UNC, UNM = (
 
 
 def by_name(schema, labels):
-    return {schema.diseases[i].name: status for i, status in labels.items()}
+    return {schema.names[i]: status for i, status in labels.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +111,13 @@ def test_duplicate_rule(schema):
         )
 
 
+def test_rules_with_the_same_tokens_are_duplicates_named_by_line(schema):
+    # the matcher compares tokens, so "pulmonary-edema" repeats "pulmonary edema"
+    with pytest.raises(DuplicateRule, match="line 3"):
+        parse_lexicon(["Edema\tpulmonary edema", "# comment", "Edema\tpulmonary-edema"],
+                      schema)
+
+
 def test_pattern_longer_than_five_tokens_reports_its_line(schema):
     with pytest.raises(MalformedRecord) as err:
         parse_lexicon(["Edema\tedema", "# comment",
@@ -121,10 +136,19 @@ def test_cue_lists_must_be_disjoint():
         parse_cues(["window=6", "neg\tno", "unc\tno"])
 
 
+@pytest.mark.parametrize("lines, line", [
+    (["neg\tno", "window=0"], 2),
+    (["window=6", "neg\tno", "# comment", "unc\tno"], 4),
+    (["unc\tmay", "neg\tmay"], 2),
+], ids=["window-zero", "neg-then-unc", "unc-then-neg"])
+def test_bad_window_and_shared_cue_report_their_line(lines, line):
+    with pytest.raises(MalformedRecord) as err:
+        parse_cues(lines)
+    assert err.value.line == line
+
+
 def test_compilation_order_independent(schema, matcher):
-    lines = open(
-        __import__("coaug.labeler", fromlist=["default_lexicon_path"]).default_lexicon_path()
-    ).readlines()
+    lines = read_lines(default_lexicon_path())
     shuffled = list(lines)
     random.Random(0).shuffle(shuffled)
     rules = parse_lexicon(shuffled, schema)

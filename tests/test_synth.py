@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,6 @@ from coaug.synth import (
     SynthConfig,
     auto_prototypes,
     default_scenario_path,
-    effective_marginals,
     parse_scenario,
     render_report,
     sample_features,
@@ -261,17 +261,6 @@ def test_nearest_prototype_classification_off_noise(schema):
     assert wrong / total <= 0.01
 
 
-def test_effective_marginals_replace_planted_outcome(schema, default_templates):
-    cfg = small_cfg(
-        schema,
-        default_templates,
-        marginals={i: 0.5 for i in range(14) if i != 9},
-        planted=(PlantedPair(8, 9, 0.9, 0.1),),
-    )
-    eff = effective_marginals(cfg)
-    assert eff[9] == pytest.approx(0.5 * 0.9 + 0.5 * 0.1)
-
-
 def test_config_rejects_disease_in_two_pairs(schema, default_templates):
     with pytest.raises(ConfigInvalid):
         small_cfg(
@@ -305,7 +294,7 @@ def test_config_rejects_noise_sigma_that_is_not_finite_and_nonnegative(
 
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
 def test_scenario_rejects_non_finite_noise_sigma(tmp_path, schema, sigma):
-    text = open(default_scenario_path(), encoding="utf-8").read()
+    text = Path(default_scenario_path()).read_text(encoding="utf-8")
     assert "noise_sigma = 0.1" in text
     path = tmp_path / "sigma.cfg"
     path.write_text(text.replace("noise_sigma = 0.1", f"noise_sigma = {sigma}"))
@@ -352,6 +341,15 @@ def test_scenario_unknown_disease(tmp_path, schema):
         parse_scenario(str(path), schema)
 
 
+@pytest.mark.parametrize("key", ["Edema", "Edema | maybe", "Edema | uncertain"])
+def test_scenario_template_key_needs_positive_or_negative(tmp_path, schema, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[templates]\n{key} = There is edema.\n")
+    with pytest.raises(ConfigInvalid, match=r"bad status .*'disease \| positive'") as err:
+        parse_scenario(str(path), schema)
+    assert err.value.field_path == f"templates.{key}"
+
+
 def test_labels_mirror_mentions(schema, matcher, default_templates):
     # the shipped templates and lexicon agree: labeling a rendered report
     # recovers exactly the mentioned statuses
@@ -385,15 +383,15 @@ def _prototype_pair(i, d):
 
 def _prototype_lines(schema):
     """[prototypes] lines for both statuses of every disease."""
-    return [f"{dz.name} | {status} = " + ", ".join(map(repr, vec))
-            for dz in schema.diseases
+    return [f"{name} | {status} = " + ", ".join(map(repr, vec))
+            for index, name in enumerate(schema.names)
             for status, vec in zip(("positive", "negative"),
-                                   _prototype_pair(dz.index, schema.d))]
+                                   _prototype_pair(index, schema.d))]
 
 
 def _scenario_with_prototypes(lines, header="[prototypes]"):
     """The shipped default scenario at zero noise plus *lines* under *header*."""
-    text = open(default_scenario_path(), encoding="utf-8").read()
+    text = Path(default_scenario_path()).read_text(encoding="utf-8")
     text = text.replace("noise_sigma = 0.1", "noise_sigma = 0")
     return text + f"\n{header}\n" + "\n".join(lines) + "\n"
 
