@@ -29,7 +29,6 @@ from .corpus import (
     Corpus,
     DiseaseStatus,
     FeatureBundle,
-    FeatureVector,
     LabelSchema,
     Provenance,
     Record,
@@ -53,7 +52,6 @@ from .labeler import (
     label_corpus,
     label_report,
     label_sentence,
-    segment,
 )
 from .metrics import (
     CeScores,

@@ -29,11 +29,9 @@ from typing import Mapping, Optional, Union
 from .corpus import (
     Corpus,
     DiseaseStatus,
-    FeatureBundle,
     Provenance,
     Record,
     Report,
-    masked_vector,
 )
 from .errors import CoaugError, ConfigInvalid, MissingFeatures
 from .labeler import Matcher, label_report, label_sentence
@@ -107,11 +105,7 @@ def _counterfactual(record: Record, matcher: Matcher, report: Report,
     diseases' vectors are masked; the twin's labels, kept when its source
     has labels, also flag a masked disease a kept sentence still mentions."""
     masked = frozenset(popped_labels)
-    features = record.features
-    if masked:
-        features = FeatureBundle(tuple(
-            masked_vector(len(vec.values)) if i in masked else vec
-            for i, vec in enumerate(features.per_disease)))
+    features = record.features.mask(masked) if masked else record.features
     labels = label_report(report, matcher) if masked or record.labels is not None else None
     orphan = any(labels.mentioned(i) for i in masked)
     twin = Record(record.id + "#cf", report, features,

@@ -312,12 +312,12 @@ def _cmd_evaluate(args) -> int:
         t = time.monotonic()
         gold_labels = [labeler.label_report(r.report, matcher) for r in gold]
         gen_labels = [labeler.label_report(r.report, matcher) for r in gen]
-        per_disease = metrics.ce_confusion_per_disease(gold_labels, gen_labels)
-        counts = sum(per_disease, metrics.ConfusionCounts())  # micro: the cells pooled
+        cells = metrics.ce_confusion_per_disease(gold_labels, gen_labels)
+        counts = sum(cells, metrics.ConfusionCounts())  # micro: the cells pooled
         scores["counts"] = dataclasses.asdict(counts)
         scores["ce"] = dataclasses.asdict(metrics.ce_scores(counts))
         if args.macro:
-            scores["ce_macro"] = dataclasses.asdict(metrics.macro_ce_scores(per_disease))
+            scores["ce_macro"] = dataclasses.asdict(metrics.macro_ce_scores(cells))
         stages["ce"] = round(time.monotonic() - t, 3)
     gold_reports = [r.report for r in gold]
     gen_reports = [r.report for r in gen]

@@ -10,14 +10,15 @@ Serialization is deterministic: fixed key order, floats quantized to
 9 significant digits at construction time, so writing the same corpus
 twice produces identical bytes and read(write(c)) == c.
 Lines are streamed to a temporary file renamed over the target when
-complete.  Each feature vector's JSON text is built once and shared by
-every record holding the vector (a labeled copy, a counterfactual twin).
-The text comes from the quantization itself: the ``%.9g`` pieces that
-quantize the values are kept as the JSON text when each has a ``.`` and
-no exponent, since such a piece is the ``repr`` of its float; any other
-vector (integral values, exponents, NaN/Infinity) is encoded through
-``float.__repr__`` and ``json.dumps`` when first written.  CSS twins share
-one interned masked vector per dimension.
+complete.  A record's feature vectors live in one ``FeatureBundle``,
+which quantizes all of them with one ``%.9g`` format and keeps each
+vector's JSON text: the ``%.9g`` pieces themselves when each has a ``.``
+and no exponent, since such a piece is the ``repr`` of its float, else
+``float.__repr__`` of the quantized values, or ``json.dumps`` when one
+is NaN or infinite.  ``FeatureBundle.mask`` builds a counterfactual
+twin's bundle from its source's: the kept vectors and texts are the
+source's objects, each masked vector is zeros with a text shared per
+dimension, and nothing is quantized again.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import MalformedRecord, MissingFile, SchemaMismatch, UnknownDisease
@@ -112,48 +114,59 @@ def _g9_format(n: int) -> str:
     return ",".join(["%.9g"] * n)
 
 
+@lru_cache(maxsize=None)
+def _masked_row(d: int) -> tuple[tuple[float, ...], str]:
+    """The all-zero masked vector of dimension d and its JSON text."""
+    return (0.0,) * d, f'{{"vec":[{",".join(["0.0"] * d)}],"masked":true}}'
+
+
 @dataclass(frozen=True, slots=True)
-class FeatureVector:
-    values: tuple[float, ...]
-    masked: bool = False
-    _json: Optional[str] = field(init=False, compare=False, repr=False)
+class FeatureBundle:
+    """A record's feature vectors, one per disease, and the indices of the
+    masked ones.  Each vector's JSON text is kept in ``texts``, outside ``==``."""
+
+    vectors: tuple[tuple[float, ...], ...]
+    masked: frozenset[int] = frozenset()
+    texts: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # 9 significant digits keeps golden files stable across platforms
-        values = tuple(self.values)
-        body = _g9_format(len(values)) % values
-        object.__setattr__(self, "values", tuple(map(float, body.split(","))) if values else ())
-        # a .9g text with a "." and no "e" is the repr of its float (nan and inf have no ".")
-        kept = body.count(".") == len(values) and "e" not in body
-        object.__setattr__(self, "_json", self._vec_json(body) if kept else None)
-
-    def _vec_json(self, body: str) -> str:
-        return f'{{"vec":[{body}],"masked":{"true" if self.masked else "false"}}}'
-
-    def to_json(self) -> str:
-        """The JSON object of this vector; built once, kept outside ``==``."""
-        text = self._json
-        if text is None:
+        flat = tuple(chain.from_iterable(self.vectors))
+        pieces = (_g9_format(len(flat)) % flat).split(",") if flat else []
+        values = tuple(map(float, pieces))
+        masked = frozenset(self.masked)
+        vectors, texts, start = [], [], 0
+        for i, vec in enumerate(self.vectors):
+            end = start + len(vec)
+            row, body = values[start:end], ",".join(pieces[start:end])
+            start = end
+            # a .9g text with a "." and no "e" is the repr of its float (nan and inf have no ".")
+            if body.count(".") != len(row) or "e" in body:
+                body = ",".join(map(float.__repr__, row))
+            vectors.append(row)
             # json writes a finite float as its repr; only nan/inf have an "n"
-            body = ",".join(map(float.__repr__, self.values))
-            text = (_dumps({"vec": list(self.values), "masked": self.masked}) if "n" in body
-                    else self._vec_json(body))
-            object.__setattr__(self, "_json", text)
-        return text
-
-
-@lru_cache(maxsize=None)
-def masked_vector(d: int) -> FeatureVector:
-    """The all-zero masked vector of dimension d, one shared instance per d."""
-    return FeatureVector((0.0,) * d, masked=True)
-
-
-@dataclass(frozen=True)
-class FeatureBundle:
-    per_disease: tuple[FeatureVector, ...]
+            texts.append(_dumps({"vec": list(row), "masked": i in masked}) if "n" in body
+                         else f'{{"vec":[{body}],"masked":{"true" if i in masked else "false"}}}')
+        object.__setattr__(self, "vectors", tuple(vectors))
+        object.__setattr__(self, "masked", masked)
+        object.__setattr__(self, "texts", tuple(texts))
 
     def __len__(self) -> int:
-        return len(self.per_disease)
+        return len(self.vectors)
+
+    def mask(self, indices: Iterable[int]) -> "FeatureBundle":
+        """This bundle with the vectors at *indices* zeroed and masked: a CSS
+        twin's features.  The other vectors and their texts are this bundle's
+        own objects, and nothing is quantized again."""
+        indices = frozenset(indices)
+        vectors, texts = list(self.vectors), list(self.texts)
+        for i in indices:
+            vectors[i], texts[i] = _masked_row(len(vectors[i]))
+        twin = object.__new__(FeatureBundle)
+        object.__setattr__(twin, "vectors", tuple(vectors))
+        object.__setattr__(twin, "masked", self.masked | indices)
+        object.__setattr__(twin, "texts", tuple(texts))
+        return twin
 
 
 @dataclass(frozen=True)
@@ -217,13 +230,13 @@ def validate_record(record: Record, schema: LabelSchema) -> Optional[Violation]:
                 "BundleSize",
                 f"feature bundle has {len(record.features)} vectors, schema has {n_c}",
             )
-        for i, vec in enumerate(record.features.per_disease):
-            if len(vec.values) != schema.d:
+        for i, vec in enumerate(record.features.vectors):
+            if len(vec) != schema.d:
                 return Violation(
                     "VectorLength",
-                    f"feature vector {i} has length {len(vec.values)}, expected {schema.d}",
+                    f"feature vector {i} has length {len(vec)}, expected {schema.d}",
                 )
-            if vec.masked and any(v != 0.0 for v in vec.values):
+            if i in record.features.masked and any(vec):
                 return Violation("MaskNonZero", f"masked feature vector {i} has nonzero values")
     if record.labels is not None and len(record.labels.statuses) != n_c:
         return Violation(
@@ -267,23 +280,28 @@ def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int) -> Record:
             raise SchemaMismatch(
                 f"line {line_no}: {len(raw)} feature vectors, schema has {len(schema)}"
             )
-        vecs = []
-        for entry in raw:
+        vectors, masked = [], set()
+        for i, entry in enumerate(raw):
             if not isinstance(entry, dict) or "vec" not in entry:
                 fail("feature entry must be an object with a 'vec' field")
             vec = entry["vec"]
             # json's true/false are ints to isinstance; only int and float are numbers
-            if not isinstance(vec, list) or any(type(x) not in (int, float) for x in vec):
+            if not isinstance(vec, list) or not set(map(type, vec)) <= {int, float}:
                 fail("feature 'vec' must be a list of numbers")
-            masked = entry.get("masked", False)
-            if not isinstance(masked, bool):
-                fail(f"feature 'masked' must be true or false, got {masked!r}")
+            flag = entry.get("masked", False)
+            if not isinstance(flag, bool):
+                fail(f"feature 'masked' must be true or false, got {flag!r}")
             if len(vec) != schema.d:
                 raise SchemaMismatch(
                     f"line {line_no}: feature vector of length {len(vec)}, expected d={schema.d}"
                 )
-            vecs.append(FeatureVector(tuple(vec), masked))
-        features = FeatureBundle(tuple(vecs))
+            vectors.append(vec)
+            if flag:
+                masked.add(i)
+        try:
+            features = FeatureBundle(tuple(vectors), frozenset(masked))
+        except OverflowError:
+            fail("feature value outside the float range")
 
     labels = None
     if "labels" in obj and obj["labels"] is not None:
@@ -391,7 +409,7 @@ def record_to_line(record: Record, schema: LabelSchema) -> str:
     if record.features is None:
         return _dumps({**head, **tail})
     # the vectors' kept texts, spliced in where json puts "features"
-    features = ",".join([v.to_json() for v in record.features.per_disease])
+    features = ",".join(record.features.texts)
     return f'{_dumps(head)[:-1]},"features":[{features}],{_dumps(tail)[1:]}'
 
 

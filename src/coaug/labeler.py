@@ -1,5 +1,5 @@
-"""Rule-based report labeler: sentence segmentation, lexicon matching,
-negation/uncertainty windows, and report-level aggregation.
+"""Rule-based report labeler: lexicon matching, negation/uncertainty
+windows, and report-level aggregation.
 
 The labeler is deliberately mechanical so the whole pipeline stays
 reproducible without model weights: a disease is detected when one of
@@ -30,43 +30,9 @@ from .corpus import (
     STATUS_RANK,
     read_lines,
 )
-from .errors import DuplicateRule, MalformedRecord
+from .errors import DuplicateRule, MalformedRecord, UnknownDisease
 
-# Trailing periods of these tokens never end a sentence.
-ABBREVIATIONS = frozenset(
-    ["dr.", "mr.", "mrs.", "ms.", "a.m.", "p.m.", "e.g.", "i.e.", "vs."]
-)
-
-_TERMINAL = re.compile(r"[.!?]+(?=\s|$)")
 _WORD = re.compile(r"[a-z0-9]+")
-
-
-def segment(text: str) -> Report:
-    """Split raw report text into sentences.
-
-    Boundaries are runs of ``.!?`` followed by whitespace or end of
-    input.  A lone period whose token is a guarded abbreviation (or part
-    of a decimal number, which never precedes whitespace) does not end a
-    sentence.  Fragments are trimmed; empty fragments are dropped.
-    """
-    sentences = []
-    start = 0
-    for match in _TERMINAL.finditer(text):
-        if match.group() == ".":
-            token_start = match.end() - 1
-            while token_start > 0 and not text[token_start - 1].isspace():
-                token_start -= 1
-            token = text[token_start:match.end()].lower()
-            if token in ABBREVIATIONS:
-                continue
-        fragment = text[start:match.end()].strip()
-        if fragment:
-            sentences.append(Sentence(fragment))
-        start = match.end()
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(Sentence(tail))
-    return Report(tuple(sentences))
 
 
 def match_tokens(text: str) -> list[str]:
@@ -207,7 +173,10 @@ def parse_lexicon(lines: list[str], schema: LabelSchema) -> list[LexiconRule]:
         tokens = tuple(match_tokens(pattern))
         if not 1 <= len(tokens) <= 5:
             raise MalformedRecord(line_no, f"pattern must be 1-5 word tokens: {pattern!r}")
-        idx = schema.index_of(name)
+        try:
+            idx = schema.index_of(name)
+        except UnknownDisease:
+            raise MalformedRecord(line_no, f"unknown disease {name!r}") from None
         # the matcher keys a rule by its tokens, so "a-b" repeats "a b"
         if (idx, tokens) in seen:
             raise DuplicateRule(f"line {line_no}: duplicate rule ({name!r}, {pattern!r})")

@@ -117,11 +117,11 @@ def ce_scores(c: ConfusionCounts) -> CeScores:
     return CeScores((c.tp + c.tn) / c.total, precision, recall, f1)
 
 
-def macro_ce_scores(per_disease: Sequence[ConfusionCounts]) -> CeScores:
+def macro_ce_scores(cells: Sequence[ConfusionCounts]) -> CeScores:
     """Mean of per-disease scores (offered behind the --macro flag)."""
-    if not per_disease:
+    if not cells:
         raise EmptyInput("no per-disease counts")
-    scores = [ce_scores(c) for c in per_disease]
+    scores = [ce_scores(c) for c in cells]
     n = len(scores)
     return CeScores(
         sum(s.accuracy for s in scores) / n,

@@ -24,7 +24,6 @@ from .corpus import (
     Corpus,
     DiseaseStatus,
     FeatureBundle,
-    FeatureVector,
     LabelSchema,
     Provenance,
     Record,
@@ -32,7 +31,7 @@ from .corpus import (
     Sentence,
     read_lines,
 )
-from .errors import ConfigInvalid, MissingTemplate
+from .errors import ConfigInvalid, MissingTemplate, UnknownDisease
 from .rng import RngStream
 
 
@@ -171,7 +170,7 @@ def sample_features(
         pos, neg = prototypes[idx]
         base = pos if status is DiseaseStatus.POSITIVE else neg
         noisy = base if noise is None else map(add, base, noise[idx * d:(idx + 1) * d])
-        vecs.append(FeatureVector(tuple(noisy)))
+        vecs.append(tuple(noisy))
     return FeatureBundle(tuple(vecs))
 
 
@@ -284,6 +283,13 @@ def _split_kv(line: str, line_no: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _index_of(schema: LabelSchema, name: str, path: str) -> int:
+    try:
+        return schema.index_of(name.strip())
+    except UnknownDisease:
+        raise ConfigInvalid(path, f"unknown disease {name.strip()!r}") from None
+
+
 _KEY_STATUSES = {s.value.lower(): s for s in (DiseaseStatus.POSITIVE, DiseaseStatus.NEGATIVE)}
 
 
@@ -294,7 +300,7 @@ def _status_key(section: str, key: str, schema: LabelSchema) -> tuple[int, Disea
     if status not in _KEY_STATUSES:
         raise ConfigInvalid(f"{section}.{key}", f"bad status {status!r}, expected "
                             "'disease | positive' or 'disease | negative'")
-    return schema.index_of(name.strip()), _KEY_STATUSES[status]
+    return _index_of(schema, name, f"{section}.{key}"), _KEY_STATUSES[status]
 
 
 def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
@@ -324,7 +330,7 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
     for line_no, line in sections["marginals"]:
         key, value = _split_kv(line, line_no)
         try:
-            marginals[schema.index_of(key)] = float(value)
+            marginals[_index_of(schema, key, f"marginals.{key}")] = float(value)
         except ValueError:
             raise ConfigInvalid(f"marginals.{key}", f"bad probability {value!r}")
 
@@ -337,7 +343,7 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
         parts = [p.strip() for p in value.split(",")]
         if len(parts) != 2:
             raise ConfigInvalid(f"planted.{key}", "expected two conditionals")
-        a, b = schema.index_of(a_name.strip()), schema.index_of(b_name.strip())
+        a, b = (_index_of(schema, name, f"planted.{key}") for name in (a_name, b_name))
         try:
             planted.append(PlantedPair(a, b, float(parts[0]), float(parts[1])))
         except ValueError:

@@ -3,7 +3,6 @@ import pytest
 from coaug.corpus import (
     Corpus,
     FeatureBundle,
-    FeatureVector,
     Provenance,
     Record,
     Report,
@@ -33,9 +32,7 @@ def make_record(rid, texts, schema, value=0.25, labels=None,
                 provenance=Provenance.ORIGINAL, source_id=None, features=True):
     bundle = None
     if features:
-        bundle = FeatureBundle(
-            tuple(FeatureVector((value,) * schema.d) for _ in range(len(schema)))
-        )
+        bundle = FeatureBundle(((value,) * schema.d,) * len(schema))
     return Record(rid, Report.from_texts(texts), bundle, labels, provenance, source_id)
 
 

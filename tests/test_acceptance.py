@@ -142,9 +142,7 @@ def test_criterion_3_augmentation_conformance(schema, matcher):
         assert not isinstance(out, Skip)
         # mask pairing
         assert out.masked_indices == set(out.popped_labels)
-        assert {
-            i for i, v in enumerate(out.record.features.per_disease) if v.masked
-        } == out.masked_indices
+        assert out.record.features.masked == out.masked_indices
         # reorder conformance
         texts = record.report.texts()
         popped = out.popped_sentence_index

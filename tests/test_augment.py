@@ -49,10 +49,11 @@ def test_css_pops_effusion_sentence(schema, matcher):
     assert out.popped_sentence_index == 1
     assert out.masked_indices == {schema.index_of("Pleural Effusion")}
     assert out.record.report.texts() == ["No pneumothorax.", "Heart size is normal."]
-    vec = out.record.features.per_disease[schema.index_of("Pleural Effusion")]
-    assert vec.masked and set(vec.values) == {0.0}
-    untouched = out.record.features.per_disease[0]
-    assert not untouched.masked and untouched.values[0] == 0.25
+    effusion = schema.index_of("Pleural Effusion")
+    vec = out.record.features.vectors[effusion]
+    assert effusion in out.record.features.masked and set(vec) == {0.0}
+    untouched = out.record.features.vectors[0]
+    assert 0 not in out.record.features.masked and untouched[0] == 0.25
     assert out.record.provenance is Provenance.COUNTERFACTUAL
     assert out.record.source_id == "r1"
     assert out.record.id == "r1#cf"
@@ -160,7 +161,7 @@ def test_augment_record_crr_only(schema, matcher):
     assert len(out.record.report) == 3
     assert out.masked_indices == frozenset()
     assert out.popped_sentence_index is None
-    assert not any(v.masked for v in out.record.features.per_disease)
+    assert not out.record.features.masked
     assert sorted(out.record.report.texts()) == sorted(CSS_TEXTS)
 
 
@@ -296,10 +297,7 @@ def test_label_conservation_and_mask_pairing(schema, matcher):
             continue
         # mask pairing: masked features are exactly the popped labels
         assert out.masked_indices == set(out.popped_labels)
-        masked_in_bundle = {
-            i for i, v in enumerate(out.record.features.per_disease) if v.masked
-        }
-        assert masked_in_bundle == out.masked_indices
+        assert out.record.features.masked == out.masked_indices
         if ORPHAN_MENTION in out.flags:
             continue
         before = label_report(record.report, matcher)

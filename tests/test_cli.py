@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,7 +133,7 @@ def test_augment_no_css_keeps_full_reports(tmp_path):
     assert len(twins) == 40
     for twin in twins:
         assert len(twin.report) == len(originals[twin.source_id].report)
-        assert not any(v.masked for v in twin.features.per_disease)
+        assert not twin.features.masked
 
 
 def test_evaluate_writes_scores(tmp_path):
@@ -244,7 +245,6 @@ def test_internal_error_maps_to_exit_3(tmp_path, monkeypatch):
 
 def test_console_script_subprocess(tmp_path):
     import subprocess
-    import sys
 
     out = tmp_path / "c.jsonl"
     result = subprocess.run(
@@ -339,6 +339,26 @@ def test_lexicon_pattern_longer_than_five_tokens_is_data_error(tmp_path):
     rc = run(["--quiet", "label", "--corpus", str(corpus_path), "--lexicon", str(lexicon),
               "--out", str(tmp_path / "l.jsonl")])
     assert rc == EXIT_DATA
+
+
+@pytest.mark.parametrize("command", ["label", "synth"])
+def test_unknown_disease_in_a_lexicon_or_scenario_names_where(tmp_path, capsys, command):
+    if command == "label":
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("Edema\tedema\nDragon Pox\tdragon pox\n")
+        args = ["--corpus", str(_small_corpus(tmp_path)), "--lexicon", str(path)]
+        where = "line 2: unknown disease 'Dragon Pox'"
+    else:
+        path = tmp_path / "nessie.cfg"
+        text = Path(default_scenario_path()).read_text()
+        path.write_text(text + "\n[marginals]\nNessie = 0.5\n")
+        args = ["--scenario", str(path), "--n", "3"]
+        where = "marginals.Nessie: unknown disease 'Nessie'"
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert run(["--quiet", command, *args, "--out", str(out)]) == EXIT_DATA
+    assert where in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_schema_that_disagrees_with_the_sidecar_is_data_error(tmp_path, schema):
@@ -518,24 +538,32 @@ def test_pipeline_bytes_match_the_reference_digests(tmp_path):
 # sha256 of the nine artifacts of run_pipeline(strong_pair, seed=11, n=400,
 # rate=0.5), as written before the packed Gaussian draws and the kept
 # .9g vector texts; rate 0.5 also takes augment's partial selection shuffle
-STRONG_PAIR_SEED11_DIGESTS = {
-    "after.txt": "e27fecfb140921a12a4e40c7212d64ca62c74af5cb9bb098027b70b4f8490ff9",
-    "augmented.jsonl": "2372fe53639922e84b3df2ba2b3d9d79c6c057faca8a2fc940e2b6212fc6698e",
-    "augmented.jsonl.schema":
-        "9cc1dd8e1bb49e92e323dce5fec48ebd8b84483b1b3e457a8c8a1a845436e01c",
-    "before.txt": "76ed2502d8ada95b37488e6fc53c5a5da8494225e697763ca7cde4bc4c36b413",
-    "labeled.jsonl": "ce0761bcf3e8e5d2b4fbf16a8afbd274594afb7fd7a713c7efc3a1c5f0276c3c",
-    "labeled.jsonl.schema": "9cc1dd8e1bb49e92e323dce5fec48ebd8b84483b1b3e457a8c8a1a845436e01c",
-    "original.jsonl": "d2a20461e97661a418362da3c6c5c7521be8f78fdcb1b043db4370cad68c1f61",
-    "original.jsonl.schema": "9cc1dd8e1bb49e92e323dce5fec48ebd8b84483b1b3e457a8c8a1a845436e01c",
-    "summary.json": "f328b9dbb3ce28f06963f6b9613b68fb0ace643a3f3944f7c3c979d8dce2c2ec",
-}
+def _load_tool(name):
+    """A script under tools/, imported as a module."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check_determinism = _load_tool("check_determinism")
+STRONG_PAIR_SEED11_DIGESTS = check_determinism.STRONG_PAIR_SEED11_DIGESTS
 
 
 def test_pipeline_bytes_are_pinned_for_strong_pair_at_half_rate(tmp_path):
     run_pipeline(strong_pair_scenario_path(), seed=11, outdir=str(tmp_path), n=400, rate=0.5)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == STRONG_PAIR_SEED11_DIGESTS
+
+
+def test_determinism_script_passes_under_this_interpreter(capsys):
+    assert check_determinism.main([sys.executable]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" ", 2)[1:] for line in lines] == [
+        ["pipeline-default:", "ok"], ["strong_pair:", "ok"]]
 
 
 def test_unknown_scenario_section_is_data_error(tmp_path):
@@ -551,7 +579,6 @@ def test_perfbench_tracer_finds_every_attribute_it_wraps():
     # perfbench/tracer.py wraps coaug module attributes by name; a renamed or
     # removed one fails here instead of at the first traced benchmark run
     import subprocess
-    import sys
 
     root = Path(__file__).resolve().parents[1]
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "

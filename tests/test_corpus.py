@@ -9,7 +9,6 @@ from coaug.corpus import (
     Corpus,
     DiseaseStatus,
     FeatureBundle,
-    FeatureVector,
     Provenance,
     Record,
     Report,
@@ -17,7 +16,6 @@ from coaug.corpus import (
     Sentence,
     default_schema,
     make_schema,
-    masked_vector,
     read_corpus,
     read_schema,
     record_to_line,
@@ -52,9 +50,10 @@ def test_round_trip_preserves_records(tmp_path, schema):
             Report.from_texts(["Two sentences."]),
             FeatureBundle(
                 tuple(
-                    masked_vector(schema.d) if i == 9 else FeatureVector((-0.5,) * schema.d)
+                    (0.0,) * schema.d if i == 9 else (-0.5,) * schema.d
                     for i in range(len(schema))
-                )
+                ),
+                frozenset({9}),
             ),
             None,
             Provenance.COUNTERFACTUAL,
@@ -77,8 +76,8 @@ def test_write_is_deterministic(tmp_path, schema):
 
 
 def test_floats_quantized_to_nine_significant_digits():
-    vec = FeatureVector((0.123456789123456789, 1.0 / 3.0))
-    assert vec.values == (0.123456789, 0.333333333)
+    bundle = FeatureBundle(((0.123456789123456789, 1.0 / 3.0),))
+    assert bundle.vectors == ((0.123456789, 0.333333333),)
 
 
 def test_schema_mismatch_on_wrong_bundle_size(tmp_path, schema):
@@ -135,13 +134,26 @@ def test_feature_entry_with_non_boolean_mask_or_boolean_value_is_malformed(
     assert err.value.line == 1
 
 
+def test_feature_integer_outside_the_float_range_is_malformed(tmp_path, schema):
+    # json reads 1 followed by 400 zeros as an int that no float can hold
+    path = tmp_path / "c.jsonl"
+    good = {"vec": [0.0] * schema.d, "masked": False}
+    huge = {"vec": [10 ** 400] + [0.0] * (schema.d - 1), "masked": False}
+    obj = {"id": "x", "report": ["A sentence."],
+           "features": [good, huge] + [good] * (len(schema) - 2), "provenance": "Original"}
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(MalformedRecord, match="float range") as err:
+        read_corpus(str(path), schema)
+    assert err.value.line == 1
+
+
 def test_feature_entry_without_a_mask_reads_as_unmasked(tmp_path, schema):
     path = tmp_path / "c.jsonl"
     obj = {"id": "x", "report": ["A sentence."],
            "features": [{"vec": [0.5] * schema.d}] * len(schema), "provenance": "Original"}
     path.write_text(json.dumps(obj) + "\n")
     (record,) = read_corpus(str(path), schema)
-    assert not any(v.masked for v in record.features.per_disease)
+    assert not record.features.masked
 
 
 def test_duplicate_id_rejected(tmp_path, schema):
@@ -211,15 +223,32 @@ def test_validate_record_ok(schema):
 
 
 def test_validate_record_mask_nonzero(schema):
-    bundle = FeatureBundle(
-        tuple(
-            FeatureVector((0.5,) * schema.d, masked=(i == 0))
-            for i in range(len(schema))
-        )
-    )
+    bundle = FeatureBundle(((0.5,) * schema.d,) * len(schema), frozenset({0}))
     record = Record("r", Report.from_texts(["Sentence one."]), bundle)
     violation = validate_record(record, schema)
     assert violation is not None and violation.code == "MaskNonZero"
+
+
+def test_validate_record_bundle_size(schema):
+    bundle = FeatureBundle(((0.5,) * schema.d,) * (len(schema) - 1))
+    record = Record("r", Report.from_texts(["Sentence one."]), bundle)
+    violation = validate_record(record, schema)
+    assert violation is not None and violation.code == "BundleSize"
+    assert violation.message == "feature bundle has 13 vectors, schema has 14"
+
+
+def test_validate_record_vector_length(schema):
+    # vector 2 is too short and masked nonzero vector 0 comes first: each
+    # vector is checked for its length, then for its mask, in index order
+    vectors = [(0.5,) * schema.d] * len(schema)
+    vectors[2] = (0.0,) * (schema.d - 1)
+    bundle = FeatureBundle(tuple(vectors))
+    record = Record("r", Report.from_texts(["Sentence one."]), bundle)
+    violation = validate_record(record, schema)
+    assert violation is not None and violation.code == "VectorLength"
+    assert violation.message == "feature vector 2 has length 15, expected 16"
+    masked_first = Record("r", record.report, FeatureBundle(tuple(vectors), frozenset({0})))
+    assert validate_record(masked_first, schema).code == "MaskNonZero"
 
 
 def test_validate_record_orphan_counterfactual(schema):
@@ -264,14 +293,16 @@ def test_blank_sentence_is_rejected():
 )
 def test_masked_vectors_are_all_zero_property(values, masked):
     schema = make_schema(["Only"], d=len(values))
-    vec = masked_vector(len(values)) if masked else FeatureVector(tuple(values))
+    bundle = FeatureBundle((tuple(values),))
+    if masked:
+        bundle = bundle.mask({0})
     record = Record(
-        "r", Report.from_texts(["Sentence."]), FeatureBundle((vec,))
+        "r", Report.from_texts(["Sentence."]), bundle
     )
     violation = validate_record(record, schema)
     assert violation is None
-    if vec.masked:
-        assert all(v == 0.0 for v in vec.values)
+    if 0 in bundle.masked:
+        assert all(v == 0.0 for v in bundle.vectors[0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -286,7 +317,7 @@ def test_round_trip_random_features(tmp_path_factory, payload, schema):
     record = Record(
         "r",
         Report.from_texts(["A sentence."]),
-        FeatureBundle(tuple(FeatureVector(tuple(payload)) for _ in range(len(schema)))),
+        FeatureBundle((tuple(payload),) * len(schema)),
     )
     corpus = Corpus(schema, (record,))
     path = tmp_path_factory.mktemp("rt") / "c.jsonl"
@@ -307,8 +338,8 @@ def test_masked_features_survive_round_trip(tmp_path, schema, matcher):
     write_corpus(corpus, str(path))
     back = read_corpus(str(path))
     twin = back.records[1]
-    masked = [v for v in twin.features.per_disease if v.masked]
-    assert masked and all(set(v.values) == {0.0} for v in masked)
+    masked = [twin.features.vectors[i] for i in twin.features.masked]
+    assert masked and all(set(v) == {0.0} for v in masked)
     assert back == corpus
 
 
@@ -316,23 +347,37 @@ def test_masked_vector_is_interned_and_its_text_is_repr_zeros(schema, matcher):
     from coaug.augment import css_augment
     from coaug.rng import RngStream
 
-    assert masked_vector(4) is masked_vector(4)
-    assert masked_vector(4).to_json() == '{"vec":[0.0,0.0,0.0,0.0],"masked":true}'
+    small = FeatureBundle(((0.5,) * 4, (0.25,) * 4))
+    masked = small.mask({1})
+    assert masked.texts[1] == '{"vec":[0.0,0.0,0.0,0.0],"masked":true}'
+    assert masked.vectors[1] is small.mask([1]).vectors[1]  # one zero vector per d
     record = make_record(
         "src", ["No pneumothorax.", "Small right pleural effusion."], schema
     )
+    before = (record.features.vectors, record.features.texts, record.features.masked)
     twin = css_augment(record, matcher, RngStream.for_record(3, "src")).record
-    masked = [v for v in twin.features.per_disease if v.masked]
-    assert masked and all(v is masked_vector(schema.d) for v in masked)
+    source, bundle = record.features, twin.features
+    assert bundle.masked
+    for i in range(len(schema)):
+        if i in bundle.masked:
+            zeros = ",".join(["0.0"] * schema.d)
+            assert bundle.vectors[i] == (0.0,) * schema.d
+            assert bundle.texts[i] == '{"vec":[' + zeros + '],"masked":true}'
+        else:
+            # the source's own objects, not a quantized copy
+            assert bundle.vectors[i] is source.vectors[i]
+            assert bundle.texts[i] is source.texts[i]
+    assert (source.vectors, source.texts, source.masked) == before
+    assert not source.masked
 
 
 # the vector encoder before the kept .9g texts: float.__repr__, json.dumps for nan/inf
-def _repr_vector_json(vec):
-    body = ",".join(map(float.__repr__, vec.values))
+def _repr_vector_json(values, masked):
+    body = ",".join(map(float.__repr__, values))
     if "n" in body:
-        return json.dumps({"vec": list(vec.values), "masked": vec.masked},
+        return json.dumps({"vec": list(values), "masked": masked},
                           ensure_ascii=False, separators=(",", ":"))
-    return f'{{"vec":[{body}],"masked":{"true" if vec.masked else "false"}}}'
+    return f'{{"vec":[{body}],"masked":{"true" if masked else "false"}}}'
 
 
 @settings(max_examples=300, deadline=None)
@@ -351,8 +396,8 @@ def _repr_vector_json(vec):
 @example(values=[math.inf, -math.inf], masked=False)
 @example(values=[-0.000123456789, 12345678.9], masked=False)
 def test_kept_vector_text_equals_the_repr_encoder(values, masked):
-    vec = FeatureVector(tuple(values), masked)
-    assert vec.to_json() == _repr_vector_json(vec)
+    bundle = FeatureBundle((tuple(values),), frozenset({0}) if masked else frozenset())
+    assert bundle.texts[0] == _repr_vector_json(bundle.vectors[0], masked)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +412,8 @@ def _old_record_to_line(record, schema):
     obj = {"id": record.id, "report": record.report.texts()}
     if record.features is not None:
         obj["features"] = [
-            {"vec": list(v.values), "masked": v.masked}
-            for v in record.features.per_disease
+            {"vec": list(v), "masked": i in record.features.masked}
+            for i, v in enumerate(record.features.vectors)
         ]
     if record.labels is not None:
         obj["labels"] = {
@@ -404,13 +449,14 @@ _feature_values = st.one_of(
 def test_record_to_line_matches_the_whole_record_encoder(
         raw, masked, rid, texts, statuses, source_id, with_features):
     schema = make_schema(["A", "B", "C"], d=1)
-    vecs = tuple(FeatureVector(tuple(v), m) for v, m in zip(raw, masked))
-    for vec, values in zip(vecs, raw):
-        assert [x.hex() for x in vec.values] == [_old_quantize(x).hex() for x in values]
+    bundle = FeatureBundle(tuple(map(tuple, raw)),
+                           frozenset(i for i, m in zip(range(len(raw)), masked) if m))
+    for vec, values in zip(bundle.vectors, raw):
+        assert [x.hex() for x in vec] == [_old_quantize(x).hex() for x in values]
     record = Record(
         rid,
         Report.from_texts(texts),
-        FeatureBundle(vecs) if with_features else None,
+        bundle if with_features else None,
         ReportLabelVector(tuple(statuses)) if statuses is not None else None,
         Provenance.ORIGINAL if source_id is None else Provenance.COUNTERFACTUAL,
         source_id,

@@ -12,7 +12,7 @@ from coaug.corpus import (
     make_schema,
     read_lines,
 )
-from coaug.errors import DuplicateRule, MalformedRecord, UnknownDisease
+from coaug.errors import DuplicateRule, MalformedRecord
 from coaug.labeler import (
     CueList,
     LexiconRule,
@@ -24,7 +24,6 @@ from coaug.labeler import (
     match_tokens,
     parse_cues,
     parse_lexicon,
-    segment,
 )
 
 POS, NEG, UNC, UNM = (
@@ -40,55 +39,6 @@ def by_name(schema, labels):
 
 
 # ---------------------------------------------------------------------------
-# segmentation
-
-
-def test_segment_empty():
-    assert len(segment("")) == 0
-
-
-def test_segment_two_sentences():
-    report = segment("No pneumothorax. Heart size is normal.")
-    assert report.texts() == ["No pneumothorax.", "Heart size is normal."]
-
-
-def test_segment_decimal_is_not_a_boundary():
-    report = segment("Effusion measures 1.2 cm.")
-    assert report.texts() == ["Effusion measures 1.2 cm."]
-
-
-def test_segment_abbreviation_guard():
-    report = segment("Seen by Dr. Smith at 9 a.m. yesterday. Lungs stable.")
-    assert report.texts() == ["Seen by Dr. Smith at 9 a.m. yesterday.", "Lungs stable."]
-
-
-def test_segment_exclamation_and_question():
-    report = segment("Stable! Improving? Yes.")
-    assert report.texts() == ["Stable!", "Improving?", "Yes."]
-
-
-def test_segment_trailing_fragment_without_terminal():
-    report = segment("First sentence. trailing words")
-    assert report.texts() == ["First sentence.", "trailing words"]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.text(alphabet="abcdefg ", min_size=1, max_size=12).map(
-            lambda s: (s.strip() or "x") + "."
-        ),
-        min_size=0,
-        max_size=6,
-    )
-)
-def test_segment_fixed_point(texts):
-    first = segment(" ".join(texts))
-    again = segment(" ".join(first.texts()))
-    assert again.texts() == first.texts()
-
-
-# ---------------------------------------------------------------------------
 # lexicon compilation
 
 
@@ -100,8 +50,9 @@ def test_two_patterns_per_disease_ok(schema):
 
 
 def test_unknown_disease(schema):
-    with pytest.raises(UnknownDisease):
-        parse_lexicon(["Dragon Pox\tdragon pox"], schema)
+    with pytest.raises(MalformedRecord, match=r"line 3: unknown disease 'Dragon Pox'") as err:
+        parse_lexicon(["Edema\tedema", "# comment", "Dragon Pox\tdragon pox"], schema)
+    assert err.value.line == 3
 
 
 def test_duplicate_rule(schema):

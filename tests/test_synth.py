@@ -9,12 +9,11 @@ from coaug.corpus import (
     Corpus,
     DiseaseStatus,
     FeatureBundle,
-    FeatureVector,
     default_schema,
     validate_record,
     write_corpus,
 )
-from coaug.errors import ConfigInvalid, MissingTemplate, UnknownDisease
+from coaug.errors import ConfigInvalid, MissingTemplate
 from coaug.labeler import label_report
 from coaug.rng import RngStream
 from coaug.synth import (
@@ -197,9 +196,9 @@ def test_features_exact_at_zero_noise(schema):
     protos = auto_prototypes(schema)
     statuses = [POS if i == 2 else NEG for i in range(14)]
     bundle = sample_features(statuses, protos, 0.0, RngStream(1), schema.d)
-    assert bundle.per_disease[2].values == protos[2][0]
-    assert bundle.per_disease[3].values == protos[3][1]
-    assert not any(v.masked for v in bundle.per_disease)
+    assert bundle.vectors[2] == protos[2][0]
+    assert bundle.vectors[3] == protos[3][1]
+    assert not bundle.masked
 
 
 def _per_call_sample_features(statuses, prototypes, noise_sigma, stream, d):
@@ -213,7 +212,7 @@ def _per_call_sample_features(statuses, prototypes, noise_sigma, stream, d):
             values = tuple(base[j] + stream.gauss(0.0, noise_sigma) for j in range(d))
         else:
             values = tuple(base)
-        vecs.append(FeatureVector(values))
+        vecs.append(values)
     return FeatureBundle(tuple(vecs))
 
 
@@ -227,8 +226,7 @@ def test_generate_matches_per_call_feature_draws(monkeypatch, default_templates,
     reference = synth_generate(cfg, schema)
     assert fused == reference
     for a, b in zip(fused, reference):
-        assert [v.to_json() for v in a.features.per_disease] == \
-            [v.to_json() for v in b.features.per_disease]
+        assert a.features.texts == b.features.texts
 
 
 def test_features_differ_across_stream_positions(schema):
@@ -252,7 +250,7 @@ def test_nearest_prototype_classification_off_noise(schema):
         statuses = [POS if stream.random() < 0.5 else NEG for _ in range(14)]
         bundle = sample_features(statuses, protos, 0.1, stream, schema.d)
         for idx in range(14):
-            vec = bundle.per_disease[idx].values
+            vec = bundle.vectors[idx]
             d_pos = sum((a - b) ** 2 for a, b in zip(vec, protos[idx][0]))
             d_neg = sum((a - b) ** 2 for a, b in zip(vec, protos[idx][1]))
             predicted = POS if d_pos < d_neg else NEG
@@ -335,10 +333,18 @@ def test_generation_stalls_after_exactly_max_attempts(monkeypatch, schema, defau
 
 
 def test_scenario_unknown_disease(tmp_path, schema):
+    # each names its section and key, as the scenario's other field errors do
     path = tmp_path / "bad.cfg"
-    path.write_text("[marginals]\nNessie = 0.5\n")
-    with pytest.raises(UnknownDisease):
-        parse_scenario(str(path), schema)
+    for section, line in [("marginals", "Nessie = 0.5"),
+                          ("planted", "Edema -> Nessie = 0.5, 0.1"),
+                          ("planted", "Nessie -> Edema = 0.5, 0.1"),
+                          ("templates", "Nessie | positive = There is a monster."),
+                          ("prototypes", "Nessie | negative = 0.0")]:
+        path.write_text(f"[{section}]\n{line}\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigInvalid, match="unknown disease 'Nessie'") as err:
+            parse_scenario(str(path), schema)
+        assert err.value.field_path == f"{section}.{key}"
 
 
 @pytest.mark.parametrize("key", ["Edema", "Edema | maybe", "Edema | uncertain"])
@@ -405,9 +411,9 @@ def test_scenario_prototypes_are_the_features_at_zero_noise(tmp_path, schema, ma
     for record in synth_generate(cfg, schema):
         # Positive diseases are always mentioned, so the labels give the status
         statuses = label_report(record.report, matcher).statuses
-        for i, vec in enumerate(record.features.per_disease):
+        for i, vec in enumerate(record.features.vectors):
             pos, neg = _prototype_pair(i, schema.d)
-            assert vec.values == (pos if statuses[i] is DiseaseStatus.POSITIVE else neg)
+            assert vec == (pos if statuses[i] is DiseaseStatus.POSITIVE else neg)
 
 
 @pytest.mark.parametrize("edit, message", [

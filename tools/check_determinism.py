@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Check that ``coaug pipeline`` writes its pinned bytes under each given CPython.
+
+    python tools/check_determinism.py [PYTHON ...]
+
+For each interpreter (by default the one running this script) it runs
+two pipelines of this checkout's ``src`` in fresh temporary directories
+and compares the sha256 of every artifact but the ``.run.json`` timing
+sidecar:
+
+* pipeline-default, ``--scenario default --seed 7 --n 1600 --rate 1.0``,
+  against ``perfbench/reference_digests.json`` (only read);
+* strong_pair, ``--scenario strong_pair --seed 11 --n 400 --rate 0.5``,
+  against ``STRONG_PAIR_SEED11_DIGESTS`` below.
+
+It prints one line per interpreter and case and exits 0 when every
+digest matches, 1 otherwise.  Standard library only, so an interpreter
+under test needs nothing installed.
+
+Scope: this checks interpreter versions on one libm.  Box-Muller's
+``log``, ``cos`` and ``sin`` come from the platform's libm, which one
+machine cannot vary; a match here says nothing about another libm.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+STRONG_PAIR_SEED11_DIGESTS = {
+    "after.txt": "e27fecfb140921a12a4e40c7212d64ca62c74af5cb9bb098027b70b4f8490ff9",
+    "augmented.jsonl": "2372fe53639922e84b3df2ba2b3d9d79c6c057faca8a2fc940e2b6212fc6698e",
+    "augmented.jsonl.schema":
+        "9cc1dd8e1bb49e92e323dce5fec48ebd8b84483b1b3e457a8c8a1a845436e01c",
+    "before.txt": "76ed2502d8ada95b37488e6fc53c5a5da8494225e697763ca7cde4bc4c36b413",
+    "labeled.jsonl": "ce0761bcf3e8e5d2b4fbf16a8afbd274594afb7fd7a713c7efc3a1c5f0276c3c",
+    "labeled.jsonl.schema": "9cc1dd8e1bb49e92e323dce5fec48ebd8b84483b1b3e457a8c8a1a845436e01c",
+    "original.jsonl": "d2a20461e97661a418362da3c6c5c7521be8f78fdcb1b043db4370cad68c1f61",
+    "original.jsonl.schema": "9cc1dd8e1bb49e92e323dce5fec48ebd8b84483b1b3e457a8c8a1a845436e01c",
+    "summary.json": "f328b9dbb3ce28f06963f6b9613b68fb0ace643a3f3944f7c3c979d8dce2c2ec",
+}
+
+
+def cases() -> dict[str, tuple[list[str], dict[str, str]]]:
+    """Each case's pipeline arguments and expected digests."""
+    reference = json.loads((ROOT / "perfbench" / "reference_digests.json").read_text())
+    return {
+        "pipeline-default": (["--scenario", "default", "--seed", "7", "--n", "1600",
+                              "--rate", "1.0"], reference["pipeline-default"]),
+        "strong_pair": (["--scenario", "strong_pair", "--seed", "11", "--n", "400",
+                         "--rate", "0.5"], STRONG_PAIR_SEED11_DIGESTS),
+    }
+
+
+def run_case(python: str, args: list[str]) -> dict[str, str]:
+    """The artifact digests of one ``coaug pipeline`` run under *python*."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory(prefix="coaug-determinism-") as out:
+        subprocess.run([python, "-m", "coaug", "--quiet", "pipeline", *args, "--outdir", out],
+                       env=env, check=True)
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(Path(out).iterdir()) if not p.name.endswith(".run.json")}
+
+
+def main(argv: list[str]) -> int:
+    pythons = argv or [sys.executable]
+    failed = False
+    for python in pythons:
+        version = subprocess.run([python, "-c", "import sys; print(sys.version.split()[0])"],
+                                 capture_output=True, text=True, check=True).stdout.strip()
+        for name, (args, expected) in cases().items():
+            got = run_case(python, args)
+            differ = sorted(n for n in expected.keys() | got.keys()
+                            if got.get(n) != expected.get(n))
+            failed |= bool(differ)
+            print(f"{python} (CPython {version}) {name}: "
+                  f"{'ok' if not differ else 'DIFFER ' + ', '.join(differ)}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
