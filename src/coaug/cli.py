@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import os
 import sys
 import time
@@ -319,27 +320,43 @@ def _cmd_evaluate(args) -> int:
         if args.macro:
             scores["ce_macro"] = dataclasses.asdict(metrics.macro_ce_scores(cells))
         stages["ce"] = round(time.monotonic() - t, 3)
-    gold_reports = [r.report for r in gold]
-    gen_reports = [r.report for r in gen]
-    if "bleu4" in wanted:
-        t = time.monotonic()
-        precisions, bp, score = metrics.bleu_stats(gold_reports, gen_reports)
+    # one pass over the pairs: each report is tokenized once, and its
+    # tokens feed the requested text metrics' per-pair cores and the counts
+    bleu, rouge = "bleu4" in wanted, "rougel" in wanted
+    bleu_counts = [0] * 8
+    rouge_total = bleu_s = rouge_s = 0.0
+    gold_tokens = generated_tokens = 0
+    clock = time.monotonic
+    for g, h in zip(gold, gen):
+        ref = metrics.report_tokens(g.report)
+        cand = metrics.report_tokens(h.report)
+        gold_tokens += len(ref)
+        generated_tokens += len(cand)
+        if bleu:
+            t = clock()
+            bleu_counts = list(map(operator.add, bleu_counts,
+                                   metrics.bleu_pair_counts(ref, cand)))
+            bleu_s += clock() - t
+        if rouge:
+            t = clock()
+            rouge_total += metrics.rouge_l_pair(ref, cand)
+            rouge_s += clock() - t
+    if bleu:
+        precisions, bp, score = metrics.bleu_from_counts(bleu_counts, gold_tokens)
         scores["bleu4"] = score
         scores["bleu4_precisions"] = precisions
         scores["bleu4_brevity_penalty"] = bp
-        stages["bleu4"] = round(time.monotonic() - t, 3)
-    if "rougel" in wanted:
-        t = time.monotonic()
-        scores["rouge_l"] = metrics.rouge_l(gold_reports, gen_reports)
-        stages["rougel"] = round(time.monotonic() - t, 3)
+        stages["bleu4"] = round(bleu_s, 3)
+    if rouge:
+        scores["rouge_l"] = rouge_total / len(gold) if gold else 0.0
+        stages["rougel"] = round(rouge_s, 3)
     _write_json(args.out, scores)
-    totals = {"records": len(gold),
-              "gold_tokens": sum(len(metrics.report_tokens(r)) for r in gold_reports),
-              "generated_tokens": sum(len(metrics.report_tokens(r)) for r in gen_reports)}
     _run_sidecar(args.out, "evaluate",
                  {"gold": os.path.basename(args.gold),
                   "generated": os.path.basename(args.generated)},
-                 None, totals, started, stages=stages)
+                 None, {"records": len(gold), "gold_tokens": gold_tokens,
+                        "generated_tokens": generated_tokens},
+                 started, stages=stages)
     _info(args, f"evaluate: wrote scores to {args.out}")
     return EXIT_OK
 

@@ -358,11 +358,11 @@ def read_schema(path: str) -> LabelSchema:
              if ln.strip()]
     line_no, head = lines[0] if lines else (1, "")
     if not head.startswith("d="):
-        raise MalformedRecord(line_no, "schema file must start with 'd=<int>'")
+        raise MalformedRecord(line_no, "schema file must start with 'd=<int>'", path)
     try:
         d = int(head[2:])
     except ValueError:
-        raise MalformedRecord(line_no, f"bad feature dimension {head!r}")
+        raise MalformedRecord(line_no, f"bad feature dimension {head!r}", path)
     try:
         return make_schema((name for _, name in lines[1:]), d)
     except ValueError as exc:
@@ -432,17 +432,23 @@ def read_corpus(path: str, schema: Optional[LabelSchema] = None) -> Corpus:
         raise SchemaMismatch(f"{path}: the given schema differs from {sidecar}")
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}")
-            record = _obj_to_record(obj, schema, line_no)
-            if record.id in seen:
-                raise MalformedRecord(line_no, f"duplicate record id {record.id!r}")
-            seen.add(record.id)
-            records.append(record)
+    # the lines below know their number, not their file: name it here
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}")
+                record = _obj_to_record(obj, schema, line_no)
+                if record.id in seen:
+                    raise MalformedRecord(line_no, f"duplicate record id {record.id!r}")
+                seen.add(record.id)
+                records.append(record)
+    except MalformedRecord as exc:
+        raise MalformedRecord(exc.line, exc.reason, path) from None
+    except SchemaMismatch as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
     return Corpus(schema, tuple(records))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class CoaugError(Exception):
     """Base class for all data/validation errors (CLI exit code 2)."""
@@ -14,8 +16,11 @@ class MissingFile(CoaugError):
 
 
 class MalformedRecord(CoaugError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    """A bad line of an input file; the message names the file when known."""
+
+    def __init__(self, line: int, reason: str, path: Optional[str] = None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {reason}")
         self.line = line
         self.reason = reason
 

@@ -216,9 +216,19 @@ def parse_cues(lines: list[str]) -> CueList:
 def compile_lexicon(rules_path: str, cues_path: str, schema: LabelSchema) -> Matcher:
     """Compile lexicon and cue files into a matcher.  Compilation is
     independent of rule-file ordering."""
-    rules = parse_lexicon(read_lines(rules_path), schema)
-    cues = parse_cues(read_lines(cues_path))
+    rules = _parse_file(parse_lexicon, rules_path, schema)
+    cues = _parse_file(parse_cues, cues_path)
     return Matcher(schema, rules, cues)
+
+
+def _parse_file(parse, path: str, *args):
+    """``parse`` of the file's lines; a line error also names the file."""
+    try:
+        return parse(read_lines(path), *args)
+    except MalformedRecord as exc:
+        raise MalformedRecord(exc.line, exc.reason, path) from None
+    except DuplicateRule as exc:
+        raise DuplicateRule(f"{path}: {exc}") from None
 
 
 def default_lexicon_path() -> str:

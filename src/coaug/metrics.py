@@ -10,6 +10,10 @@ sequence, so cross-sentence n-grams at the junctions make them order
 sensitive by design.  The LCS is the bit-vector algorithm of
 Allison-Dix (1986) and Hyyrö (2004): one Python-int match mask per
 distinct token, one add/or/and step per token of the other side.
+Each text score has one per-pair core on token lists
+(``bleu_pair_counts``, ``rouge_l_pair``); ``bleu_stats`` and ``rouge_l``
+loop it over ``report_tokens`` pairs, and ``coaug evaluate`` feeds it
+the tokens it makes once per report.
 
 Tokenization everywhere: lowercase; a word is a run of Unicode letters
 and digits, and any other non-space character (punctuation, ``_``) is a
@@ -23,7 +27,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from operator import add, sub
+from typing import Iterable, Sequence
 
 from .corpus import DiseaseStatus, Report, ReportLabelVector
 from .errors import CoaugError, LengthMismatch, SchemaMismatch
@@ -42,6 +47,16 @@ def tokenize(text: str) -> list[str]:
 
 def report_tokens(report: Report) -> list[str]:
     return tokenize(" ".join(report.texts()))
+
+
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Left-to-right float sum.  From CPython 3.12 on, ``sum`` compensates
+    float additions, which can change a score's last digit between
+    versions; this gives the same float on every version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +139,10 @@ def macro_ce_scores(cells: Sequence[ConfusionCounts]) -> CeScores:
     scores = [ce_scores(c) for c in cells]
     n = len(scores)
     return CeScores(
-        sum(s.accuracy for s in scores) / n,
-        sum(s.precision for s in scores) / n,
-        sum(s.recall for s in scores) / n,
-        sum(s.f1 for s in scores) / n,
+        _sum_in_order(s.accuracy for s in scores) / n,
+        _sum_in_order(s.precision for s in scores) / n,
+        _sum_in_order(s.recall for s in scores) / n,
+        _sum_in_order(s.f1 for s in scores) / n,
     )
 
 
@@ -135,8 +150,50 @@ def macro_ce_scores(cells: Sequence[ConfusionCounts]) -> CeScores:
 # text overlap scores
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+def bleu_pair_counts(ref: list[str], cand: list[str]) -> tuple[int, ...]:
+    """One pair's clipped n-gram matches for n = 1..4, then its candidate
+    n-gram totals for n = 1..4.
+
+    All four orders share one Counter per side: unigrams are the token
+    strings themselves and longer n-grams are tuples, so orders never
+    collide, and each order's keys sit in one run of insertion order.  A
+    total is read off the candidate's length."""
+    cand_counts, ref_counts = Counter(cand), Counter(ref)
+    ends = [len(cand_counts)]
+    for cand_grams, ref_grams in (
+        (zip(cand, cand[1:]), zip(ref, ref[1:])),
+        (zip(cand, cand[1:], cand[2:]), zip(ref, ref[1:], ref[2:])),
+        (zip(cand, cand[1:], cand[2:], cand[3:]), zip(ref, ref[1:], ref[2:], ref[3:])),
+    ):
+        cand_counts.update(cand_grams)
+        ref_counts.update(ref_grams)
+        ends.append(len(cand_counts))
+    # clip: min(c, r) = (c + r - |c - r|) / 2, summed over one order's keys,
+    # where the c sum to that order's total
+    in_ref = list(map(ref_counts.get, cand_counts, repeat(0)))
+    gaps = list(map(abs, map(sub, cand_counts.values(), in_ref)))
+    n = len(cand)
+    totals = (n, max(n - 1, 0), max(n - 2, 0), max(n - 3, 0))
+    starts = (0, *ends[:3])
+    matches = [(total + sum(in_ref[i:j]) - sum(gaps[i:j])) // 2
+               for total, i, j in zip(totals, starts, ends)]
+    return (*matches, *totals)
+
+
+def bleu_from_counts(counts: Sequence[int], ref_len: int) -> tuple[list[float], float, float]:
+    """(pooled modified precisions p_1..p_4, brevity penalty, score) from
+    ``bleu_pair_counts`` summed over the pairs; the candidate length is
+    the unigram total."""
+    matches, totals = counts[:4], counts[4:]
+    cand_len = totals[0]
+    precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
+    if cand_len == 0:
+        return precisions, 0.0, 0.0
+    bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    if any(p == 0.0 for p in precisions):
+        return precisions, bp, 0.0
+    score = bp * math.exp(_sum_in_order(map(math.log, precisions)) / 4.0)
+    return precisions, bp, score
 
 
 def bleu_stats(
@@ -145,30 +202,13 @@ def bleu_stats(
     """(pooled modified precisions p_1..p_4, brevity penalty, score)."""
     if len(gold) != len(gen):
         raise LengthMismatch(f"{len(gold)} gold vs {len(gen)} generated reports")
-    matches = [0] * 4
-    totals = [0] * 4
-    ref_len = cand_len = 0
+    counts = [0] * 8
+    ref_len = 0
     for ref_report, cand_report in zip(gold, gen):
         ref = report_tokens(ref_report)
-        cand = report_tokens(cand_report)
+        counts = list(map(add, counts, bleu_pair_counts(ref, report_tokens(cand_report))))
         ref_len += len(ref)
-        cand_len += len(cand)
-        for n in range(1, 5):
-            cand_counts = _ngram_counts(cand, n)
-            if not cand_counts:
-                continue
-            ref_counts = _ngram_counts(ref, n)
-            totals[n - 1] += sum(cand_counts.values())
-            matches[n - 1] += sum(map(min, cand_counts.values(),
-                                      map(ref_counts.get, cand_counts, repeat(0))))
-    precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
-    if cand_len == 0:
-        return precisions, 0.0, 0.0
-    bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
-    if any(p == 0.0 for p in precisions):
-        return precisions, bp, 0.0
-    score = bp * math.exp(sum(math.log(p) for p in precisions) / 4.0)
-    return precisions, bp, score
+    return bleu_from_counts(counts, ref_len)
 
 
 def bleu4(gold: Sequence[Report], gen: Sequence[Report]) -> float:
@@ -190,23 +230,24 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(b) - v.bit_count()
 
 
+def rouge_l_pair(ref: list[str], cand: list[str]) -> float:
+    """One pair's LCS F-measure (beta = 1.2); 0 when a side is empty."""
+    if not ref or not cand:
+        return 0.0
+    lcs = _lcs_length(ref, cand)
+    if lcs == 0:
+        return 0.0
+    recall = lcs / len(ref)
+    precision = lcs / len(cand)
+    b2 = 1.2 * 1.2  # beta = 1.2
+    return (1 + b2) * recall * precision / (recall + b2 * precision)
+
+
 def rouge_l(gold: Sequence[Report], gen: Sequence[Report]) -> float:
     """Mean per-pair LCS F-measure; a pair with an empty side scores 0."""
     if len(gold) != len(gen):
         raise LengthMismatch(f"{len(gold)} gold vs {len(gen)} generated reports")
     if not gold:
         return 0.0
-    total = 0.0
-    b2 = 1.2 * 1.2  # beta = 1.2
-    for ref_report, cand_report in zip(gold, gen):
-        ref = report_tokens(ref_report)
-        cand = report_tokens(cand_report)
-        if not ref or not cand:
-            continue
-        lcs = _lcs_length(ref, cand)
-        if lcs == 0:
-            continue
-        recall = lcs / len(ref)
-        precision = lcs / len(cand)
-        total += (1 + b2) * recall * precision / (recall + b2 * precision)
-    return total / len(gold)
+    return _sum_in_order(rouge_l_pair(report_tokens(ref_report), report_tokens(cand_report))
+                         for ref_report, cand_report in zip(gold, gen)) / len(gold)

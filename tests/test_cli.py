@@ -3,9 +3,12 @@ import json
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coaug.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run, run_pipeline
 from coaug.corpus import (
@@ -473,6 +476,68 @@ def test_evaluate_scores_bytes_are_pinned(tmp_path, schema):
     assert out.read_text() == PINNED_SCORES
 
 
+# words with non-ASCII letters and "_" (a token of its own), and punctuation
+_WORDS = st.sampled_from(["the", "heart", "is", "no", "effusion", ".", ",", "naïve",
+                          "Café", "_", "x_y", "straße", "1.2"])
+_SENTENCES = st.lists(_WORDS, min_size=1, max_size=6).map(" ".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_one_pass_equals_the_report_metrics(data):
+    # the cli tokenizes each pair once and feeds the per-pair cores; its
+    # scores and counts must be those of the report-taking functions
+    from coaug.corpus import Provenance, default_schema
+    from coaug.metrics import bleu_stats, report_tokens, rouge_l
+
+    schema = default_schema()
+    gold_texts = data.draw(st.lists(st.lists(_SENTENCES, min_size=1, max_size=4), max_size=5))
+    # a generated report may be empty; only a counterfactual record may be
+    gen_texts = data.draw(st.lists(st.lists(_SENTENCES, max_size=4),
+                                   min_size=len(gold_texts), max_size=len(gold_texts)))
+    gold_records = [make_record(f"r{i}", texts, schema, features=False)
+                    for i, texts in enumerate(gold_texts)]
+    gen_records = [make_record(f"g{i}", texts, schema, features=False,
+                               provenance=Provenance.COUNTERFACTUAL, source_id=f"r{i}")
+                   for i, texts in enumerate(gen_texts)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, records in (("gold", gold_records), ("gen", gen_records)):
+            paths.append(os.path.join(tmp, f"{name}.jsonl"))
+            write_corpus(Corpus(schema, tuple(records)), paths[-1])
+        out = os.path.join(tmp, "scores.json")
+        assert run(["--quiet", "evaluate", "--gold", paths[0], "--generated", paths[1],
+                    "--metrics", "bleu4,rougel", "--out", out]) == EXIT_OK
+        scores = json.loads(Path(out).read_text())
+        counts = json.loads(Path(out + ".run.json").read_text())["counts"]
+        gold = [r.report for r in read_corpus(paths[0])]
+        gen = [r.report for r in read_corpus(paths[1])]
+    precisions, bp, score = bleu_stats(gold, gen)
+    assert scores["bleu4_precisions"] == precisions
+    assert scores["bleu4_brevity_penalty"] == bp
+    assert scores["bleu4"] == score
+    assert scores["rouge_l"] == rouge_l(gold, gen)
+    assert counts == {"records": len(gold),
+                      "gold_tokens": sum(len(report_tokens(r)) for r in gold),
+                      "generated_tokens": sum(len(report_tokens(r)) for r in gen)}
+
+
+def test_evaluate_metric_subsets_write_the_same_values(tmp_path, schema):
+    gold_path, gen_path = _evaluate_pair(tmp_path, schema)
+    written = {}
+    for metrics in ("bleu4", "rougel", "ce,bleu4,rougel"):
+        out = tmp_path / f"{metrics}.json"
+        assert run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path,
+                    "--metrics", metrics, "--out", str(out)]) == EXIT_OK
+        written[metrics] = json.loads(out.read_text())
+    everything = written["ce,bleu4,rougel"]
+    assert set(written["bleu4"]) == {"records", "bleu4", "bleu4_precisions",
+                                     "bleu4_brevity_penalty"}
+    assert set(written["rougel"]) == {"records", "rouge_l"}
+    for metrics in ("bleu4", "rougel"):
+        assert written[metrics] == {k: everything[k] for k in written[metrics]}
+
+
 def test_evaluate_run_summary_has_stage_times_and_token_counts(tmp_path, schema):
     gold_path, gen_path = _evaluate_pair(tmp_path, schema)
     out = tmp_path / "scores.json"
@@ -489,6 +554,54 @@ def test_evaluate_unknown_metric_is_usage_error_before_reading(tmp_path):
               "--generated", str(tmp_path / "missing.jsonl"), "--metrics", "ce,bogus",
               "--out", str(tmp_path / "scores.json")])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("bad", ["generated", "generated-labels", "lexicon", "lexicon-duplicate",
+                                 "cues", "schema"])
+def test_evaluate_line_errors_name_their_file(tmp_path, schema, capsys, bad):
+    # evaluate reads up to five files; "line 2: ..." alone does not say which
+    gold_path, gen_path = _evaluate_pair(tmp_path, schema)
+    flags = []
+    if bad.startswith("generated"):
+        path = Path(gen_path)
+        lines = path.read_text().splitlines(keepends=True)
+        if bad == "generated":
+            lines[1] = "{not json\n"
+            where = f"{path}: line 2: invalid JSON"
+        else:
+            record = json.loads(lines[1])
+            record["labels"] = {"Nessie": "Positive"}
+            lines[1] = json.dumps(record) + "\n"
+            where = f"{path}: line 2: unknown disease name 'Nessie'"
+        path.write_text("".join(lines))
+    elif bad == "lexicon":
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("Edema\tedema\nDragon Pox\tdragon pox\n")
+        flags = ["--lexicon", str(path)]
+        where = f"{path}: line 2: unknown disease 'Dragon Pox'"
+    elif bad == "lexicon-duplicate":
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("Edema\tedema\nEdema\tedema\n")
+        flags = ["--lexicon", str(path)]
+        where = f"{path}: line 2: duplicate rule"
+    elif bad == "cues":
+        path = tmp_path / "cues.tsv"
+        path.write_text("neg\tno\nmaybe\tperhaps\n")
+        flags = ["--cues", str(path)]
+        where = f"{path}: line 2: expected 'neg<TAB>phrase'"
+    else:
+        path = tmp_path / "bad.schema"
+        path.write_text("\ndim=16\nEdema\n")
+        flags = ["--schema", str(path)]
+        where = f"{path}: line 2: schema file must start with 'd=<int>'"
+    out = tmp_path / "scores.json"
+    capsys.readouterr()
+    assert run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path, *flags,
+                "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {where}" in err
+    assert gold_path not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("metrics", ["", " , "])
@@ -563,7 +676,7 @@ def test_determinism_script_passes_under_this_interpreter(capsys):
     assert check_determinism.main([sys.executable]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.rsplit(" ", 2)[1:] for line in lines] == [
-        ["pipeline-default:", "ok"], ["strong_pair:", "ok"]]
+        ["pipeline-default:", "ok"], ["strong_pair:", "ok"], ["evaluate-reordered:", "ok"]]
 
 
 def test_unknown_scenario_section_is_data_error(tmp_path):

@@ -123,6 +123,16 @@ def test_macro_scores_average_per_disease():
     assert macro.accuracy == pytest.approx((1.0 + 0.0 + 12 * 1.0) / 14)
 
 
+def test_macro_scores_add_left_to_right_on_every_python():
+    # from CPython 3.12 on, sum() compensates float additions: these three
+    # F1 values sum to ...392 there and to ...918 left to right, as on 3.11
+    cells = [ConfusionCounts(2, 5, 8, 6), ConfusionCounts(9, 3, 4, 4),
+             ConfusionCounts(8, 8, 6, 9)]
+    f1 = [ce_scores(c).f1 for c in cells]
+    assert macro_ce_scores(cells).f1 == ((0.0 + f1[0]) + f1[1] + f1[2]) / 3
+    assert macro_ce_scores(cells).f1 == 1.4886274509803918 / 3
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     counts=st.tuples(*([st.integers(min_value=0, max_value=50)] * 4)),

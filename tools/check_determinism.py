@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""Check that ``coaug pipeline`` writes its pinned bytes under each given CPython.
+"""Check that coaug writes its pinned bytes under each given CPython.
 
     python tools/check_determinism.py [PYTHON ...]
 
 For each interpreter (by default the one running this script) it runs
-two pipelines of this checkout's ``src`` in fresh temporary directories
+three commands of this checkout's ``src`` in fresh temporary directories
 and compares the sha256 of every artifact but the ``.run.json`` timing
 sidecar:
 
-* pipeline-default, ``--scenario default --seed 7 --n 1600 --rate 1.0``,
-  against ``perfbench/reference_digests.json`` (only read);
-* strong_pair, ``--scenario strong_pair --seed 11 --n 400 --rate 0.5``,
-  against ``STRONG_PAIR_SEED11_DIGESTS`` below.
+* pipeline-default, ``pipeline --scenario default --seed 7 --n 1600
+  --rate 1.0``, against ``perfbench/reference_digests.json`` (only read);
+* strong_pair, ``pipeline --scenario strong_pair --seed 11 --n 400
+  --rate 0.5``, against ``STRONG_PAIR_SEED11_DIGESTS`` below;
+* evaluate-reordered, ``evaluate --metrics ce,bleu4,rougel --macro`` on
+  the 1,500 seed-7 report pairs that ``perfbench/freetext.py`` (imported,
+  only read) builds, as the benchmark workload of that name does,
+  against ``perfbench/reference_digests.json``.  The pairs are built
+  once, by the interpreter running this script.
 
 It prints one line per interpreter and case and exits 0 when every
 digest matches, 1 otherwise.  Standard library only, so an interpreter
@@ -25,12 +30,14 @@ machine cannot vary; a match here says nothing about another libm.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,22 +55,50 @@ STRONG_PAIR_SEED11_DIGESTS = {
 }
 
 
-def cases() -> dict[str, tuple[list[str], dict[str, str]]]:
-    """Each case's pipeline arguments and expected digests."""
+EVALUATE_SEED = 7
+EVALUATE_N = 1500
+
+
+def write_evaluate_pairs(d: Path) -> list[str]:
+    """Write the evaluate-reordered gold and generated corpora into *d*;
+    return the ``coaug evaluate`` arguments that read them."""
+    spec = importlib.util.spec_from_file_location("freetext",
+                                                  ROOT / "perfbench" / "freetext.py")
+    freetext = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = freetext  # as ``import`` would: its dataclass looks it up
+    spec.loader.exec_module(freetext)
+    gold = freetext.generate_reports(EVALUATE_SEED, EVALUATE_N)
+    freetext.write_text_corpus(str(d / "gold.jsonl"), gold)
+    freetext.write_text_corpus(str(d / "generated.jsonl"),
+                               freetext.drop_and_shuffle(gold, EVALUATE_SEED))
+    return ["evaluate", "--gold", str(d / "gold.jsonl"), "--generated",
+            str(d / "generated.jsonl"), "--metrics", "ce,bleu4,rougel", "--macro"]
+
+
+def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str, str]]]:
+    """Each case's coaug arguments, given its output directory, and its
+    expected digests; *inputs* is a directory for the cases' input files."""
     reference = json.loads((ROOT / "perfbench" / "reference_digests.json").read_text())
+    evaluate = write_evaluate_pairs(inputs)
+
+    def pipeline(*args: str) -> Callable[[Path], list[str]]:
+        return lambda out: ["pipeline", *args, "--outdir", str(out)]
+
     return {
-        "pipeline-default": (["--scenario", "default", "--seed", "7", "--n", "1600",
-                              "--rate", "1.0"], reference["pipeline-default"]),
-        "strong_pair": (["--scenario", "strong_pair", "--seed", "11", "--n", "400",
-                         "--rate", "0.5"], STRONG_PAIR_SEED11_DIGESTS),
+        "pipeline-default": (pipeline("--scenario", "default", "--seed", "7", "--n", "1600",
+                                      "--rate", "1.0"), reference["pipeline-default"]),
+        "strong_pair": (pipeline("--scenario", "strong_pair", "--seed", "11", "--n", "400",
+                                 "--rate", "0.5"), STRONG_PAIR_SEED11_DIGESTS),
+        "evaluate-reordered": (lambda out: [*evaluate, "--out", str(out / "scores.json")],
+                               reference["evaluate-reordered"]),
     }
 
 
-def run_case(python: str, args: list[str]) -> dict[str, str]:
-    """The artifact digests of one ``coaug pipeline`` run under *python*."""
+def run_case(python: str, argv: Callable[[Path], list[str]]) -> dict[str, str]:
+    """The artifact digests of one coaug command run under *python*."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="coaug-determinism-") as out:
-        subprocess.run([python, "-m", "coaug", "--quiet", "pipeline", *args, "--outdir", out],
+        subprocess.run([python, "-m", "coaug", "--quiet", *argv(Path(out))],
                        env=env, check=True)
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(Path(out).iterdir()) if not p.name.endswith(".run.json")}
@@ -72,16 +107,18 @@ def run_case(python: str, args: list[str]) -> dict[str, str]:
 def main(argv: list[str]) -> int:
     pythons = argv or [sys.executable]
     failed = False
-    for python in pythons:
-        version = subprocess.run([python, "-c", "import sys; print(sys.version.split()[0])"],
-                                 capture_output=True, text=True, check=True).stdout.strip()
-        for name, (args, expected) in cases().items():
-            got = run_case(python, args)
-            differ = sorted(n for n in expected.keys() | got.keys()
-                            if got.get(n) != expected.get(n))
-            failed |= bool(differ)
-            print(f"{python} (CPython {version}) {name}: "
-                  f"{'ok' if not differ else 'DIFFER ' + ', '.join(differ)}")
+    with tempfile.TemporaryDirectory(prefix="coaug-determinism-inputs-") as inputs:
+        all_cases = cases(Path(inputs))
+        for python in pythons:
+            version = subprocess.run([python, "-c", "import sys; print(sys.version.split()[0])"],
+                                     capture_output=True, text=True, check=True).stdout.strip()
+            for name, (args, expected) in all_cases.items():
+                got = run_case(python, args)
+                differ = sorted(n for n in expected.keys() | got.keys()
+                                if got.get(n) != expected.get(n))
+                failed |= bool(differ)
+                print(f"{python} (CPython {version}) {name}: "
+                      f"{'ok' if not differ else 'DIFFER ' + ', '.join(differ)}")
     return 1 if failed else 0
 
 
