@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .corpus import (
     Corpus,
@@ -175,10 +175,16 @@ class AugmentSummary:
     shortfall: int = 0  # target minus what eligibility allowed
 
 
-def _is_eligible(record: Record, cfg: AugmentationConfig) -> bool:
+def is_eligible(record: Record, cfg: AugmentationConfig) -> bool:
     if not cfg.enable_css:
         return True
     return record.features is not None and len(record.report) >= MIN_SENTENCES
+
+
+def record_twin(record: Record, matcher: Matcher,
+                cfg: AugmentationConfig) -> Union[AugmentationOutcome, Skip]:
+    """``augment_record`` on the record's own stream (seed + record id)."""
+    return augment_record(record, matcher, RngStream.for_record(cfg.seed, record.id), cfg)
 
 
 def _select(indices: list[int], target: int, seed: int) -> list[int]:
@@ -193,43 +199,39 @@ def _select(indices: list[int], target: int, seed: int) -> list[int]:
     return sorted(pool[:target])
 
 
-def augment_dataset(
-    corpus: Corpus,
-    matcher: Matcher,
-    cfg: AugmentationConfig,
-) -> tuple[Corpus, AugmentSummary]:
-    """Augment floor(rate * |corpus|) records chosen uniformly without
-    replacement among the eligible ones; output is the originals in
-    input order followed by the twins ordered by source position."""
-    for record in corpus:
-        if record.provenance is not Provenance.ORIGINAL:
-            raise CoaugError(
-                f"record {record.id!r} is already counterfactual; "
-                "augment_dataset requires an all-Original corpus"
-            )
-
-    n = len(corpus)
+def augment(n: int, eligible: list[int],
+            twin: Callable[[int], Union[AugmentationOutcome, Skip]],
+            cfg: AugmentationConfig) -> tuple[dict[int, Record], AugmentSummary]:
+    """Choose floor(rate * n) of an n-record corpus's *eligible* positions
+    uniformly without replacement, and count the outcome ``twin`` gives for
+    each chosen one; returns the twins by source position, in order."""
     target = math.floor(cfg.rate * n)
-    eligible = [i for i, r in enumerate(corpus.records) if _is_eligible(r, cfg)]
-    chosen = _select(eligible, target, cfg.seed)
-
-    summary = AugmentSummary(
-        originals=n,
-        eligible=len(eligible),
-        target=target,
-        shortfall=max(0, target - len(eligible)),
-    )
-    twins: list[Record] = []
-    for index in chosen:
-        record = corpus.records[index]
-        stream = RngStream.for_record(cfg.seed, record.id)
-        outcome = augment_record(record, matcher, stream, cfg)
+    summary = AugmentSummary(originals=n, eligible=len(eligible), target=target,
+                             shortfall=max(0, target - len(eligible)))
+    twins: dict[int, Record] = {}
+    for index in _select(eligible, target, cfg.seed):
+        outcome = twin(index)
         if isinstance(outcome, Skip):
             summary.skipped += 1
             continue
         summary.augmented += 1
         if ORPHAN_MENTION in outcome.flags:
             summary.orphan_flagged += 1
-        twins.append(outcome.record)
+        twins[index] = outcome.record
+    return twins, summary
 
-    return Corpus(corpus.schema, corpus.records + tuple(twins)), summary
+
+def augment_dataset(corpus: Corpus, matcher: Matcher,
+                    cfg: AugmentationConfig) -> tuple[Corpus, AugmentSummary]:
+    """Augment floor(rate * |corpus|) records chosen uniformly without
+    replacement among the eligible ones; output is the originals in
+    input order followed by the twins ordered by source position."""
+    for record in corpus:
+        if record.provenance is not Provenance.ORIGINAL:
+            raise CoaugError(f"record {record.id!r} is already counterfactual; "
+                             "augment_dataset requires an all-Original corpus")
+    records = corpus.records
+    eligible = [i for i, r in enumerate(records) if is_eligible(r, cfg)]
+    twins, summary = augment(len(records), eligible,
+                             lambda i: record_twin(records[i], matcher, cfg), cfg)
+    return Corpus(corpus.schema, records + tuple(twins.values())), summary

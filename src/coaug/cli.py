@@ -15,7 +15,9 @@ import dataclasses
 import json
 import operator
 import os
+import shutil
 import sys
+import tempfile
 import time
 from typing import Optional
 
@@ -361,83 +363,107 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+PIPELINE_CORPORA = ("original.jsonl", "labeled.jsonl", "augmented.jsonl")
+
+
 def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                  n: Optional[int] = None, rate: float = 1.0,
                  schema_path: Optional[str] = None) -> tuple[dict, dict]:
-    """synth -> label -> analyze(before) -> augment -> analyze(after),
-    writing every artifact under *outdir*; returns the summary and the
-    wall seconds of each stage."""
+    """synth -> label -> analyze(before) -> augment -> analyze(after) in one
+    pass over the records, writing every artifact under *outdir*; returns the
+    summary and the seconds of each stage's per-record work.  Only featureless
+    records are kept; each eligible twin's line is spooled, and below rate 1.0
+    the twins not chosen are built in vain."""
     schema = corpus.read_schema(schema_path or default_schema_path())
     matcher = labeler.default_matcher(schema)
     cfg = _synth_config(scenario_path, schema, n, seed)
+    acfg = aug.AugmentationConfig(rate=rate, seed=cfg.seed)
+    pairs = [(p.a, p.b) for p in cfg.planted] or _parse_pairs(None, schema)
+    original_path, labeled_path, augmented_path = (
+        os.path.join(outdir, name) for name in PIPELINE_CORPORA)
 
     os.makedirs(outdir, exist_ok=True)
-    stages: dict = {}
-    marks = [time.monotonic()]
+    stages = dict.fromkeys(("synth", "write_original", "label", "write_labeled", "analyze_before",
+                            "augment", "write_augmented", "analyze_after"), 0.0)
 
-    def lap(stage: str) -> None:
-        marks.append(time.monotonic())
-        stages[stage] = round(marks[-1] - marks[-2], 3)
+    def lap(stage: str, since: float) -> float:
+        now = time.monotonic()
+        stages[stage] += now - since
+        return now
 
-    original = synth.synth_generate(cfg, schema)
-    lap("synth")
-    corpus.write_corpus(original, os.path.join(outdir, "original.jsonl"))
-    lap("write_original")
+    labeled: list[corpus.Record] = []
+    outcomes: dict = {}  # eligible position -> its featureless twin's outcome, or a Skip
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=outdir) as spool:
+        with corpus.atomic_writer(original_path) as original_out, \
+                corpus.atomic_writer(labeled_path) as labeled_out:
+            t = time.monotonic()
+            for record in synth.synth_records(cfg, schema):
+                t = lap("synth", t)
+                original_out.write(corpus.record_to_line(record, schema) + "\n")
+                t = lap("write_original", t)
+                record = record.with_labels(labeler.label_report(record.report, matcher))
+                t = lap("label", t)
+                labeled_out.write(corpus.record_to_line(record, schema) + "\n")
+                t = lap("write_labeled", t)
+                if aug.is_eligible(record, acfg):
+                    outcome = aug.record_twin(record, matcher, acfg)
+                    t = lap("augment", t)
+                    if not isinstance(outcome, aug.Skip):
+                        spool.write(corpus.record_to_line(outcome.record, schema) + "\n")
+                        outcome = dataclasses.replace(outcome, record=dataclasses.replace(
+                            outcome.record, features=None))
+                        t = lap("write_augmented", t)
+                    outcomes[len(labeled)] = outcome
+                labeled.append(dataclasses.replace(record, features=None))
+        for path in (original_path, labeled_path):
+            corpus.write_schema(schema, corpus.schema_path_for(path))
+        t = lap("write_labeled", t)
 
-    labeled = labeler.label_corpus(original, matcher)
-    lap("label")
-    corpus.write_corpus(labeled, os.path.join(outdir, "labeled.jsonl"))
-    lap("write_labeled")
+        before = pair_statistics(Corpus(schema, tuple(labeled)), matcher, pairs)
+        atomic_write_text(os.path.join(outdir, "before.txt"),
+                          render_analysis(before, len(labeled)))
+        t = lap("analyze_before", t)
 
-    pairs = [(p.a, p.b) for p in cfg.planted] or _parse_pairs(None, schema)
+        chosen, asummary = aug.augment(len(labeled), list(outcomes), outcomes.__getitem__, acfg)
+        t = lap("augment", t)
+        spool.seek(0)
+        with corpus.atomic_writer(augmented_path) as out, \
+                open(labeled_path, encoding="utf-8", newline="") as labeled_in:
+            shutil.copyfileobj(labeled_in, out)
+            spooled = (i for i, outcome in outcomes.items() if not isinstance(outcome, aug.Skip))
+            out.writelines(twin for i, twin in zip(spooled, spool) if i in chosen)
+        corpus.write_schema(schema, corpus.schema_path_for(augmented_path))
+        t = lap("write_augmented", t)
 
-    before = pair_statistics(labeled, matcher, pairs)
-    atomic_write_text(os.path.join(outdir, "before.txt"),
-                      render_analysis(before, len(labeled)))
-    lap("analyze_before")
-
-    acfg = aug.AugmentationConfig(rate=rate, seed=cfg.seed)
-    augmented, asummary = aug.augment_dataset(labeled, matcher, acfg)
-    lap("augment")
-    corpus.write_corpus(augmented, os.path.join(outdir, "augmented.jsonl"))
-    lap("write_augmented")
-
+    augmented = Corpus(schema, (*labeled, *chosen.values()))
     after = pair_statistics(augmented, matcher, pairs)
     atomic_write_text(os.path.join(outdir, "after.txt"),
                       render_analysis(after, len(augmented)))
-    lap("analyze_after")
+    lap("analyze_after", t)
 
+    keys = ("co_mention_lift", "independence_gap", "order_asymmetry")
     summary = {
         "scenario": os.path.basename(scenario_path),
         "seed": cfg.seed,
-        "records_original": len(original),
+        "records_original": len(labeled),
         "records_augmented": len(augmented),
         "augmentation": dataclasses.asdict(asummary),
-        "pairs": [
-            {
-                "a": blk_before["a"],
-                "b": blk_before["b"],
-                "before": {key: blk_before[key] for key in
-                           ("co_mention_lift", "independence_gap", "order_asymmetry")},
-                "after": {key: blk_after[key] for key in
-                          ("co_mention_lift", "independence_gap", "order_asymmetry")},
-            }
-            for blk_before, blk_after in zip(before, after)
-        ],
+        "pairs": [{"a": b0["a"], "b": b0["b"], "before": {k: b0[k] for k in keys},
+                   "after": {k: b1[k] for k in keys}} for b0, b1 in zip(before, after)],
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)
-    return summary, stages
+    return summary, {stage: round(seconds, 3) for stage, seconds in stages.items()}
 
 
 def _cmd_pipeline(args) -> int:
     started = time.monotonic()
     summary, stages = run_pipeline(_resolve_scenario(args.scenario), args.seed,
                                    args.outdir, args.n, args.rate, args.schema)
+    sizes = {name: os.path.getsize(os.path.join(args.outdir, name)) for name in PIPELINE_CORPORA}
     _run_sidecar(os.path.join(args.outdir, "summary.json"), "pipeline",
-                 {"scenario": os.path.basename(args.scenario)},
-                 summary["seed"],
-                 {"records_augmented": summary["records_augmented"]}, started,
-                 stages=stages)
+                 {"scenario": os.path.basename(args.scenario)}, summary["seed"],
+                 {"records_augmented": summary["records_augmented"], "bytes": sizes},
+                 started, stages=stages)
     _info(args, f"pipeline: artifacts in {args.outdir}")
     return EXIT_OK
 

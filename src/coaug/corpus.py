@@ -26,11 +26,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import MalformedRecord, MissingFile, SchemaMismatch, UnknownDisease
 
@@ -378,18 +379,25 @@ def default_schema(d: int = 16) -> LabelSchema:
     return replace(read_schema(default_schema_path()), d=d)
 
 
-def atomic_write_lines(path: str, lines: Iterable[str]) -> None:
-    """Stream *lines* to a temporary file renamed over *path*; on error, *path* is kept."""
+@contextmanager
+def atomic_writer(path: str) -> Iterator[TextIO]:
+    """A text file whose lines replace *path* when the block ends; on error
+    the temporary file is removed and *path* is kept."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-coaug-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_lines(path: str, lines: Iterable[str]) -> None:
+    with atomic_writer(path) as fh:
+        fh.writelines(lines)
 
 
 def atomic_write_text(path: str, data: str) -> None:

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .corpus import (
     Corpus,
@@ -223,17 +223,16 @@ def _attempt_record(
     )
 
 
-def synth_generate(cfg: SynthConfig, schema: LabelSchema) -> Corpus:
-    """Generate a corpus of exactly ``cfg.n_records`` records: the first
+def synth_records(cfg: SynthConfig, schema: LabelSchema) -> Iterator[Record]:
+    """Yield exactly ``cfg.n_records`` records, one at a time: the first
     that many attempts that mention a disease, in attempt order.  Record
     ids carry the attempt index, so streams and ids stay in lockstep."""
     validate_config(cfg, schema)
     prototypes = cfg.prototypes if cfg.prototypes is not None else auto_prototypes(schema)
 
-    records: list[Record] = []
-    attempt = 0
+    produced = attempt = 0
     max_attempts = 1000 + 50 * max(cfg.n_records, 1)
-    while len(records) < cfg.n_records:
+    while produced < cfg.n_records:
         if attempt >= max_attempts:
             raise ConfigInvalid(
                 "n_records",
@@ -241,9 +240,14 @@ def synth_generate(cfg: SynthConfig, schema: LabelSchema) -> Corpus:
             )
         record = _attempt_record(cfg, schema, prototypes, attempt)
         if record is not None:
-            records.append(record)
+            produced += 1
+            yield record
         attempt += 1
-    return Corpus(schema, tuple(records))
+
+
+def synth_generate(cfg: SynthConfig, schema: LabelSchema) -> Corpus:
+    """The corpus of ``synth_records``."""
+    return Corpus(schema, tuple(synth_records(cfg, schema)))
 
 
 # ---------------------------------------------------------------------------

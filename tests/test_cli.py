@@ -719,7 +719,10 @@ def test_label_rejects_a_feature_mask_that_is_not_a_boolean(tmp_path):
 PIPELINE_CORPORA = ("original.jsonl", "labeled.jsonl", "augmented.jsonl")
 
 
-def test_subcommand_chain_writes_the_pipeline_bytes(tmp_path):
+# 0.37 takes the partial selection over a default corpus whose one-sentence
+# reports are ineligible, so a twin must be matched to its eligible position
+@pytest.mark.parametrize("rate", ["1.0", "0.37"])
+def test_subcommand_chain_writes_the_pipeline_bytes(tmp_path, rate):
     # synth | label | analyze | augment | analyze is the pipeline, byte for byte
     chain, pipe = tmp_path / "chain", tmp_path / "pipe"
     chain.mkdir()
@@ -730,18 +733,70 @@ def test_subcommand_chain_writes_the_pipeline_bytes(tmp_path):
          "--out", chain / "original.jsonl"],
         ["label", "--corpus", chain / "original.jsonl", "--out", chain / "labeled.jsonl"],
         ["analyze", "--corpus", chain / "labeled.jsonl", *pair, "--out", chain / "before.txt"],
-        ["augment", "--corpus", chain / "labeled.jsonl", "--rate", "1.0", "--seed", "7",
+        ["augment", "--corpus", chain / "labeled.jsonl", "--rate", rate, "--seed", "7",
          "--out", chain / "augmented.jsonl"],
         ["analyze", "--corpus", chain / "augmented.jsonl", *pair, "--out", chain / "after.txt"],
     ]
     for step in steps:
         assert run(q + [str(arg) for arg in step]) == EXIT_OK
     assert run(q + ["pipeline", "--scenario", "default", "--n", "400", "--seed", "7",
-                    "--outdir", str(pipe)]) == EXIT_OK
+                    "--rate", rate, "--outdir", str(pipe)]) == EXIT_OK
     names = [*PIPELINE_CORPORA, *(n + ".schema" for n in PIPELINE_CORPORA),
              "before.txt", "after.txt"]
     differ = [n for n in names if (chain / n).read_bytes() != (pipe / n).read_bytes()]
     assert differ == []
+
+
+def test_pipeline_memory_grows_by_less_than_4_kb_per_record(tmp_path):
+    # the pipeline streams its records and keeps none of their feature vectors
+    import tracemalloc
+
+    scenario = default_scenario_path()
+    run_pipeline(scenario, seed=7, outdir=str(tmp_path / "warm"), n=20)
+    peaks = {}
+    for n in (100, 400):
+        tracemalloc.start()
+        try:
+            run_pipeline(scenario, seed=7, outdir=str(tmp_path / str(n)), n=n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[400] - peaks[100]) / 300 < 4096
+
+
+def test_pipeline_failing_mid_stream_leaves_no_debris(tmp_path, monkeypatch):
+    import coaug.cli as cli
+
+    label_report, calls = cli.labeler.label_report, []
+
+    def fails_on_the_50th(report, matcher):
+        calls.append(report)
+        if len(calls) == 50:
+            raise RuntimeError("labeler crash")
+        return label_report(report, matcher)
+
+    monkeypatch.setattr(cli.labeler, "label_report", fails_on_the_50th)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="labeler crash"):
+        run_pipeline(default_scenario_path(), seed=7, outdir=str(out), n=200)
+    # no temporary or spool file is left, and a corpus is whole or absent
+    left = {p.name for p in out.iterdir()}
+    assert left <= {*PIPELINE_CORPORA, *(n + ".schema" for n in PIPELINE_CORPORA)}
+    for name in left & set(PIPELINE_CORPORA):
+        assert (out / (name + ".schema")).exists()
+        assert len(read_corpus(str(out / name))) >= 200
+
+
+def test_stalled_pipeline_is_data_error_and_writes_no_corpus(tmp_path):
+    text = Path(default_scenario_path()).read_text()
+    assert "mention_positive = 1.0" in text and "mention_negative = 0.75" in text
+    scenario = tmp_path / "silent.cfg"
+    scenario.write_text(text.replace("mention_positive = 1.0", "mention_positive = 0")
+                        .replace("mention_negative = 0.75", "mention_negative = 0"))
+    out = tmp_path / "out"
+    assert run(["--quiet", "pipeline", "--scenario", str(scenario), "--n", "5",
+                "--outdir", str(out)]) == EXIT_DATA
+    assert list(out.iterdir()) == []
 
 
 # sha256 of `coaug augment` on the unlabeled `synth --scenario default --n 200
