@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, TypeVar, Union
 
 from .corpus import (
     Corpus,
@@ -43,6 +43,10 @@ _SELECTION_KEY = "augment:selection"
 
 MAX_RESAMPLE = 5  # sentence draws before CSS gives up on a record
 MIN_SENTENCES = 2  # CSS leaves at least one sentence
+
+SKIP_REASONS = ("below-min-sentences", "no-labelable-sentence")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class Skip:
     """A record the augmenter declined to touch, with the reason."""
 
     record_id: str
-    reason: str  # "below-min-sentences" | "no-labelable-sentence"
+    reason: str  # one of SKIP_REASONS
 
 
 @dataclass(frozen=True)
@@ -200,38 +204,52 @@ def _select(indices: list[int], target: int, seed: int) -> list[int]:
 
 
 def augment(n: int, eligible: list[int],
-            twin: Callable[[int], Union[AugmentationOutcome, Skip]],
-            cfg: AugmentationConfig) -> tuple[dict[int, Record], AugmentSummary]:
+            twin: Callable[[int], Union[Skip, tuple[T, bool]]],
+            cfg: AugmentationConfig) -> tuple[dict[int, T], AugmentSummary, dict[str, int]]:
     """Choose floor(rate * n) of an n-record corpus's *eligible* positions
-    uniformly without replacement, and count the outcome ``twin`` gives for
-    each chosen one; returns the twins by source position, in order."""
+    uniformly without replacement.  ``twin`` gives each chosen position's
+    Skip, or its twin and whether the twin has an orphan mention.  Returns
+    the twins by source position, in order, the counts, and the skips by
+    reason."""
     target = math.floor(cfg.rate * n)
     summary = AugmentSummary(originals=n, eligible=len(eligible), target=target,
                              shortfall=max(0, target - len(eligible)))
-    twins: dict[int, Record] = {}
+    skips = dict.fromkeys(SKIP_REASONS, 0)
+    twins: dict[int, T] = {}
     for index in _select(eligible, target, cfg.seed):
         outcome = twin(index)
         if isinstance(outcome, Skip):
             summary.skipped += 1
+            skips[outcome.reason] += 1
             continue
+        twins[index], orphan = outcome
         summary.augmented += 1
-        if ORPHAN_MENTION in outcome.flags:
-            summary.orphan_flagged += 1
-        twins[index] = outcome.record
-    return twins, summary
+        summary.orphan_flagged += orphan
+    return twins, summary, skips
 
 
 def augment_dataset(corpus: Corpus, matcher: Matcher,
                     cfg: AugmentationConfig) -> tuple[Corpus, AugmentSummary]:
     """Augment floor(rate * |corpus|) records chosen uniformly without
     replacement among the eligible ones; output is the originals in
-    input order followed by the twins ordered by source position."""
+    input order followed by the twins ordered by source position.  A
+    twin whose id is already a record's id is a ``CoaugError``."""
     for record in corpus:
         if record.provenance is not Provenance.ORIGINAL:
             raise CoaugError(f"record {record.id!r} is already counterfactual; "
                              "augment_dataset requires an all-Original corpus")
     records = corpus.records
+    ids = {record.id for record in records}
+
+    def twin(index: int) -> Union[Skip, tuple[Record, bool]]:
+        outcome = record_twin(records[index], matcher, cfg)
+        if isinstance(outcome, Skip):
+            return outcome
+        if outcome.record.id in ids:
+            raise CoaugError(f"record {records[index].id!r}: its twin's id "
+                             f"{outcome.record.id!r} is already a record id")
+        return outcome.record, ORPHAN_MENTION in outcome.flags
+
     eligible = [i for i, r in enumerate(records) if is_eligible(r, cfg)]
-    twins, summary = augment(len(records), eligible,
-                             lambda i: record_twin(records[i], matcher, cfg), cfg)
+    twins, summary, _ = augment(len(records), eligible, twin, cfg)
     return Corpus(corpus.schema, records + tuple(twins.values())), summary

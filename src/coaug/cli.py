@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import augment as aug
 from . import confound, corpus, labeler, metrics, synth
-from .corpus import Corpus, LabelSchema, atomic_write_text
+from .corpus import LabelSchema, atomic_write_text
 from .errors import CoaugError, NoCooccurrence, UnknownDisease, UsageError
 
 EXIT_OK = 0
@@ -91,20 +91,19 @@ def _info(args, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pair statistics of a labeled corpus, shared by analyze and pipeline
+# pair statistics of a labeled corpus's columns, shared by analyze and pipeline
 
 
-def pair_statistics(c: Corpus, matcher: labeler.Matcher,
+def pair_statistics(columns: confound.LabelColumns, schema: LabelSchema,
                     pairs: list[tuple[int, int]],
                     stratify=None) -> list[dict]:
-    firsts = confound.first_mention_table(c, matcher)
     blocks = []
     for ia, ib in pairs:
-        st = confound.build_contingency(c, ia, ib, stratify)
+        st = columns.contingency(ia, ib, stratify)
         table = st.aggregate
         block: dict = {
-            "a": c.schema.names[ia],
-            "b": c.schema.names[ib],
+            "a": schema.names[ia],
+            "b": schema.names[ib],
             "cells": {"n_pp": table.n_pp, "n_pm": table.n_pm,
                       "n_mp": table.n_mp, "n_mm": table.n_mm},
             "margin_a_pos": table.margin_a_pos,
@@ -130,11 +129,11 @@ def pair_statistics(c: Corpus, matcher: labeler.Matcher,
             block["odds_ratio"] = None
             block["independence_gap"] = None
         try:
-            block["co_mention_lift"] = confound.co_mention_lift(c, ia, ib)
+            block["co_mention_lift"] = columns.lift(ia, ib)
         except CoaugError:
             block["co_mention_lift"] = None
         try:
-            oa = confound.order_asymmetry_from_table(firsts, ia, ib)
+            oa = columns.order_asymmetry(ia, ib)
             block["order_asymmetry"] = oa.asym
             block["co_occurrences"] = oa.co_occur_count
         except NoCooccurrence:
@@ -235,13 +234,18 @@ def _cmd_label(args) -> int:
     started = time.monotonic()
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
-    c = corpus.read_corpus(args.corpus, schema)
-    labeled = labeler.label_corpus(c, matcher)
-    corpus.write_corpus(labeled, args.out)
+    records = corpus.iter_corpus(args.corpus, schema)
+    n = 0
+    with corpus.atomic_writer(args.out) as out:
+        for record in records:
+            record = record.with_labels(labeler.label_report(record.report, matcher))
+            out.write(corpus.record_to_line(record, schema) + "\n")
+            n += 1
+    corpus.write_schema(schema, corpus.schema_path_for(args.out))
     _run_sidecar(args.out, "label",
                  {"corpus": os.path.basename(args.corpus)},
-                 None, {"records": len(labeled)}, started)
-    _info(args, f"label: wrote {len(labeled)} labeled records to {args.out}")
+                 None, {"records": n}, started)
+    _info(args, f"label: wrote {n} labeled records to {args.out}")
     return EXIT_OK
 
 
@@ -257,13 +261,17 @@ def _cmd_analyze(args) -> int:
     elif args.stratify not in (None, "none"):
         raise UsageError(f"unknown stratifier {args.stratify!r}")
     matcher = _load_matcher(args, schema)
-    c = labeler.label_corpus(corpus.read_corpus(args.corpus, schema), matcher,
-                             keep_existing=True)
-    blocks = pair_statistics(c, matcher, pairs, stratify)
-    atomic_write_text(args.out, render_analysis(blocks, len(c)))
+    # one pass: a record without labels is labeled, and only its columns stay
+    columns = confound.LabelColumns(len(schema), matcher)
+    for record in corpus.iter_corpus(args.corpus, schema):
+        if record.labels is None:
+            record = record.with_labels(labeler.label_report(record.report, matcher))
+        columns.append(record)
+    blocks = pair_statistics(columns, schema, pairs, stratify)
+    atomic_write_text(args.out, render_analysis(blocks, len(columns)))
     _run_sidecar(args.out, "analyze",
                  {"corpus": os.path.basename(args.corpus)},
-                 None, {"records": len(c), "pairs": len(pairs)}, started)
+                 None, {"records": len(columns), "pairs": len(pairs)}, started)
     _info(args, f"analyze: wrote {len(pairs)} pair blocks to {args.out}")
     return EXIT_OK
 
@@ -365,15 +373,19 @@ def _cmd_evaluate(args) -> int:
 
 PIPELINE_CORPORA = ("original.jsonl", "labeled.jsonl", "augmented.jsonl")
 
+# the fate of each record's twin in the pipeline, one byte per record
+_INELIGIBLE, _SPOOLED, _SPOOLED_ORPHAN, _SKIPPED = range(4)
+
 
 def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                  n: Optional[int] = None, rate: float = 1.0,
-                 schema_path: Optional[str] = None) -> tuple[dict, dict]:
+                 schema_path: Optional[str] = None) -> tuple[dict, dict, dict]:
     """synth -> label -> analyze(before) -> augment -> analyze(after) in one
     pass over the records, writing every artifact under *outdir*; returns the
-    summary and the seconds of each stage's per-record work.  Only featureless
-    records are kept; each eligible twin's line is spooled, and below rate 1.0
-    the twins not chosen are built in vain."""
+    summary, the seconds of each stage's per-record work and the augmentation
+    skips by reason.  No record is kept: each labeled record leaves its
+    columns, and each eligible twin its spooled line, its columns and one
+    byte; below rate 1.0 the twins not chosen are built in vain."""
     schema = corpus.read_schema(schema_path or default_schema_path())
     matcher = labeler.default_matcher(schema)
     cfg = _synth_config(scenario_path, schema, n, seed)
@@ -391,8 +403,10 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
         stages[stage] += now - since
         return now
 
-    labeled: list[corpus.Record] = []
-    outcomes: dict = {}  # eligible position -> its featureless twin's outcome, or a Skip
+    columns = confound.LabelColumns(len(schema), matcher)  # the labeled records'
+    twin_columns = confound.LabelColumns(len(schema), matcher)  # the spooled twins'
+    fates = bytearray()  # per record: _INELIGIBLE, _SPOOLED, _SPOOLED_ORPHAN or _SKIPPED
+    skips: dict[int, aug.Skip] = {}
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=outdir) as spool:
         with corpus.atomic_writer(original_path) as original_out, \
                 corpus.atomic_writer(labeled_path) as labeled_out:
@@ -405,64 +419,77 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                 t = lap("label", t)
                 labeled_out.write(corpus.record_to_line(record, schema) + "\n")
                 t = lap("write_labeled", t)
+                columns.append(record)
+                t = lap("analyze_before", t)
+                fate = _INELIGIBLE
                 if aug.is_eligible(record, acfg):
                     outcome = aug.record_twin(record, matcher, acfg)
                     t = lap("augment", t)
-                    if not isinstance(outcome, aug.Skip):
+                    if isinstance(outcome, aug.Skip):
+                        fate, skips[len(fates)] = _SKIPPED, outcome
+                    else:
                         spool.write(corpus.record_to_line(outcome.record, schema) + "\n")
-                        outcome = dataclasses.replace(outcome, record=dataclasses.replace(
-                            outcome.record, features=None))
                         t = lap("write_augmented", t)
-                    outcomes[len(labeled)] = outcome
-                labeled.append(dataclasses.replace(record, features=None))
+                        twin_columns.append(outcome.record)
+                        t = lap("analyze_after", t)
+                        fate = (_SPOOLED_ORPHAN if aug.ORPHAN_MENTION in outcome.flags
+                                else _SPOOLED)
+                fates.append(fate)
         for path in (original_path, labeled_path):
             corpus.write_schema(schema, corpus.schema_path_for(path))
         t = lap("write_labeled", t)
 
-        before = pair_statistics(Corpus(schema, tuple(labeled)), matcher, pairs)
+        before = pair_statistics(columns, schema, pairs)
         atomic_write_text(os.path.join(outdir, "before.txt"),
-                          render_analysis(before, len(labeled)))
+                          render_analysis(before, len(columns)))
         t = lap("analyze_before", t)
 
-        chosen, asummary = aug.augment(len(labeled), list(outcomes), outcomes.__getitem__, acfg)
+        def twin(i: int):
+            return skips[i] if fates[i] == _SKIPPED else (None, fates[i] == _SPOOLED_ORPHAN)
+
+        eligible = [i for i, fate in enumerate(fates) if fate != _INELIGIBLE]
+        chosen, asummary, skip_counts = aug.augment(len(fates), eligible, twin, acfg)
         t = lap("augment", t)
+        spooled = [i for i, fate in enumerate(fates) if fate in (_SPOOLED, _SPOOLED_ORPHAN)]
         spool.seek(0)
         with corpus.atomic_writer(augmented_path) as out, \
                 open(labeled_path, encoding="utf-8", newline="") as labeled_in:
             shutil.copyfileobj(labeled_in, out)
-            spooled = (i for i, outcome in outcomes.items() if not isinstance(outcome, aug.Skip))
-            out.writelines(twin for i, twin in zip(spooled, spool) if i in chosen)
+            out.writelines(line for i, line in zip(spooled, spool) if i in chosen)
         corpus.write_schema(schema, corpus.schema_path_for(augmented_path))
         t = lap("write_augmented", t)
 
-    augmented = Corpus(schema, (*labeled, *chosen.values()))
-    after = pair_statistics(augmented, matcher, pairs)
+    n_original = len(columns)
+    columns.extend(twin_columns, (row for row, i in enumerate(spooled) if i in chosen))
+    after = pair_statistics(columns, schema, pairs)
     atomic_write_text(os.path.join(outdir, "after.txt"),
-                      render_analysis(after, len(augmented)))
+                      render_analysis(after, len(columns)))
     lap("analyze_after", t)
 
     keys = ("co_mention_lift", "independence_gap", "order_asymmetry")
     summary = {
         "scenario": os.path.basename(scenario_path),
         "seed": cfg.seed,
-        "records_original": len(labeled),
-        "records_augmented": len(augmented),
+        "records_original": n_original,
+        "records_augmented": len(columns),
         "augmentation": dataclasses.asdict(asummary),
         "pairs": [{"a": b0["a"], "b": b0["b"], "before": {k: b0[k] for k in keys},
                    "after": {k: b1[k] for k in keys}} for b0, b1 in zip(before, after)],
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)
-    return summary, {stage: round(seconds, 3) for stage, seconds in stages.items()}
+    stage_seconds = {stage: round(seconds, 3) for stage, seconds in stages.items()}
+    return summary, stage_seconds, skip_counts
 
 
 def _cmd_pipeline(args) -> int:
     started = time.monotonic()
-    summary, stages = run_pipeline(_resolve_scenario(args.scenario), args.seed,
-                                   args.outdir, args.n, args.rate, args.schema)
+    summary, stages, skips = run_pipeline(_resolve_scenario(args.scenario), args.seed,
+                                          args.outdir, args.n, args.rate, args.schema)
     sizes = {name: os.path.getsize(os.path.join(args.outdir, name)) for name in PIPELINE_CORPORA}
     _run_sidecar(os.path.join(args.outdir, "summary.json"), "pipeline",
                  {"scenario": os.path.basename(args.scenario)}, summary["seed"],
-                 {"records_augmented": summary["records_augmented"], "bytes": sizes},
+                 {"records_augmented": summary["records_augmented"], "bytes": sizes,
+                  "skips": skips},
                  started, stages=stages)
     _info(args, f"pipeline: artifacts in {args.outdir}")
     return EXIT_OK

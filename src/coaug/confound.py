@@ -12,8 +12,10 @@ that association reverses inside sub-populations:
 * aggregate-vs-strata reversal detection on log-odds-ratio signs;
 * report-level co-mention lift and directional sentence-order asymmetry.
 
-Contingency tables and lift are read off one joint count per pair: how
-many records have each (stratum, status of A, status of B).
+The statistics read ``LabelColumns``, a few bytes per record filled one
+record at a time: each cell, margin, stratum and lift count is a count of
+(stratum, status of A, status of B) over two or three zipped byte
+columns, and order asymmetry zips two first-mention columns.
 
 Association direction is the sign of the log odds ratio, computed by
 exact integer cross-multiplication so scaling all counts never flips it.
@@ -21,14 +23,13 @@ exact integer cross-multiplication so scaling all counts never flips it.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .corpus import Corpus, DiseaseStatus, Provenance
+from .corpus import Corpus, DiseaseStatus, Provenance, Record
 from .errors import (
     EmptyTable,
     InsufficientStrata,
@@ -215,26 +216,155 @@ def detect_simpson_reversal(st: StratifiedTables) -> SimpsonReport:
 
 
 # ---------------------------------------------------------------------------
-# corpus scans
+# corpus columns
 
 
-_POS, _NEG, _UNM = DiseaseStatus.POSITIVE, DiseaseStatus.NEGATIVE, DiseaseStatus.UNMENTIONED
-_STATUS_STRATA = tuple(status.value for status in DiseaseStatus)
-_PROVENANCE_STRATA = tuple(provenance.value for provenance in Provenance)
+_STATUSES = tuple(DiseaseStatus)  # a status's code is its index here
+_CODES = range(len(_STATUSES))
+_POS, _NEG, _UNC, _UNM = _CODES
+_STATUS_STRATA = tuple(status.value for status in _STATUSES)
+_PROVENANCES = tuple(Provenance)
+_PROVENANCE_STRATA = tuple(provenance.value for provenance in _PROVENANCES)
 
 
-def _joint_counts(corpus: Corpus, a: int, b: int, strata: Iterable[str]) -> Counter:
-    """Records per (stratum, status of a, status of b).  ``strata`` runs in
-    step with the records and is drawn only once every record is known to
-    carry labels, so a generator over the records may read them."""
-    try:
-        rows = [record.labels.statuses for record in corpus]
-    except AttributeError:
-        record = next(r for r in corpus if r.labels is None)
-        raise MissingLabels(
-            f"record {record.id!r} has no labels; run label_report first"
-        ) from None
-    return Counter(zip(strata, map(itemgetter(a), rows), map(itemgetter(b), rows)))
+class LabelColumns:
+    """A corpus as columns, filled one record at a time.  Per record, row
+    after row: one status code byte per disease (the status's index in
+    ``DiseaseStatus``), the provenance code, and, when built with a
+    matcher, each disease's first-mention sentence index (-1 when no
+    sentence mentions it).  The pair statistics read these bytes; they
+    keep no record and hash no status."""
+
+    def __init__(self, n_diseases: int, matcher: Optional[Matcher] = None):
+        self.n_diseases = n_diseases
+        self.matcher = matcher
+        self.statuses = bytearray()
+        self.provenance = bytearray()
+        self.firsts = array("b")  # widened to "i" by a first mention past sentence 127
+        self.unlabeled: Optional[str] = None  # the id of the first record without labels
+
+    @classmethod
+    def of(cls, corpus: Corpus, matcher: Optional[Matcher] = None) -> "LabelColumns":
+        """The columns of every record of *corpus*, in order."""
+        columns = cls(len(corpus.schema), matcher)
+        for record in corpus:
+            columns.append(record)
+        return columns
+
+    def __len__(self) -> int:
+        return len(self.provenance)
+
+    def append(self, record: Record) -> None:
+        """Add *record*'s row.  A record without labels makes the label
+        statistics raise ``MissingLabels`` naming the first such record."""
+        n = self.n_diseases
+        if record.labels is None:
+            if self.unlabeled is None:
+                self.unlabeled = record.id
+            codes = bytes([_UNM]) * n
+        else:
+            codes = bytes(map(_STATUSES.index, record.labels.statuses))
+            if len(codes) != n:
+                raise ValueError(f"record {record.id!r} has {len(codes)} labels, expected {n}")
+        self.statuses += codes
+        self.provenance.append(_PROVENANCES.index(record.provenance))
+        if self.matcher is not None:
+            firsts = [-1] * n
+            for s_idx, sentence in enumerate(record.report.sentences):
+                for disease in label_sentence(sentence, self.matcher):
+                    if firsts[disease] < 0:
+                        firsts[disease] = s_idx
+            self._add_firsts(firsts)
+
+    def extend(self, other: "LabelColumns", rows: Iterable[int]) -> None:
+        """Append the rows of *other* at *rows*, in that order; *other*'s
+        records must all carry labels."""
+        if other.unlabeled is not None:
+            raise ValueError(f"record {other.unlabeled!r} has no labels")
+        n = self.n_diseases
+        for row in rows:
+            self.statuses += other.statuses[row * n:(row + 1) * n]
+            self.provenance.append(other.provenance[row])
+            if self.matcher is not None:
+                self._add_firsts(other.firsts[row * n:(row + 1) * n])
+
+    def _add_firsts(self, firsts) -> None:
+        try:
+            self.firsts += array(self.firsts.typecode, firsts)
+        except OverflowError:
+            self.firsts = array("i", self.firsts)
+            self.firsts += array("i", firsts)
+
+    def _column(self, values, disease: int):
+        """Every record's entry for *disease* in a row-major column."""
+        return values[range(self.n_diseases)[disease]::self.n_diseases]
+
+    def _joint(self, strata, a: int, b: int) -> Counter:
+        """Records per (stratum code, status code of a, status code of b)."""
+        if self.unlabeled is not None:
+            raise MissingLabels(
+                f"record {self.unlabeled!r} has no labels; run label_report first")
+        column = self._column
+        return Counter(zip(strata, column(self.statuses, a), column(self.statuses, b)))
+
+    def contingency(self, a: int, b: int, stratify_by: Optional[str | int] = None
+                    ) -> StratifiedTables:
+        """``build_contingency`` of these columns."""
+        if stratify_by is None:
+            keys, strata = ("all",), bytes(len(self))
+        elif stratify_by == "provenance":
+            keys, strata = _PROVENANCE_STRATA, self.provenance
+        else:
+            keys, strata = _STATUS_STRATA, self._column(self.statuses, stratify_by)
+        counts = self._joint(strata, a, b)
+        tables = {}
+        for k, key in enumerate(keys):
+            by_a = [sum(counts[k, sa, sb] for sb in _CODES) for sa in _CODES]
+            tables[key] = ContingencyTable(
+                counts[k, _POS, _POS], counts[k, _POS, _NEG],
+                counts[k, _NEG, _POS], counts[k, _NEG, _NEG],
+                by_a[_POS], by_a[_NEG], sum(by_a),
+            )
+        return StratifiedTables(tables, reduce(add_tables, tables.values()))
+
+    def lift(self, a: int, b: int) -> float:
+        """``co_mention_lift`` of these columns."""
+        n = len(self)
+        if n == 0:
+            raise UndefinedLift("empty corpus")
+        counts = self._joint(bytes(n), a, b)
+        n_a = sum(c for (_, sa, _), c in counts.items() if sa != _UNM)
+        n_b = sum(c for (_, _, sb), c in counts.items() if sb != _UNM)
+        n_ab = sum(c for (_, sa, sb), c in counts.items() if sa != _UNM and sb != _UNM)
+        if n_a == 0 or n_b == 0:
+            raise UndefinedLift("a disease is never mentioned")
+        return (n_ab / n) / ((n_a / n) * (n_b / n))
+
+    def order_asymmetry(self, a: int, b: int) -> OrderAsymmetry:
+        """``order_asymmetry`` of these columns; they need a matcher."""
+        if self.matcher is None:
+            raise ValueError("first mentions need columns built with a matcher")
+        return _order_asymmetry(self._column(self.firsts, a), self._column(self.firsts, b))
+
+
+def _order_asymmetry(firsts_a: Iterable[int], firsts_b: Iterable[int]) -> OrderAsymmetry:
+    """From each record's first-mention sentence of a and of b (-1: none)."""
+    a_first = b_first = 0
+    for sa, sb in zip(firsts_a, firsts_b):
+        if sa < 0 or sb < 0 or sa == sb:
+            continue
+        if sa < sb:
+            a_first += 1
+        else:
+            b_first += 1
+    count = a_first + b_first
+    if count == 0:
+        raise NoCooccurrence("no report mentions both diseases in distinct sentences")
+    return OrderAsymmetry(count, abs(a_first - b_first) / count)
+
+
+# ---------------------------------------------------------------------------
+# corpus statistics: the columns of the corpus, then the column function
 
 
 def build_contingency(
@@ -250,58 +380,21 @@ def build_contingency(
     but to no cell.  ``stratify_by`` is None, ``"provenance"``, or a
     third disease index (stratum = its status).
     """
-    if stratify_by is None:
-        keys: tuple[str, ...] = ("all",)
-        strata: Iterable[str] = repeat("all")
-    elif stratify_by == "provenance":
-        keys = _PROVENANCE_STRATA
-        strata = (record.provenance.value for record in corpus)
-    else:
-        keys = _STATUS_STRATA
-        strata = (record.labels.statuses[stratify_by].value for record in corpus)
-    counts = _joint_counts(corpus, a, b, strata)
-
-    tables = {}
-    for key in keys:
-        by_a = [(sa, c) for (k, sa, _), c in counts.items() if k == key]
-        tables[key] = ContingencyTable(
-            counts[key, _POS, _POS], counts[key, _POS, _NEG],
-            counts[key, _NEG, _POS], counts[key, _NEG, _NEG],
-            sum(c for sa, c in by_a if sa is _POS),
-            sum(c for sa, c in by_a if sa is _NEG),
-            sum(c for _, c in by_a),
-        )
-    return StratifiedTables(tables, reduce(add_tables, tables.values()))
+    return LabelColumns.of(corpus).contingency(a, b, stratify_by)
 
 
 def co_mention_lift(corpus: Corpus, a: int, b: int) -> float:
     """P(a and b both mentioned) / (P(a mentioned) * P(b mentioned)),
     where mentioned means any status but Unmentioned."""
-    n = len(corpus)
-    if n == 0:
-        raise UndefinedLift("empty corpus")
-    counts = _joint_counts(corpus, a, b, repeat("all"))
-    n_a = sum(c for (_, sa, _), c in counts.items() if sa is not _UNM)
-    n_b = sum(c for (_, _, sb), c in counts.items() if sb is not _UNM)
-    n_ab = sum(c for (_, sa, sb), c in counts.items() if sa is not _UNM and sb is not _UNM)
-    if n_a == 0 or n_b == 0:
-        raise UndefinedLift("a disease is never mentioned")
-    return (n_ab / n) / ((n_a / n) * (n_b / n))
+    return LabelColumns.of(corpus).lift(a, b)
 
 
 def first_mention_table(corpus: Corpus, matcher: Matcher) -> list[list[Optional[int]]]:
     """Per record, the index of the first sentence mentioning each
-    disease (None when unmentioned).  Shared by all pairwise scans."""
-    table = []
-    n_c = len(matcher.schema)
-    for record in corpus:
-        firsts: list[Optional[int]] = [None] * n_c
-        for s_idx, sentence in enumerate(record.report.sentences):
-            for disease in label_sentence(sentence, matcher):
-                if firsts[disease] is None:
-                    firsts[disease] = s_idx
-        table.append(firsts)
-    return table
+    disease (None when unmentioned)."""
+    columns = LabelColumns.of(corpus, matcher)
+    firsts, n = columns.firsts, columns.n_diseases
+    return [[None if f < 0 else f for f in firsts[i:i + n]] for i in range(0, len(firsts), n)]
 
 
 def order_asymmetry_from_table(
@@ -309,19 +402,8 @@ def order_asymmetry_from_table(
     a: int,
     b: int,
 ) -> OrderAsymmetry:
-    a_first = b_first = 0
-    for firsts in table:
-        sa, sb = firsts[a], firsts[b]
-        if sa is None or sb is None or sa == sb:
-            continue
-        if sa < sb:
-            a_first += 1
-        else:
-            b_first += 1
-    count = a_first + b_first
-    if count == 0:
-        raise NoCooccurrence("no report mentions both diseases in distinct sentences")
-    return OrderAsymmetry(count, abs(a_first - b_first) / count)
+    """``order_asymmetry`` of a ``first_mention_table``."""
+    return _order_asymmetry(*([-1 if row[i] is None else row[i] for row in table] for i in (a, b)))
 
 
 def order_asymmetry(
@@ -333,4 +415,4 @@ def order_asymmetry(
     """Directional bias of sentence order for a disease pair: 1.0 when
     one disease's first sentence always precedes the other's, 0 when
     the two orders are equally common."""
-    return order_asymmetry_from_table(first_mention_table(corpus, matcher), a, b)
+    return LabelColumns.of(corpus, matcher).order_asymmetry(a, b)

@@ -428,17 +428,20 @@ def write_corpus(corpus: Corpus, path: str) -> None:
     write_schema(corpus.schema, schema_path_for(path))
 
 
-def read_corpus(path: str, schema: Optional[LabelSchema] = None) -> Corpus:
-    """Read a corpus; the schema comes from the sidecar file unless given.
-    A given schema must equal the sidecar, when there is one."""
+def iter_corpus(path: str, schema: LabelSchema) -> Iterator[Record]:
+    """The records of the corpus at *path*, read and checked one line at a
+    time; a line error names the file.  The file must exist and *schema*
+    must equal its sidecar, when there is one: both are checked before
+    this returns."""
     if not os.path.exists(path):
         raise MissingFile(path)
     sidecar = schema_path_for(path)
-    if schema is None:
-        schema = read_schema(sidecar)
-    elif os.path.exists(sidecar) and read_schema(sidecar) != schema:
+    if os.path.exists(sidecar) and read_schema(sidecar) != schema:
         raise SchemaMismatch(f"{path}: the given schema differs from {sidecar}")
-    records = []
+    return _read_records(path, schema)
+
+
+def _read_records(path: str, schema: LabelSchema) -> Iterator[Record]:
     seen = set()
     # the lines below know their number, not their file: name it here
     try:
@@ -454,9 +457,19 @@ def read_corpus(path: str, schema: Optional[LabelSchema] = None) -> Corpus:
                 if record.id in seen:
                     raise MalformedRecord(line_no, f"duplicate record id {record.id!r}")
                 seen.add(record.id)
-                records.append(record)
+                yield record
     except MalformedRecord as exc:
         raise MalformedRecord(exc.line, exc.reason, path) from None
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
-    return Corpus(schema, tuple(records))
+
+
+def read_corpus(path: str, schema: Optional[LabelSchema] = None) -> Corpus:
+    """The corpus of ``iter_corpus``; the schema comes from the sidecar
+    file unless given."""
+    if schema is not None:
+        return Corpus(schema, tuple(iter_corpus(path, schema)))
+    if not os.path.exists(path):
+        raise MissingFile(path)
+    schema = read_schema(schema_path_for(path))
+    return Corpus(schema, tuple(_read_records(path, schema)))

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .corpus import (
     Corpus,
@@ -107,6 +107,9 @@ def validate_config(cfg: SynthConfig, schema: LabelSchema) -> None:
                     f"templates[{schema.names[idx]}|{status.value.lower()}]",
                     "missing template",
                 )
+    for (idx, status), text in cfg.templates.items():
+        if not text.strip():
+            raise ConfigInvalid(f"templates[{idx}|{status.value.lower()}]", "empty template")
     if cfg.prototypes is not None:
         for idx in range(n_c):
             if idx not in cfg.prototypes:
@@ -136,12 +139,13 @@ def auto_prototypes(schema: LabelSchema) -> Prototypes:
 def render_report(
     statuses: Sequence[DiseaseStatus],
     mentioned: Sequence[int],
-    templates: dict[tuple[int, DiseaseStatus], str],
+    templates: Mapping[tuple[int, DiseaseStatus], Union[str, Sentence]],
     order_policy: OrderPolicy,
     stream: RngStream,
 ) -> Report:
     """One sentence per mentioned disease; schema order sorts by disease
-    index, random order applies a uniform shuffle."""
+    index, random order applies a uniform shuffle.  A template given as a
+    ``Sentence`` is that sentence in every report rendered from it."""
     order = sorted(mentioned)
     if order_policy is OrderPolicy.RANDOM and len(order) > 1:
         perm = stream.permutation(len(order))
@@ -151,7 +155,8 @@ def render_report(
         key = (idx, statuses[idx])
         if key not in templates:
             raise MissingTemplate(f"no template for disease {idx} / {statuses[idx].value}")
-        sentences.append(Sentence(templates[key]))
+        template = templates[key]
+        sentences.append(template if isinstance(template, Sentence) else Sentence(template))
     return Report(tuple(sentences))
 
 
@@ -197,6 +202,7 @@ def _attempt_record(
     cfg: SynthConfig,
     schema: LabelSchema,
     prototypes: Prototypes,
+    sentences: Mapping[tuple[int, DiseaseStatus], Sentence],
     attempt: int,
 ) -> Optional[Record]:
     stream = RngStream.for_label(cfg.seed, f"synth:{attempt}")
@@ -212,7 +218,7 @@ def _attempt_record(
             mentioned.append(idx)
     if not mentioned:
         return None
-    report = render_report(statuses, mentioned, cfg.templates, cfg.order_policy, stream)
+    report = render_report(statuses, mentioned, sentences, cfg.order_policy, stream)
     features = sample_features(statuses, prototypes, cfg.noise_sigma, stream, schema.d)
     return Record(
         id=f"r{attempt:06d}",
@@ -226,9 +232,11 @@ def _attempt_record(
 def synth_records(cfg: SynthConfig, schema: LabelSchema) -> Iterator[Record]:
     """Yield exactly ``cfg.n_records`` records, one at a time: the first
     that many attempts that mention a disease, in attempt order.  Record
-    ids carry the attempt index, so streams and ids stay in lockstep."""
+    ids carry the attempt index, so streams and ids stay in lockstep.
+    Each template's ``Sentence`` is built once and shared by its records."""
     validate_config(cfg, schema)
     prototypes = cfg.prototypes if cfg.prototypes is not None else auto_prototypes(schema)
+    sentences = {key: Sentence(text) for key, text in cfg.templates.items()}
 
     produced = attempt = 0
     max_attempts = 1000 + 50 * max(cfg.n_records, 1)
@@ -238,7 +246,7 @@ def synth_records(cfg: SynthConfig, schema: LabelSchema) -> Iterator[Record]:
                 "n_records",
                 "generation stalled: records almost never mention a disease",
             )
-        record = _attempt_record(cfg, schema, prototypes, attempt)
+        record = _attempt_record(cfg, schema, prototypes, sentences, attempt)
         if record is not None:
             produced += 1
             yield record

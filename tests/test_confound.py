@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from coaug.confound import (
     ContingencyTable,
+    LabelColumns,
+    OrderAsymmetry,
     StratifiedTables,
     add_tables,
     association_stats,
@@ -14,11 +16,13 @@ from coaug.confound import (
     co_mention_lift,
     conditional_probability,
     detect_simpson_reversal,
+    first_mention_table,
     odds_ratio,
     order_asymmetry,
+    order_asymmetry_from_table,
     or_sign,
 )
-from coaug.corpus import Corpus, DiseaseStatus, Provenance, ReportLabelVector
+from coaug.corpus import Corpus, DiseaseStatus, Provenance, Report, ReportLabelVector
 from coaug.errors import (
     EmptyTable,
     InsufficientStrata,
@@ -28,7 +32,7 @@ from coaug.errors import (
     UndefinedLift,
 )
 from coaug.synth import OrderPolicy, PlantedPair, SynthConfig, synth_generate
-from coaug.labeler import label_corpus
+from coaug.labeler import label_corpus, label_sentence
 
 from conftest import make_record
 
@@ -409,14 +413,46 @@ def _loop_co_mention_lift(corpus, a, b):
     return (n_ab / n) / ((n_a / n) * (n_b / n))
 
 
+def _loop_first_mention_table(corpus, matcher):
+    """The per-record loop that ``first_mention_table`` replaced."""
+    table = []
+    for record in corpus:
+        firsts = [None] * len(corpus.schema)
+        for s_idx, sentence in enumerate(record.report.sentences):
+            for disease in label_sentence(sentence, matcher):
+                if firsts[disease] is None:
+                    firsts[disease] = s_idx
+        table.append(firsts)
+    return table
+
+
+def _loop_order_asymmetry_from_table(table, a, b):
+    """The per-record loop that ``order_asymmetry_from_table`` replaced."""
+    a_first = b_first = 0
+    for firsts in table:
+        sa, sb = firsts[a], firsts[b]
+        if sa is None or sb is None or sa == sb:
+            continue
+        if sa < sb:
+            a_first += 1
+        else:
+            b_first += 1
+    count = a_first + b_first
+    if count == 0:
+        raise NoCooccurrence("no report mentions both diseases in distinct sentences")
+    return OrderAsymmetry(count, abs(a_first - b_first) / count)
+
+
 def _outcome(fn, *args):
     """The result, or the error's type and message; strata compared in key order."""
     try:
         out = fn(*args)
-    except (MissingLabels, UndefinedLift) as exc:
+    except (MissingLabels, UndefinedLift, NoCooccurrence) as exc:
         return type(exc), str(exc)
     if isinstance(out, StratifiedTables):
         return list(out.strata.items()), out.aggregate
+    if isinstance(out, OrderAsymmetry):
+        return out.co_occur_count, out.asym
     return out
 
 
@@ -485,6 +521,86 @@ def test_empty_corpus_tables_equal_the_loop(schema):
     for stratify_by in (None, "provenance", 4, 8, 9):
         assert (_outcome(build_contingency, empty, 8, 9, stratify_by)
                 == _outcome(_loop_build_contingency, empty, 8, 9, stratify_by))
+
+
+# sentences mentioning diseases 0-3 (one of them two), and one mentioning none
+MENTION_SENTENCES = [
+    "The cardiomediastinal silhouette is enlarged.",
+    "No cardiomegaly is present.",
+    "There is a focal lung opacity on the left.",
+    "No pulmonary nodule is identified.",
+    "Cardiomegaly and a lung nodule.",
+    "Nothing further to note.",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_columns_filled_record_by_record_equal_the_loops(schema, matcher, data):
+    # as the pipeline fills them: one record at a time, the twins' rows
+    # appended to the labeled records' from a second set of columns
+    n = data.draw(st.integers(min_value=0, max_value=30), label="n")
+    statuses = [data.draw(st.lists(st.sampled_from(ALL_STATUSES), min_size=4, max_size=4))
+                for _ in range(n)]
+    where = data.draw(st.sampled_from(["none", "first", "middle", "last"]), label="unlabeled")
+    unlabeled = {"none": (), "first": (0,), "middle": (n // 2,),
+                 "last": (n - 1,)}[where] if n else ()
+    corpus = _scan_corpus(schema, statuses, unlabeled)
+    reports = [data.draw(st.lists(st.sampled_from(MENTION_SENTENCES), min_size=1, max_size=6))
+               for _ in range(n)]
+    corpus = Corpus(schema, tuple(dataclasses.replace(r, report=Report.from_texts(texts))
+                                  for r, texts in zip(corpus, reports)))
+    split = data.draw(st.integers(0, n), label="split")
+    columns = LabelColumns(len(schema), matcher)
+    for record in corpus.records[:split]:
+        columns.append(record)
+    tail = LabelColumns(len(schema), matcher)
+    for record in corpus.records[split:]:
+        tail.append(record)
+    if tail.unlabeled is None:
+        columns.extend(tail, range(len(tail)))
+    else:
+        for record in corpus.records[split:]:
+            columns.append(record)
+    a = data.draw(st.integers(0, 3), label="a")
+    b = data.draw(st.integers(0, 3), label="b")
+    stratify_by = data.draw(st.sampled_from([None, "provenance", 2, 3, a, b]), label="stratify")
+    assert len(columns) == n
+    assert (_outcome(columns.contingency, a, b, stratify_by)
+            == _outcome(_loop_build_contingency, corpus, a, b, stratify_by))
+    assert _outcome(columns.lift, a, b) == _outcome(_loop_co_mention_lift, corpus, a, b)
+    table = _loop_first_mention_table(corpus, matcher)
+    expected = _outcome(_loop_order_asymmetry_from_table, table, a, b)
+    assert first_mention_table(corpus, matcher) == table
+    assert _outcome(columns.order_asymmetry, a, b) == expected
+    assert _outcome(order_asymmetry, corpus, matcher, a, b) == expected
+    assert _outcome(order_asymmetry_from_table, table, a, b) == expected
+
+
+def test_first_mentions_past_sentence_127_widen_their_column(schema, matcher):
+    filler = ["Nothing further to note."]
+    texts = [filler * 3 + MENTION_SENTENCES[:2],
+             filler * 200 + MENTION_SENTENCES[1:2] + filler * 40 + MENTION_SENTENCES[:1],
+             MENTION_SENTENCES[1::-1]]
+    corpus = Corpus(schema, tuple(make_record(f"r{i}", t, schema, features=False,
+                                              labels=label_vec(schema))
+                                  for i, t in enumerate(texts)))
+    columns = LabelColumns.of(corpus, matcher)
+    assert columns.firsts.typecode == "i"
+    assert first_mention_table(corpus, matcher)[1][:2] == [241, 200]
+    assert _outcome(order_asymmetry, corpus, matcher, 0, 1) == (3, 1 / 3)
+    head = LabelColumns(len(schema), matcher)
+    head.append(corpus.records[0])
+    head.extend(columns, [2, 1])
+    assert head.firsts.typecode == "i"
+    assert _outcome(head.order_asymmetry, 0, 1) == (3, 1 / 3)
+
+
+def test_columns_take_no_rows_from_unlabeled_columns(schema):
+    tail = LabelColumns(len(schema))
+    tail.append(make_record("r1", ["Sentence."], schema, features=False))
+    with pytest.raises(ValueError, match="'r1'"):
+        LabelColumns(len(schema)).extend(tail, [0])
 
 
 def _templates(schema):

@@ -84,9 +84,9 @@ def _count_attempts(monkeypatch) -> list[int]:
     calls: list[int] = []
     attempt_record = synth_module._attempt_record
 
-    def counting(cfg, schema, prototypes, attempt):
+    def counting(cfg, schema, prototypes, sentences, attempt):
         calls.append(attempt)
-        return attempt_record(cfg, schema, prototypes, attempt)
+        return attempt_record(cfg, schema, prototypes, sentences, attempt)
 
     monkeypatch.setattr(synth_module, "_attempt_record", counting)
     return calls
@@ -304,6 +304,24 @@ def test_config_requires_all_marginals(schema, default_templates):
     cfg = small_cfg(schema, default_templates, marginals={0: 0.5})
     with pytest.raises(ConfigInvalid):
         synth_generate(cfg, schema)
+
+
+def test_records_rendering_one_template_share_its_sentence(schema, default_templates):
+    # one Sentence per template and synth call, not one per rendered sentence
+    records = synth_generate(small_cfg(schema, default_templates, n_records=40), schema).records
+    by_text: dict = {}
+    for sentence in (s for r in records for s in r.report.sentences):
+        assert by_text.setdefault(sentence.text, sentence) is sentence
+    assert len(by_text) < sum(len(r.report) for r in records)
+    again = synth_generate(small_cfg(schema, default_templates, n_records=40), schema).records
+    assert again == records
+    assert again[0].report.sentences[0] is not records[0].report.sentences[0]
+
+
+def test_config_rejects_a_blank_template(schema, default_templates):
+    templates = {**default_templates, (3, POS): "   "}
+    with pytest.raises(ConfigInvalid, match="empty template"):
+        synth_generate(small_cfg(schema, templates), schema)
 
 
 def test_generation_stalls_cleanly(schema, default_templates):
