@@ -19,6 +19,7 @@ import shutil
 import sys
 import tempfile
 import time
+from itertools import zip_longest
 from typing import Optional
 
 from . import augment as aug
@@ -310,34 +311,30 @@ def _cmd_evaluate(args) -> int:
                          f"{', '.join(_METRIC_CHOICES)}")
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
-    gold = corpus.read_corpus(args.gold, schema)
-    gen = corpus.read_corpus(args.generated, schema)
-    if len(gold) != len(gen):
-        raise CoaugError(
-            f"gold has {len(gold)} records, generated has {len(gen)}"
-        ) from None
-
-    scores: dict = {"records": len(gold)}
-    stages: dict = {}
-    if "ce" in wanted:
-        t = time.monotonic()
-        gold_labels = [labeler.label_report(r.report, matcher) for r in gold]
-        gen_labels = [labeler.label_report(r.report, matcher) for r in gen]
-        cells = metrics.ce_confusion_per_disease(gold_labels, gen_labels)
-        counts = sum(cells, metrics.ConfusionCounts())  # micro: the cells pooled
-        scores["counts"] = dataclasses.asdict(counts)
-        scores["ce"] = dataclasses.asdict(metrics.ce_scores(counts))
-        if args.macro:
-            scores["ce_macro"] = dataclasses.asdict(metrics.macro_ce_scores(cells))
-        stages["ce"] = round(time.monotonic() - t, 3)
-    # one pass over the pairs: each report is tokenized once, and its
-    # tokens feed the requested text metrics' per-pair cores and the counts
-    bleu, rouge = "bleu4" in wanted, "rougel" in wanted
+    # both files and their sidecars are checked here, before any line is read
+    pairs = zip_longest(corpus.iter_corpus(args.gold, schema),
+                        corpus.iter_corpus(args.generated, schema))
+    # one pass over the pairs: each pair is labeled and tokenized once and
+    # fed to the requested metrics' per-pair cores; only the sums are kept
+    ce, bleu, rouge = "ce" in wanted, "bleu4" in wanted, "rougel" in wanted
+    tallies = [[0] * 4 for _ in schema.names]  # tp, fp, fn, tn of each disease
     bleu_counts = [0] * 8
-    rouge_total = bleu_s = rouge_s = 0.0
-    gold_tokens = generated_tokens = 0
+    rouge_total = ce_s = bleu_s = rouge_s = 0.0
+    n = gold_tokens = generated_tokens = 0
     clock = time.monotonic
-    for g, h in zip(gold, gen):
+    label = labeler.label_report
+    for g, h in pairs:
+        if g is None or h is None:  # one file has ended: count the other's rest
+            rest = 1 + sum(1 for _ in pairs)
+            n_gold, n_gen = (n + rest, n) if h is None else (n, n + rest)
+            raise CoaugError(f"gold has {n_gold} records, generated has {n_gen}")
+        n += 1
+        if ce:
+            t = clock()
+            pair = metrics.ce_pair_cells(label(g.report, matcher), label(h.report, matcher))
+            for tally, k in zip(tallies, pair):
+                tally[k] += 1
+            ce_s += clock() - t
         ref = metrics.report_tokens(g.report)
         cand = metrics.report_tokens(h.report)
         gold_tokens += len(ref)
@@ -351,6 +348,17 @@ def _cmd_evaluate(args) -> int:
             t = clock()
             rouge_total += metrics.rouge_l_pair(ref, cand)
             rouge_s += clock() - t
+
+    scores: dict = {"records": n}
+    stages: dict = {}
+    if ce:
+        cells = [metrics.ConfusionCounts(*tally) for tally in tallies]
+        counts = sum(cells, metrics.ConfusionCounts())  # micro: the cells pooled
+        scores["counts"] = dataclasses.asdict(counts)
+        scores["ce"] = dataclasses.asdict(metrics.ce_scores(counts))
+        if args.macro:
+            scores["ce_macro"] = dataclasses.asdict(metrics.macro_ce_scores(cells))
+        stages["ce"] = round(ce_s, 3)
     if bleu:
         precisions, bp, score = metrics.bleu_from_counts(bleu_counts, gold_tokens)
         scores["bleu4"] = score
@@ -358,13 +366,13 @@ def _cmd_evaluate(args) -> int:
         scores["bleu4_brevity_penalty"] = bp
         stages["bleu4"] = round(bleu_s, 3)
     if rouge:
-        scores["rouge_l"] = rouge_total / len(gold) if gold else 0.0
+        scores["rouge_l"] = rouge_total / n if n else 0.0
         stages["rougel"] = round(rouge_s, 3)
     _write_json(args.out, scores)
     _run_sidecar(args.out, "evaluate",
                  {"gold": os.path.basename(args.gold),
                   "generated": os.path.basename(args.generated)},
-                 None, {"records": len(gold), "gold_tokens": gold_tokens,
+                 None, {"records": n, "gold_tokens": gold_tokens,
                         "generated_tokens": generated_tokens},
                  started, stages=stages)
     _info(args, f"evaluate: wrote scores to {args.out}")

@@ -42,6 +42,10 @@ class DiseaseStatus(Enum):
     UNCERTAIN = "Uncertain"
     UNMENTIONED = "Unmentioned"
 
+    # members are singletons: hash by identity, not by Enum's Python-level
+    # hash of the name, which every STATUS_RANK lookup would run
+    __hash__ = object.__hash__
+
 
 # Aggregation precedence: an abnormal mention anywhere wins.
 STATUS_RANK = {
@@ -101,7 +105,7 @@ class Report:
 
     @classmethod
     def from_texts(cls, texts: Iterable[str]) -> "Report":
-        return cls(tuple(Sentence(t) for t in texts))
+        return cls(tuple(map(Sentence, texts)))
 
     def texts(self) -> list[str]:
         return [s.text for s in self.sentences]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from itertools import compress, count
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -99,6 +100,8 @@ class Matcher:
             cand = (start - end, start)
             if disease not in best or cand < best[disease]:
                 best[disease] = cand
+        if not best:
+            return {}
         # cue positions once per sentence; a cue counts for a match when
         # it starts at most `window` tokens before it and ends before it
         cues = list(_occurrences(tokens, self._cues))
@@ -123,8 +126,8 @@ class Matcher:
 
 def _occurrences(tokens: tuple[str, ...], by_first: dict):
     """(start, end, value) of every indexed phrase found in *tokens*."""
-    for start, token in enumerate(tokens):
-        for toks, value in by_first.get(token, ()):
+    for start in compress(count(), map(by_first.__contains__, tokens)):
+        for toks, value in by_first[tokens[start]]:
             end = start + len(toks)
             if tokens[start:end] == toks:
                 yield start, end, value

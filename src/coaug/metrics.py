@@ -10,10 +10,10 @@ sequence, so cross-sentence n-grams at the junctions make them order
 sensitive by design.  The LCS is the bit-vector algorithm of
 Allison-Dix (1986) and Hyyrö (2004): one Python-int match mask per
 distinct token, one add/or/and step per token of the other side.
-Each text score has one per-pair core on token lists
-(``bleu_pair_counts``, ``rouge_l_pair``); ``bleu_stats`` and ``rouge_l``
-loop it over ``report_tokens`` pairs, and ``coaug evaluate`` feeds it
-the tokens it makes once per report.
+Each score has one per-pair core: ``ce_pair_cells`` on label vectors,
+``bleu_pair_counts`` and ``rouge_l_pair`` on token lists.  The functions
+that take whole sequences loop it over the pairs, and ``coaug evaluate``
+feeds it each pair as it reads it.
 
 Tokenization everywhere: lowercase; a word is a run of Unicode letters
 and digits, and any other non-space character (punctuation, ``_``) is a
@@ -42,7 +42,15 @@ _TOKEN = re.compile(r"[^\W_]+|\S")
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN.findall(text.lower())
+    tokens = []
+    for chunk in text.lower().split():
+        # ``isalnum`` accepts exactly the characters of ``[^\W_]``, so a
+        # whitespace-free chunk of them is one token; most chunks are words
+        if chunk.isalnum():
+            tokens.append(chunk)
+        else:
+            tokens += _TOKEN.findall(chunk)
+    return tokens
 
 
 def report_tokens(report: Report) -> list[str]:
@@ -110,14 +118,26 @@ def ce_confusion_per_disease(
     _check_pairs(gold, gen)
     if not gold:
         return []
-    n_c = len(gold[0].statuses)
-    cells = [[0, 0, 0, 0] for _ in range(n_c)]
+    cells = [[0] * 4 for _ in gold[0].statuses]
     for g, h in zip(gold, gen):
-        for i, (sg, sh) in enumerate(zip(g.statuses, h.statuses)):
-            pg = sg is DiseaseStatus.POSITIVE
-            ph = sh is DiseaseStatus.POSITIVE
-            cells[i][0 if (pg and ph) else 1 if ph else 2 if pg else 3] += 1
-    return [ConfusionCounts(*c) for c in cells]
+        for cell, k in zip(cells, ce_pair_cells(g, h)):
+            cell[k] += 1
+    return [ConfusionCounts(*cell) for cell in cells]
+
+
+# a disease's confusion cell by its (gold, generated) statuses: bit 0 says
+# gold is not positive, bit 1 that generated is not, so 0 tp, 1 fp, 2 fn, 3 tn
+_POSITIVE = DiseaseStatus.POSITIVE
+_CELL = {(sg, sh): (sg is not _POSITIVE) + 2 * (sh is not _POSITIVE)
+         for sg in DiseaseStatus for sh in DiseaseStatus}
+
+
+def ce_pair_cells(gold: ReportLabelVector, gen: ReportLabelVector) -> tuple[int, ...]:
+    """One pair's confusion cell for each disease in turn: the index of
+    tp, fp, fn or tn in ``ConfusionCounts``."""
+    if len(gold.statuses) != len(gen.statuses):
+        raise SchemaMismatch("label vectors of different schema size")
+    return tuple(map(_CELL.__getitem__, zip(gold.statuses, gen.statuses)))
 
 
 def ce_scores(c: ConfusionCounts) -> CeScores:

@@ -65,16 +65,24 @@ def test_missing_corpus_is_data_error(tmp_path):
     assert rc == EXIT_DATA
 
 
-def test_evaluate_length_mismatch_is_data_error(tmp_path, schema):
-    gold = Corpus(schema, (make_record("a", ["No pneumothorax."], schema, features=False),
-                           make_record("b", ["No pneumothorax."], schema, features=False)))
-    gen = Corpus(schema, (make_record("a", ["No pneumothorax."], schema, features=False),))
-    gold_path, gen_path = tmp_path / "g.jsonl", tmp_path / "h.jsonl"
-    write_corpus(gold, str(gold_path))
-    write_corpus(gen, str(gen_path))
-    rc = run(["--quiet", "evaluate", "--gold", str(gold_path), "--generated", str(gen_path),
-              "--out", str(tmp_path / "scores.json")])
-    assert rc == EXIT_DATA
+@pytest.mark.parametrize("n_gold, n_gen", [(3, 2), (2, 3)],
+                         ids=["gold-longer", "generated-longer"])
+def test_evaluate_length_mismatch_is_data_error(tmp_path, schema, capsys, n_gold, n_gen):
+    # the pairs are zipped as they are read: the longer file's extra
+    # record must still be seen and counted
+    paths = []
+    for name, n in (("gold", n_gold), ("gen", n_gen)):
+        records = [make_record(f"r{i}", ["No pneumothorax.", f"Edema grade {i}."], schema,
+                               features=False) for i in range(n)]
+        paths.append(str(tmp_path / f"{name}.jsonl"))
+        write_corpus(Corpus(schema, tuple(records)), paths[-1])
+    out = tmp_path / "scores.json"
+    capsys.readouterr()
+    assert run(["--quiet", "evaluate", "--gold", paths[0], "--generated", paths[1],
+                "--out", str(out)]) == EXIT_DATA
+    assert f"error: gold has {n_gold} records, generated has {n_gen}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "scores.json.run.json").exists()
 
 
 def test_label_then_analyze(tmp_path):
@@ -556,23 +564,24 @@ def test_evaluate_unknown_metric_is_usage_error_before_reading(tmp_path):
     assert rc == EXIT_USAGE
 
 
-@pytest.mark.parametrize("bad", ["generated", "generated-labels", "lexicon", "lexicon-duplicate",
-                                 "cues", "schema"])
+@pytest.mark.parametrize("bad", ["gold", "generated", "generated-labels", "lexicon",
+                                 "lexicon-duplicate", "cues", "schema"])
 def test_evaluate_line_errors_name_their_file(tmp_path, schema, capsys, bad):
     # evaluate reads up to five files; "line 2: ..." alone does not say which
     gold_path, gen_path = _evaluate_pair(tmp_path, schema)
+    clean = gen_path if bad == "gold" else gold_path
     flags = []
-    if bad.startswith("generated"):
-        path = Path(gen_path)
+    if bad in ("gold", "generated", "generated-labels"):
+        path = Path(gold_path if bad == "gold" else gen_path)
         lines = path.read_text().splitlines(keepends=True)
-        if bad == "generated":
-            lines[1] = "{not json\n"
-            where = f"{path}: line 2: invalid JSON"
-        else:
+        if bad == "generated-labels":
             record = json.loads(lines[1])
             record["labels"] = {"Nessie": "Positive"}
             lines[1] = json.dumps(record) + "\n"
             where = f"{path}: line 2: unknown disease name 'Nessie'"
+        else:
+            lines[1] = "{not json\n"
+            where = f"{path}: line 2: invalid JSON"
         path.write_text("".join(lines))
     elif bad == "lexicon":
         path = tmp_path / "lexicon.tsv"
@@ -600,8 +609,68 @@ def test_evaluate_line_errors_name_their_file(tmp_path, schema, capsys, bad):
                 "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"error: {where}" in err
-    assert gold_path not in err
+    assert clean not in err
     assert not out.exists()
+
+
+def test_evaluate_reports_the_first_line_error_in_read_order(tmp_path, schema, capsys):
+    # the files are read pair by pair, so generated line 2 comes before gold line 3
+    gold_path, gen_path = _evaluate_pair(tmp_path, schema)
+    for path, line in ((gold_path, 2), (gen_path, 1)):
+        lines = Path(path).read_text().splitlines(keepends=True)
+        lines[line] = "{not json\n"
+        Path(path).write_text("".join(lines))
+    capsys.readouterr()
+    assert run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path,
+                "--out", str(tmp_path / "scores.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {gen_path}: line 2: invalid JSON" in err
+    assert gold_path not in err
+
+
+def _unique_sentence_pairs(tmp_path, schema, n):
+    """*n* gold reports of six sentences that no other report repeats,
+    and generated ones that reverse them and drop one."""
+    gold, gen = [], []
+    for i in range(n):
+        texts = [f"There is a {i} mm nodule in the right upper zone.",
+                 f"No pleural effusion is seen on the lateral view {i}.",
+                 f"Possible mild interstitial edema at level {i}.",
+                 f"The heart measures {i} cm and is enlarged.",
+                 f"The lungs are otherwise clear on film {i}.",
+                 f"No pneumothorax is seen after procedure {i}."]
+        gold.append(make_record(f"r{i}", texts, schema, features=False))
+        gen.append(make_record(f"r{i}", texts[:0:-1], schema, features=False))
+    paths = []
+    for name, records in (("gold", gold), ("gen", gen)):
+        paths.append(str(tmp_path / f"{name}{n}.jsonl"))
+        write_corpus(Corpus(schema, tuple(records)), paths[-1])
+    return paths
+
+
+def test_evaluate_memory_grows_by_less_than_2_kb_per_pair(tmp_path, schema):
+    # evaluate streams its pairs and keeps sums; what grows is the labeler's
+    # memo of distinct sentences and the record ids of the duplicate check
+    import tracemalloc
+
+    inputs = {n: _unique_sentence_pairs(tmp_path, schema, n) for n in (100, 400)}
+
+    def evaluate(n):
+        gold_path, gen_path = inputs[n]
+        assert run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path,
+                    "--macro", "--out", str(tmp_path / f"scores{n}.json")]) == EXIT_OK
+
+    # warm up at the larger n, as the pipeline's memory test does
+    evaluate(400)
+    peaks = {}
+    for n in (100, 400):
+        tracemalloc.start()
+        try:
+            evaluate(n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[400] - peaks[100]) / 300 < 2048
 
 
 @pytest.mark.parametrize("metrics", ["", " , "])
@@ -677,6 +746,25 @@ def test_determinism_script_passes_under_this_interpreter(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.rsplit(" ", 2)[1:] for line in lines] == [
         ["pipeline-default:", "ok"], ["strong_pair:", "ok"], ["evaluate-reordered:", "ok"]]
+
+
+def test_pipeline_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # statuses hash by identity and strings by PYTHONHASHSEED: neither may
+    # reach an artifact through the iteration order of a set or a dict
+    import subprocess
+
+    root = Path(__file__).resolve().parents[1]
+    reference = json.loads((root / "perfbench" / "reference_digests.json")
+                           .read_text())["pipeline-default"]
+    for hash_seed in ("0", "4242"):
+        outdir = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=hash_seed)
+        subprocess.run([sys.executable, "-m", "coaug", "--quiet", "pipeline",
+                        "--scenario", "default", "--seed", "7", "--n", "1600",
+                        "--outdir", str(outdir)], env=env, check=True)
+        digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                   for name in reference}
+        assert digests == reference, hash_seed
 
 
 def test_unknown_scenario_section_is_data_error(tmp_path):

@@ -17,6 +17,7 @@ from coaug.labeler import (
     CueList,
     LexiconRule,
     Matcher,
+    _occurrences,
     default_lexicon_path,
     default_matcher,
     label_report,
@@ -317,6 +318,48 @@ def test_default_cues_agree_with_the_window_scan(schema, default_templates, matc
     for text in sorted(set(default_templates.values())) + CUE_SENTENCES:
         tokens = match_tokens(text)
         assert matcher.label_tokens(tokens) == _reference_label_tokens(matcher, tokens)
+
+
+# the labeler's loops before the cold-path early return and the scan that
+# visits only the tokens that begin a phrase
+
+
+def _loop_occurrences(tokens, by_first):
+    for start, token in enumerate(tokens):
+        for toks, value in by_first.get(token, ()):
+            end = start + len(toks)
+            if tokens[start:end] == toks:
+                yield start, end, value
+
+
+def _loop_label_tokens(matcher, tokens):
+    tokens = tuple(tokens)
+    best = {}
+    for start, end, disease in _loop_occurrences(tokens, matcher._patterns):
+        cand = (start - end, start)
+        if disease not in best or cand < best[disease]:
+            best[disease] = cand
+    cues = list(_loop_occurrences(tokens, matcher._cues))
+    labels = {}
+    for disease, (_, start) in sorted(best.items()):
+        lo = start - matcher.cues.window
+        found = {status for s, e, status in cues if lo <= s and e <= start}
+        labels[disease] = min(found, key=STATUS_RANK.get, default=POS)
+    return labels
+
+
+# lexicon words, cue words, and words that begin no phrase at all
+_COLD_VOCAB = _VOCAB + ["heart", "size", "normal", "lungs", "clear", "apical", "pleural",
+                        "lung", "opacity", "consolidation", "stable", "unchanged"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.sampled_from(_COLD_VOCAB), max_size=24))
+def test_label_tokens_equals_the_loops_it_replaced(matcher, tokens):
+    for by_first in (matcher._patterns, matcher._cues):
+        assert (list(_occurrences(tuple(tokens), by_first))
+                == list(_loop_occurrences(tuple(tokens), by_first)))
+    assert matcher.label_tokens(tokens) == _loop_label_tokens(matcher, tokens)
 
 
 def test_threads_sharing_a_matcher_get_the_fresh_labels(schema, default_templates):

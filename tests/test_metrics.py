@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from coaug.metrics import (
     bleu_stats,
     ce_confusion,
     ce_confusion_per_disease,
+    ce_pair_cells,
     ce_scores,
     macro_ce_scores,
     report_tokens,
@@ -40,6 +42,17 @@ def test_tokenizer_splits_punctuation():
 
 def test_tokenizer_keeps_non_ascii_letters_and_underscores():
     assert tokenize("Café, naïve _x_") == ["café", ",", "naïve", "_", "x", "_"]
+
+
+def _regex_tokenize(text):
+    """The one-regex tokenizer that the whitespace-chunk fast path replaced."""
+    return re.findall(r"[^\W_]+|\S", text.lower())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | st.text(alphabet=st.sampled_from(list("ab1 _.,-\t\n\xa0\u2003é²ⅫİK\u0307"))))
+def test_tokenize_equals_the_one_regex_tokenizer(text):
+    assert tokenize(text) == _regex_tokenize(text)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +98,33 @@ def test_schema_size_must_agree_across_all_pairs(sizes):
     for count in (ce_confusion, ce_confusion_per_disease):
         with pytest.raises(SchemaMismatch):
             count(vectors, vectors)
+
+
+def _loop_ce_confusion_per_disease(gold, gen):
+    """The per-pair, per-disease branch loop that ``ce_pair_cells`` replaced."""
+    cells = [[0, 0, 0, 0] for _ in gold[0].statuses]
+    for g, h in zip(gold, gen):
+        for i, (sg, sh) in enumerate(zip(g.statuses, h.statuses)):
+            pg, ph = sg is POS, sh is POS
+            cells[i][0 if (pg and ph) else 1 if ph else 2 if pg else 3] += 1
+    return [ConfusionCounts(*c) for c in cells]
+
+
+_VECTORS = st.lists(st.sampled_from([POS, NEG, UNC, UNM]), min_size=14, max_size=14).map(
+    lambda statuses: ReportLabelVector(tuple(statuses)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_per_disease_cells_equal_the_branch_loop(data):
+    gold = data.draw(st.lists(_VECTORS, min_size=1, max_size=8))
+    gen = data.draw(st.lists(_VECTORS, min_size=len(gold), max_size=len(gold)))
+    assert ce_confusion_per_disease(gold, gen) == _loop_ce_confusion_per_disease(gold, gen)
+
+
+def test_pair_cells_of_vectors_of_different_sizes_are_a_schema_mismatch():
+    with pytest.raises(SchemaMismatch):
+        ce_pair_cells(vec(POS), ReportLabelVector((POS,) * 13))
 
 
 def test_scores_hand_case():
