@@ -222,12 +222,12 @@ def _cmd_synth(args) -> int:
     started = time.monotonic()
     schema = _load_schema(args)
     cfg = _synth_config(_resolve_scenario(args.scenario), schema, args.n, args.seed)
-    c = synth.synth_generate(cfg, schema)
-    corpus.write_corpus(c, args.out)
+    synth.validate_config(cfg, schema)  # a bad config fails before the writer opens
+    n = corpus.write_records(synth.synth_records(cfg, schema), schema, args.out)
     _run_sidecar(args.out, "synth",
                  {"scenario": os.path.basename(args.scenario)},
-                 cfg.seed, {"records": len(c)}, started)
-    _info(args, f"synth: wrote {len(c)} records to {args.out}")
+                 cfg.seed, {"records": n}, started)
+    _info(args, f"synth: wrote {n} records to {args.out}")
     return EXIT_OK
 
 
@@ -236,13 +236,8 @@ def _cmd_label(args) -> int:
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
     records = corpus.iter_corpus(args.corpus, schema)
-    n = 0
-    with corpus.atomic_writer(args.out) as out:
-        for record in records:
-            record = record.with_labels(labeler.label_report(record.report, matcher))
-            out.write(corpus.record_to_line(record, schema) + "\n")
-            n += 1
-    corpus.write_schema(schema, corpus.schema_path_for(args.out))
+    n = corpus.write_records((record.with_labels(labeler.label_report(record.report, matcher))
+                              for record in records), schema, args.out)
     _run_sidecar(args.out, "label",
                  {"corpus": os.path.basename(args.corpus)},
                  None, {"records": n}, started)

@@ -7,16 +7,22 @@ schema file (``<path>.schema``) listing the disease names in index order
 and the feature dimension.
 
 Serialization is deterministic: fixed key order, floats quantized to
-9 significant digits at construction time, so writing the same corpus
-twice produces identical bytes and read(write(c)) == c.
-Lines are streamed to a temporary file renamed over the target when
-complete.  A record's feature vectors live in one ``FeatureBundle``,
-which quantizes all of them with one ``%.9g`` format and keeps each
-vector's JSON text: the ``%.9g`` pieces themselves when each has a ``.``
-and no exponent, since such a piece is the ``repr`` of its float, else
+9 significant digits, so writing the same corpus twice produces
+identical bytes and read(write(c)) == c.  Lines are streamed to a
+temporary file renamed over the target when complete.
+
+A record's feature vectors live in one ``FeatureBundle``, which holds
+one form and derives the other on first use: the numbers it was built
+from (a read record's parsed lists), or the JSON texts a generated
+record's features are written as.  The texts come from one cached
+``%``-template per vector shape that writes every value with ``%.9g``:
+a vector's pieces are its text when each has a ``.`` and no exponent,
+since such a piece is the ``repr`` of its float; otherwise the text is
 ``float.__repr__`` of the quantized values, or ``json.dumps`` when one
-is NaN or infinite.  ``FeatureBundle.mask`` builds a counterfactual
-twin's bundle from its source's: the kept vectors and texts are the
+is NaN or infinite.  The floats are parsed back from the texts only
+when asked for, which writing a record never does.
+``FeatureBundle.mask`` builds a counterfactual twin's bundle from its
+source's texts: the kept texts (and vectors, once parsed) are the
 source's objects, each masked vector is zeros with a text shared per
 dimension, and nothing is quantized again.
 """
@@ -27,11 +33,11 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .errors import MalformedRecord, MissingFile, SchemaMismatch, UnknownDisease
 
@@ -114,9 +120,71 @@ class Report:
         return len(self.sentences)
 
 
+_ROW_HEAD, _ROW_TAIL, _MASKED_TAIL = '{"vec":[', '],"masked":false}', '],"masked":true}'
+_ROW_E = (_ROW_HEAD + _ROW_TAIL).count("e")  # the "e"s of a vector text that are not a value's
+
+
 @lru_cache(maxsize=64)
-def _g9_format(n: int) -> str:
-    return ",".join(["%.9g"] * n)
+def _shape(lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """One shared tuple per vector shape, held by every bundle of that shape."""
+    return lengths
+
+
+@lru_cache(maxsize=64)
+def _texts_template(lengths: tuple[int, ...]) -> tuple[str, int, int]:
+    """The %-template that writes values, ``%.9g`` each, as the unmasked
+    texts of vectors of these lengths, one a line, and the template's
+    own counts of "." and "e"."""
+    template = "\n".join(_ROW_HEAD + ",".join(["%.9g"] * n) + _ROW_TAIL for n in lengths)
+    return template, template.count("."), template.count("e")
+
+
+def _vector_texts(values: tuple, lengths: tuple[int, ...],
+                  masked: frozenset[int] = frozenset()) -> tuple[str, ...]:
+    """The JSON texts of the vectors of these lengths whose values, in
+    order, are *values*: one ``%.9g`` format quantizes all of them."""
+    if not lengths:
+        return ()
+    template, dots, es = _texts_template(lengths)
+    text = template % values
+    rows = text.split("\n")
+    # a piece with a "." and no "e" is the repr of its float; nan and inf have
+    # no "." and an "n": so when the counts are the template's and there is
+    # no "n", every piece is such a repr
+    if text.count(".") != dots or text.count("e") != es or "n" in text:
+        rows = list(map(_repr_row, rows, lengths))
+    if masked:
+        rows = [row[:-len(_ROW_TAIL)] + _MASKED_TAIL if i in masked else row
+                for i, row in enumerate(rows)]
+    return tuple(rows)
+
+
+def _repr_row(row: str, n: int) -> str:
+    """An unmasked vector text of n ``%.9g`` pieces, with ``float.__repr__``
+    of the quantized values in place of the pieces unless each is its own
+    repr, or ``json.dumps`` when one is NaN or infinite."""
+    if row.count(".") == n and row.count("e") == _ROW_E and "n" not in row:
+        return row
+    values = list(map(float, row[len(_ROW_HEAD):-len(_ROW_TAIL)].split(",")))
+    body = ",".join(map(float.__repr__, values))
+    # json writes a finite float as its repr; only nan/inf have an "n"
+    return _dumps({"vec": values, "masked": False}) if "n" in body else _ROW_HEAD + body + _ROW_TAIL
+
+
+def _parse_vectors(texts: tuple[str, ...], lengths: tuple[int, ...]
+                   ) -> tuple[tuple[float, ...], ...]:
+    """The quantized vectors of vector texts: ``float`` reads each piece
+    back exactly (a ``%.9g`` piece, a repr, NaN or Infinity), and a masked
+    zero text gives the shared zero vector."""
+    vectors = []
+    for text, n in zip(texts, lengths):
+        zero, zero_text = _masked_row(n)
+        if text == zero_text:
+            vectors.append(zero)
+        else:
+            body = text[len(_ROW_HEAD):text.index("]")]
+            vectors.append(tuple(map(float, body.split(","))) if n else ())
+    return tuple(vectors)
 
 
 @lru_cache(maxsize=None)
@@ -125,53 +193,86 @@ def _masked_row(d: int) -> tuple[tuple[float, ...], str]:
     return (0.0,) * d, f'{{"vec":[{",".join(["0.0"] * d)}],"masked":true}}'
 
 
-@dataclass(frozen=True, slots=True)
 class FeatureBundle:
     """A record's feature vectors, one per disease, and the indices of the
-    masked ones.  Each vector's JSON text is kept in ``texts``, outside ``==``."""
+    masked ones.  A bundle holds one form and derives the other on first
+    use: the numbers it was built from, whose JSON ``texts`` one ``%.9g``
+    format quantizes, or the texts alone, whose ``vectors`` are parsed
+    from them.  ``==`` and ``hash`` are on the quantized ``vectors`` and
+    ``masked``, not on the texts: -0.0 equals 0.0."""
 
-    vectors: tuple[tuple[float, ...], ...]
-    masked: frozenset[int] = frozenset()
-    texts: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("masked", "_lengths", "_values", "_texts", "_vectors")
 
-    def __post_init__(self):
-        # 9 significant digits keeps golden files stable across platforms
-        flat = tuple(chain.from_iterable(self.vectors))
-        pieces = (_g9_format(len(flat)) % flat).split(",") if flat else []
-        values = tuple(map(float, pieces))
-        masked = frozenset(self.masked)
-        vectors, texts, start = [], [], 0
-        for i, vec in enumerate(self.vectors):
-            end = start + len(vec)
-            row, body = values[start:end], ",".join(pieces[start:end])
-            start = end
-            # a .9g text with a "." and no "e" is the repr of its float (nan and inf have no ".")
-            if body.count(".") != len(row) or "e" in body:
-                body = ",".join(map(float.__repr__, row))
-            vectors.append(row)
-            # json writes a finite float as its repr; only nan/inf have an "n"
-            texts.append(_dumps({"vec": list(row), "masked": i in masked}) if "n" in body
-                         else f'{{"vec":[{body}],"masked":{"true" if i in masked else "false"}}}')
-        object.__setattr__(self, "vectors", tuple(vectors))
-        object.__setattr__(self, "masked", masked)
-        object.__setattr__(self, "texts", tuple(texts))
+    def __init__(self, vectors: Iterable[Sequence[float]], masked: Iterable[int] = frozenset()):
+        self._values = tuple(vectors)
+        self._lengths = _shape(tuple(map(len, self._values)))
+        self.masked = frozenset(masked)
+        self._texts: Optional[tuple[str, ...]] = None
+        self._vectors: Optional[tuple[tuple[float, ...], ...]] = None
+
+    @classmethod
+    def _of_texts(cls, texts: tuple[str, ...], lengths: tuple[int, ...],
+                  masked: frozenset[int] = frozenset(),
+                  vectors: Optional[tuple[tuple[float, ...], ...]] = None) -> "FeatureBundle":
+        bundle = object.__new__(cls)
+        bundle._texts, bundle._lengths, bundle.masked = texts, lengths, masked
+        bundle._values, bundle._vectors = None, vectors
+        return bundle
+
+    @classmethod
+    def from_flat(cls, values: tuple, lengths: tuple[int, ...]) -> "FeatureBundle":
+        """The unmasked bundle of vectors of these lengths whose values, in
+        order, are *values*: quantized to texts here, in one format."""
+        return cls._of_texts(_vector_texts(values, lengths), _shape(lengths))
+
+    @property
+    def texts(self) -> tuple[str, ...]:
+        """Each vector's JSON text, 9 significant digits a value."""
+        if self._texts is None:
+            self._texts = _vector_texts(tuple(chain.from_iterable(self._values)),
+                                        self._lengths, self.masked)
+        return self._texts
+
+    @property
+    def vectors(self) -> tuple[tuple[float, ...], ...]:
+        """The quantized vectors: each value to 9 significant digits."""
+        if self._vectors is None:
+            self._vectors = _parse_vectors(self.texts, self._lengths)
+        return self._vectors
+
+    def _row(self, i: int) -> Sequence[float]:
+        """Vector i as built, else as quantized: quantizing keeps a vector's
+        length, and whether it is all zero."""
+        return self.vectors[i] if self._values is None else self._values[i]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self._lengths)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vectors, self.masked) == (other.vectors, other.masked)
+
+    def __hash__(self) -> int:
+        return hash((self.vectors, self.masked))
+
+    def __repr__(self) -> str:
+        return f"FeatureBundle(vectors={self.vectors!r}, masked={self.masked!r})"
 
     def mask(self, indices: Iterable[int]) -> "FeatureBundle":
         """This bundle with the vectors at *indices* zeroed and masked: a CSS
-        twin's features.  The other vectors and their texts are this bundle's
-        own objects, and nothing is quantized again."""
+        twin's features.  It is built from the texts: the other texts, and
+        vectors when this bundle has parsed them, are this bundle's own
+        objects, and nothing is quantized again."""
         indices = frozenset(indices)
-        vectors, texts = list(self.vectors), list(self.texts)
+        texts = list(self.texts)
+        vectors = None if self._vectors is None else list(self._vectors)
         for i in indices:
-            vectors[i], texts[i] = _masked_row(len(vectors[i]))
-        twin = object.__new__(FeatureBundle)
-        object.__setattr__(twin, "vectors", tuple(vectors))
-        object.__setattr__(twin, "masked", self.masked | indices)
-        object.__setattr__(twin, "texts", tuple(texts))
-        return twin
+            zero, texts[i] = _masked_row(self._lengths[i])
+            if vectors is not None:
+                vectors[i] = zero
+        return FeatureBundle._of_texts(tuple(texts), self._lengths, self.masked | indices,
+                                       None if vectors is None else tuple(vectors))
 
 
 @dataclass(frozen=True)
@@ -235,13 +336,14 @@ def validate_record(record: Record, schema: LabelSchema) -> Optional[Violation]:
                 "BundleSize",
                 f"feature bundle has {len(record.features)} vectors, schema has {n_c}",
             )
-        for i, vec in enumerate(record.features.vectors):
-            if len(vec) != schema.d:
+        features = record.features
+        for i, length in enumerate(features._lengths):
+            if length != schema.d:
                 return Violation(
                     "VectorLength",
-                    f"feature vector {i} has length {len(vec)}, expected {schema.d}",
+                    f"feature vector {i} has length {length}, expected {schema.d}",
                 )
-            if i in record.features.masked and any(vec):
+            if i in features.masked and any(features._row(i)):
                 return Violation("MaskNonZero", f"masked feature vector {i} has nonzero values")
     if record.labels is not None and len(record.labels.statuses) != n_c:
         return Violation(
@@ -285,14 +387,17 @@ def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int) -> Record:
             raise SchemaMismatch(
                 f"line {line_no}: {len(raw)} feature vectors, schema has {len(schema)}"
             )
-        vectors, masked = [], set()
+        vectors, masked, with_ints = [], set(), []
         for i, entry in enumerate(raw):
             if not isinstance(entry, dict) or "vec" not in entry:
                 fail("feature entry must be an object with a 'vec' field")
             vec = entry["vec"]
             # json's true/false are ints to isinstance; only int and float are numbers
-            if not isinstance(vec, list) or not set(map(type, vec)) <= {int, float}:
+            kinds = set(map(type, vec)) if isinstance(vec, list) else None
+            if kinds is None or not kinds <= {int, float}:
                 fail("feature 'vec' must be a list of numbers")
+            if int in kinds:
+                with_ints.append(vec)
             flag = entry.get("masked", False)
             if not isinstance(flag, bool):
                 fail(f"feature 'masked' must be true or false, got {flag!r}")
@@ -303,10 +408,13 @@ def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int) -> Record:
             vectors.append(vec)
             if flag:
                 masked.add(i)
+        # the bundle quantizes on first use; an int that no float holds fails here
         try:
-            features = FeatureBundle(tuple(vectors), frozenset(masked))
+            for vec in with_ints:
+                list(map(float, vec))
         except OverflowError:
             fail("feature value outside the float range")
+        features = FeatureBundle(vectors, masked)
 
     labels = None
     if "labels" in obj and obj["labels"] is not None:
@@ -399,13 +507,9 @@ def atomic_writer(path: str) -> Iterator[TextIO]:
         raise
 
 
-def atomic_write_lines(path: str, lines: Iterable[str]) -> None:
-    with atomic_writer(path) as fh:
-        fh.writelines(lines)
-
-
 def atomic_write_text(path: str, data: str) -> None:
-    atomic_write_lines(path, (data,))
+    with atomic_writer(path) as fh:
+        fh.write(data)
 
 
 def record_to_line(record: Record, schema: LabelSchema) -> str:
@@ -425,11 +529,21 @@ def record_to_line(record: Record, schema: LabelSchema) -> str:
     return f'{_dumps(head)[:-1]},"features":[{features}],{_dumps(tail)[1:]}'
 
 
+def write_records(records: Iterable[Record], schema: LabelSchema, path: str) -> int:
+    """Write records atomically, one line each as they come, then the
+    schema sidecar; returns how many were written."""
+    n = 0
+    with atomic_writer(path) as fh:
+        for record in records:
+            fh.write(record_to_line(record, schema) + "\n")
+            n += 1
+    write_schema(schema, schema_path_for(path))
+    return n
+
+
 def write_corpus(corpus: Corpus, path: str) -> None:
     """Write a corpus atomically; identical corpora yield identical bytes."""
-    lines = (record_to_line(r, corpus.schema) + "\n" for r in corpus.records)
-    atomic_write_lines(path, lines)
-    write_schema(corpus.schema, schema_path_for(path))
+    write_records(corpus.records, corpus.schema, path)
 
 
 def iter_corpus(path: str, schema: LabelSchema) -> Iterator[Record]:

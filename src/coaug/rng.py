@@ -18,13 +18,14 @@ for auxiliary streams (e.g. ``"augment:selection"``).
 
 splitmix64 is counter-based: the k-th output after state s is
 ``finalize64(s + k·GOLDEN)``, so any number of outputs can be computed at
-once.  ``RngStream.gauss_n(n, sigma)``, n draws of ``gauss(0.0, sigma)``,
-does so: the uniforms sit in 128-bit lanes of one Python int, the
-finalizer runs as whole-int shifts, masks and multiplies (a 64x64-bit
-product stays inside its lane), the lanes are read back through a
-memoryview and Box-Muller runs as C-level maps.  The floats, the final
-state and the pending spare equal those of the repeated calls; a u1 of
-0.0, which ``gauss`` redraws, sends the call to ``gauss`` itself.
+once.  ``RngStream.random_n(n)``, n draws of ``random()``, and
+``RngStream.gauss_n(n, sigma)``, n draws of ``gauss(0.0, sigma)``, do so:
+the uniforms sit in 128-bit lanes of one Python int, the finalizer runs
+as whole-int shifts, masks and multiplies (a 64x64-bit product stays
+inside its lane), the lanes are read back through a memoryview and the
+scaling and Box-Muller run as C-level maps.  The floats, the final state
+and the pending spare equal those of the repeated calls; a u1 of 0.0,
+which ``gauss`` redraws, sends ``gauss_n`` to ``gauss`` itself.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ import sys
 from functools import lru_cache
 from itertools import repeat
 from math import cos, log, sin, sqrt
-from operator import mul
+from operator import add, mul
 
 _MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _UNIT = 1.0 / (1 << 53)
 _TWO_PI, _MINUS_TWO, _ZERO = 2.0 * math.pi, -2.0, 0.0
+# 2π·2⁻⁵³ is exact (a power-of-two scaling), so 2π·(u·2⁻⁵³) == (2π·2⁻⁵³)·u
+_TWO_PI_UNIT = _TWO_PI * _UNIT
 _LITTLE_ENDIAN = sys.byteorder == "little"  # the lanes are read back as native "Q"
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -100,6 +103,15 @@ class RngStream:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * _UNIT
 
+    def random_n(self, n: int) -> list[float]:
+        """``[self.random() for _ in range(n)]`` from one packed draw: the
+        same floats and final state."""
+        if n <= 0 or not _LITTLE_ENDIAN:
+            return [self.random() for _ in range(n)]
+        bits = _uniform_bits(self.state, n)
+        self.state = (self.state + n * GOLDEN) & _MASK
+        return list(map(mul, bits, repeat(_UNIT)))
+
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling (unbiased)."""
         if n <= 0:
@@ -144,20 +156,20 @@ class RngStream:
         rest = n - len(head)
         pairs = (rest + 1) // 2
         bits = _uniform_bits(self.state, 2 * pairs) if pairs and _LITTLE_ENDIAN else None
-        if bits is None or 0 in bits[::2]:
+        u1 = [] if bits is None else list(bits[::2])
+        if bits is None or 0 in u1:
             # gauss redraws a u1 of 0.0, which shifts every later draw
             return [self.gauss(0.0, sigma) for _ in range(n)]
-        r = list(map(sqrt, map(_MINUS_TWO.__mul__, map(log, map(_UNIT.__mul__, bits[::2])))))
-        theta = list(map(_TWO_PI.__mul__, map(_UNIT.__mul__, bits[1::2])))
-        cosines = map(mul, r, map(cos, theta))
-        sines = list(map(mul, r, map(sin, theta)))
-        self._gauss_spare = sines.pop() if rest % 2 else None
+        # operator.mul over repeat() is the cheapest C-level product per element
+        r = list(map(sqrt, map(mul, repeat(_MINUS_TWO), map(log, map(mul, u1, repeat(_UNIT))))))
+        theta = list(map(mul, bits[1::2], repeat(_TWO_PI_UNIT)))
+        z = [0.0] * (2 * pairs)
+        z[::2] = map(mul, r, map(cos, theta))
+        z[1::2] = map(mul, r, map(sin, theta))
+        self._gauss_spare = z.pop() if rest % 2 else None
         self.state = (self.state + 2 * pairs * GOLDEN) & _MASK
         # 0.0 + sigma * z, as gauss computes it: 0.0 + turns -0.0 into 0.0
-        out = head + [0.0] * rest
-        out[len(head)::2] = map(_ZERO.__add__, map(mul, repeat(sigma), cosines))
-        out[len(head) + 1::2] = map(_ZERO.__add__, map(mul, repeat(sigma), sines))
-        return out
+        return head + list(map(add, repeat(_ZERO), map(mul, repeat(sigma), z)))
 
 
 @lru_cache(maxsize=16)

@@ -9,6 +9,9 @@ status prototype plus spherical Gaussian noise.  Records mentioning
 nothing are discarded and regeneration continues until ``n_records``
 survive.  Everything is drawn from per-attempt streams, so generation is
 deterministic and each record depends only on (seed, attempt index).
+An attempt draws its statuses and mentions in one packed ``random_n``
+call, then the report's order, then all its feature noise in one
+``gauss_n`` call, and writes its features with one ``%.9g`` format.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import add
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -168,34 +172,31 @@ def sample_features(
     d: int,
 ) -> FeatureBundle:
     """Status prototype plus spherical Gaussian noise; Unmentioned and
-    Uncertain fall back to the Negative prototype."""
-    noise = stream.gauss_n(len(statuses) * d, noise_sigma) if noise_sigma > 0 else None
-    vecs = []
-    for idx, status in enumerate(statuses):
-        pos, neg = prototypes[idx]
-        base = pos if status is DiseaseStatus.POSITIVE else neg
-        noisy = base if noise is None else map(add, base, noise[idx * d:(idx + 1) * d])
-        vecs.append(tuple(noisy))
-    return FeatureBundle(tuple(vecs))
+    Uncertain fall back to the Negative prototype.  One flat pass: the
+    chosen prototypes in disease order, plus one draw of all the noise."""
+    base = chain.from_iterable(prototypes[idx][status is not DiseaseStatus.POSITIVE]
+                               for idx, status in enumerate(statuses))
+    n = len(statuses) * d
+    # base + (0.0 + sigma * z): two roundings, as base + gauss(0.0, sigma)
+    values = tuple(map(add, base, stream.gauss_n(n, noise_sigma)) if noise_sigma > 0 else base)
+    return FeatureBundle.from_flat(values, (d,) * len(statuses))
 
 
-def _sample_statuses(
-    cfg: SynthConfig, schema: LabelSchema, stream: RngStream
-) -> list[DiseaseStatus]:
-    n_c = len(schema)
-    statuses: list[Optional[DiseaseStatus]] = [None] * n_c
-    # planted pairs first (ordered by exposure index), then the rest
+def _sample_statuses(cfg: SynthConfig, n_c: int, draws: Sequence[float]) -> list[DiseaseStatus]:
+    """Each disease's status from the first n_c of *draws*: the planted
+    pairs first (ordered by exposure index), then the rest in index order."""
+    positive: list[Optional[bool]] = [None] * n_c
+    k = 0
     for pair in sorted(cfg.planted, key=lambda p: p.a):
-        a_pos = stream.random() < cfg.marginals[pair.a]
-        cond = pair.p_pos_given_pos if a_pos else pair.p_pos_given_neg
-        b_pos = stream.random() < cond
-        statuses[pair.a] = DiseaseStatus.POSITIVE if a_pos else DiseaseStatus.NEGATIVE
-        statuses[pair.b] = DiseaseStatus.POSITIVE if b_pos else DiseaseStatus.NEGATIVE
+        a_pos = draws[k] < cfg.marginals[pair.a]
+        positive[pair.a] = a_pos
+        positive[pair.b] = draws[k + 1] < (pair.p_pos_given_pos if a_pos else pair.p_pos_given_neg)
+        k += 2
     for idx in range(n_c):
-        if statuses[idx] is None:
-            pos = stream.random() < cfg.marginals[idx]
-            statuses[idx] = DiseaseStatus.POSITIVE if pos else DiseaseStatus.NEGATIVE
-    return statuses  # type: ignore[return-value]
+        if positive[idx] is None:
+            positive[idx] = draws[k] < cfg.marginals[idx]
+            k += 1
+    return [DiseaseStatus.POSITIVE if pos else DiseaseStatus.NEGATIVE for pos in positive]
 
 
 def _attempt_record(
@@ -206,16 +207,14 @@ def _attempt_record(
     attempt: int,
 ) -> Optional[Record]:
     stream = RngStream.for_label(cfg.seed, f"synth:{attempt}")
-    statuses = _sample_statuses(cfg, schema, stream)
-    mentioned = []
-    for idx in range(len(schema)):
-        p = (
-            cfg.mention_positive
-            if statuses[idx] is DiseaseStatus.POSITIVE
-            else cfg.mention_negative
-        )
-        if stream.random() < p:
-            mentioned.append(idx)
+    n_c = len(schema)
+    # n_c status draws, then n_c mention draws, before any other draw
+    draws = stream.random_n(2 * n_c)
+    statuses = _sample_statuses(cfg, n_c, draws)
+    mention = {DiseaseStatus.POSITIVE: cfg.mention_positive,
+               DiseaseStatus.NEGATIVE: cfg.mention_negative}
+    mentioned = [idx for idx, (status, u) in enumerate(zip(statuses, draws[n_c:]))
+                 if u < mention[status]]
     if not mentioned:
         return None
     report = render_report(statuses, mentioned, sentences, cfg.order_policy, stream)

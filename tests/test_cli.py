@@ -248,10 +248,59 @@ def test_internal_error_maps_to_exit_3(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic crash")
 
-    monkeypatch.setattr(cli.synth, "synth_generate", boom)
+    monkeypatch.setattr(cli.synth, "synth_records", boom)
     rc = run(["--quiet", "synth", "--scenario", "default", "--n", "5",
               "--out", str(tmp_path / "x.jsonl")])
     assert rc == 3
+
+
+def test_synth_writes_the_pipeline_original_bytes(tmp_path):
+    # the default scenario is covered by the subcommand chain test
+    scenario, seed, n = "strong_pair", "11", "250"
+    out, pipe = tmp_path / "c.jsonl", tmp_path / "pipe"
+    assert run(["--quiet", "synth", "--scenario", scenario, "--seed", seed, "--n", n,
+                "--out", str(out)]) == EXIT_OK
+    assert run(["--quiet", "pipeline", "--scenario", scenario, "--seed", seed, "--n", n,
+                "--outdir", str(pipe)]) == EXIT_OK
+    assert out.read_bytes() == (pipe / "original.jsonl").read_bytes()
+    assert (tmp_path / "c.jsonl.schema").read_bytes() == (pipe / "original.jsonl.schema").read_bytes()
+    assert json.loads((tmp_path / "c.jsonl.run.json").read_text())["counts"]["records"] == int(n)
+
+
+def test_synth_memory_grows_by_less_than_512_b_per_record(tmp_path):
+    # synth streams its records to the file and keeps none
+    import tracemalloc
+
+    def synth(n):
+        return run(["--quiet", "synth", "--scenario", "default", "--seed", "7", "--n", str(n),
+                    "--out", str(tmp_path / f"{n}.jsonl")])
+
+    assert synth(400) == EXIT_OK
+    peaks = {}
+    for n in (100, 400):
+        tracemalloc.start()
+        try:
+            assert synth(n) == EXIT_OK
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[400] - peaks[100]) / 300 < 512
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("mention_positive = 1.0", "mention_positive = 1.5"), "mention_positive"),
+    (("mention_positive = 1.0", "mention_positive = 0"), "stalled"),  # fails mid-stream
+], ids=["invalid", "stalled"])
+def test_synth_config_error_is_data_error_and_leaves_no_file(tmp_path, capsys, edit, message):
+    text = Path(default_scenario_path()).read_text(encoding="utf-8")
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_text(text.replace(*edit).replace("mention_negative = 0.75",
+                                                    "mention_negative = 0"))
+    out = tmp_path / "c.jsonl"
+    rc = run(["--quiet", "synth", "--scenario", str(scenario), "--n", "5", "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 def test_console_script_subprocess(tmp_path):

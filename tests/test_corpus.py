@@ -395,6 +395,7 @@ def _repr_vector_json(values, masked):
 @example(values=[math.nan, 0.25], masked=False)
 @example(values=[math.inf, -math.inf], masked=False)
 @example(values=[-0.000123456789, 12345678.9], masked=False)
+@example(values=[1.5e10], masked=False)  # "%.9g" writes 1.5e+10, repr 15000000000.0
 def test_kept_vector_text_equals_the_repr_encoder(values, masked):
     bundle = FeatureBundle((tuple(values),), frozenset({0}) if masked else frozenset())
     assert bundle.texts[0] == _repr_vector_json(bundle.vectors[0], masked)
@@ -501,3 +502,78 @@ def test_failed_write_leaves_the_target_and_no_temporary_file(tmp_path, schema):
         write_corpus(Corpus(schema, (*good, bad)), str(path))
     assert path.read_bytes() == before
     assert not list(tmp_path.glob(".tmp-coaug-*"))
+
+
+# ---------------------------------------------------------------------------
+# a bundle built from flat values, as synth builds it, against FeatureBundle(vectors)
+
+
+def _hex_rows(vectors):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [[x.hex() for x in vec] for vec in vectors]
+
+
+_flat_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(-1e9, 1e9),
+    st.floats(-1e-3, 1e-3),
+    st.sampled_from([-0.0, 2.0, 1e-05, 1.5e10, 1.5e16, 5e-324, math.inf, math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_flat_floats, max_size=5), max_size=4),
+       masked=st.frozensets(st.integers(0, 3)))
+@example(rows=[[1e-05, 1.5e16]], masked=frozenset())  # exponent pieces
+@example(rows=[[1.5e10, 0.5]], masked=frozenset())  # "1.5e+10", whose repr has no exponent
+@example(rows=[[2.0, -0.0], [0.5, 0.25]], masked=frozenset({1}))  # "2" and "-0"
+@example(rows=[[5e-324, -2.2250738585072014e-308]], masked=frozenset())  # subnormals
+@example(rows=[[math.inf, 0.5], [math.nan, -math.inf]], masked=frozenset({0}))
+@example(rows=[[0.125], [0.5], [-0.75]], masked=frozenset({2}))  # d=1, every piece a repr
+@example(rows=[[0.1, 0.2, 0.3]] * 3, masked=frozenset({0, 2}))  # d=3
+@example(rows=[[], [1.0]], masked=frozenset({0}))  # an empty vector
+@example(rows=[], masked=frozenset())
+def test_flat_bundle_equals_the_vector_bundle(rows, masked):
+    lengths = tuple(map(len, rows))
+    values = tuple(x for row in rows for x in row)
+    flat, vector = FeatureBundle.from_flat(values, lengths), FeatureBundle(rows)
+    assert flat.texts == vector.texts
+    assert flat.texts == tuple(_repr_vector_json([_old_quantize(x) for x in row], False)
+                               for row in rows)
+    assert _hex_rows(flat.vectors) == _hex_rows(vector.vectors)
+    assert len(flat) == len(vector) == len(rows)
+    if not any(map(math.isnan, values)):  # nan equals nothing, and hashes by identity
+        assert flat == vector
+        assert hash(flat) == hash(vector)
+    indices = {i for i in masked if i < len(rows)}
+    flat_twin, vector_twin = flat.mask(indices), vector.mask(indices)
+    assert flat_twin.texts == vector_twin.texts
+    assert _hex_rows(flat_twin.vectors) == _hex_rows(vector_twin.vectors)
+    assert flat_twin.masked == vector_twin.masked == indices
+
+
+def test_bundle_equality_is_on_the_quantized_floats_not_the_texts():
+    negative, positive = FeatureBundle.from_flat((-0.0, 1.0), (2,)), FeatureBundle([[0.0, 1.0]])
+    assert negative.texts != positive.texts
+    assert negative == positive
+    assert hash(negative) == hash(positive)
+    assert negative != positive.mask({0})
+
+
+def test_reading_a_corpus_quantizes_no_feature(tmp_path, schema, monkeypatch):
+    # analyze reads features it never looks at: the parsed lists are kept
+    import coaug.corpus as corpus_module
+
+    path = tmp_path / "c.jsonl"
+    records = [make_record(f"r{i}", ["A sentence."], schema, value=0.1 * i) for i in range(5)]
+    write_corpus(Corpus(schema, tuple(records)), str(path))
+
+    def refuse(*args):
+        raise AssertionError("quantized on read")
+
+    monkeypatch.setattr(corpus_module, "_vector_texts", refuse)
+    monkeypatch.setattr(corpus_module, "_parse_vectors", refuse)
+    back = read_corpus(str(path), schema)
+    assert [r.id for r in back] == [r.id for r in records]
+    monkeypatch.undo()
+    assert back.records == tuple(records)

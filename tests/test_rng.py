@@ -138,3 +138,32 @@ def test_gauss_n_scalar_path_off_little_endian_hosts(monkeypatch):
     monkeypatch.setattr(rng, "_LITTLE_ENDIAN", False)
     for pending in (False, True):
         _gauss_n_agrees_with_gauss(_stream(99, pending), 15, 0.3)
+
+
+def _random_n_agrees_with_random(state: int, n: int) -> None:
+    stream, reference = RngStream(state), RngStream(state)
+    expected = [reference.random() for _ in range(n)]
+    assert _bits(stream.random_n(n)) == _bits(expected)
+    assert stream.state == reference.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=st.integers(0, _MASK), n=st.integers(0, 300))
+def test_random_n_equals_repeated_random(state, n):
+    _random_n_agrees_with_random(state, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(state=st.integers(0, _MASK), n=st.integers(0, 300))
+def test_random_n_scalar_path_off_little_endian_hosts(state, n):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "_LITTLE_ENDIAN", False)
+        _random_n_agrees_with_random(state, n)
+
+
+def test_random_n_leaves_a_pending_gauss_spare():
+    stream = RngStream(11)
+    stream.gauss(0.0, 1.0)
+    spare = stream._gauss_spare
+    stream.random_n(5)
+    assert stream._gauss_spare == spare

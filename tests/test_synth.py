@@ -3,13 +3,21 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coaug import synth as synth_module
+from coaug import corpus as corpus_module
 from coaug.corpus import (
     Corpus,
     DiseaseStatus,
     FeatureBundle,
+    Provenance,
+    Record,
+    Report,
     default_schema,
+    make_schema,
+    record_to_line,
     validate_record,
     write_corpus,
 )
@@ -227,6 +235,118 @@ def test_generate_matches_per_call_feature_draws(monkeypatch, default_templates,
     assert fused == reference
     for a, b in zip(fused, reference):
         assert a.features.texts == b.features.texts
+
+
+def _hex_rows(vectors):
+    return [[x.hex() for x in vec] for vec in vectors]
+
+
+_prototype_values = st.one_of(
+    st.floats(-1e6, 1e6), st.floats(-1e-3, 1e-3),
+    st.sampled_from([-0.0, 2.0, 1e-05, 1.5e10, 1.5e16, 5e-324, 1e308, -1e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_prototype_values, min_size=1, max_size=8), d=st.integers(1, 4),
+       n_c=st.integers(1, 4), positive=st.lists(st.booleans(), min_size=1, max_size=4),
+       sigma=st.one_of(st.just(0.0), st.floats(1e-300, 1e308)), state=st.integers(0, 2 ** 64 - 1))
+@example(values=[2.0, -0.0], d=1, n_c=2, positive=[True], sigma=0.0, state=1)  # "2", "-0"
+@example(values=[1e-05, 1.5e16], d=2, n_c=2, positive=[False], sigma=0.0, state=2)  # exponents
+@example(values=[1.5e10], d=2, n_c=1, positive=[True], sigma=0.0, state=2)  # repr 15000000000.0
+@example(values=[5e-324, 0.5], d=2, n_c=1, positive=[True], sigma=1e-320, state=3)  # subnormal
+@example(values=[1e308], d=1, n_c=3, positive=[False], sigma=1e308, state=4)  # inf
+@example(values=[0.5, -0.5, 0.25], d=3, n_c=3, positive=[True, False], sigma=0.1, state=5)
+def test_flat_features_equal_the_per_call_vector_bundle(values, d, n_c, positive, sigma, state):
+    # prototypes and statuses cycle through the drawn values and flags
+    flat = [values[k % len(values)] for k in range(2 * d * n_c)]
+    protos = {i: (tuple(flat[2 * i * d:(2 * i + 1) * d]),
+                  tuple(flat[(2 * i + 1) * d:(2 * i + 2) * d])) for i in range(n_c)}
+    statuses = [POS if positive[i % len(positive)] else NEG for i in range(n_c)]
+    stream, reference_stream = RngStream(state), RngStream(state)
+    bundle = sample_features(statuses, protos, sigma, stream, d)
+    reference = _per_call_sample_features(statuses, protos, sigma, reference_stream, d)
+    assert stream.state == reference_stream.state
+    assert bundle.texts == reference.texts
+    assert _hex_rows(bundle.vectors) == _hex_rows(reference.vectors)
+    assert len(bundle) == len(reference) == n_c
+    if not any(math.isnan(x) for vec in reference.vectors for x in vec):
+        assert bundle == reference
+        assert hash(bundle) == hash(reference)
+    twin, reference_twin = bundle.mask({0}), reference.mask({0})
+    assert twin.texts == reference_twin.texts
+    assert _hex_rows(twin.vectors) == _hex_rows(reference_twin.vectors)
+
+
+def test_overflowing_features_write_infinity():
+    # 1e308 + 1e308 * z leaves the float range for about half the draws
+    protos = {0: ((1e308,), (1e308,))}
+    texts = [sample_features([NEG], protos, 1e308, RngStream(state), 1).texts[0]
+             for state in range(40)]
+    assert '{"vec":[Infinity],"masked":false}' in texts
+
+
+def test_mask_and_record_to_line_never_parse_a_synth_bundle(monkeypatch, schema):
+    def refuse(*args):
+        raise AssertionError("vectors parsed")
+
+    monkeypatch.setattr(corpus_module, "_parse_vectors", refuse)
+    statuses = [POS if i % 3 == 0 else NEG for i in range(14)]
+    bundle = sample_features(statuses, auto_prototypes(schema), 0.1, RngStream(3), schema.d)
+    twin = bundle.mask({2, 5}).mask({7})
+    for features, provenance, source in ((bundle, Provenance.ORIGINAL, None),
+                                         (twin, Provenance.COUNTERFACTUAL, "r")):
+        record = Record("r" if source is None else "r#cf", Report.from_texts(["A."]),
+                        features, None, provenance, source)
+        assert record_to_line(record, schema).count('"masked":true') == len(features.masked)
+    assert validate_record(Record("r", Report.from_texts(["A."]), bundle), schema) is None
+
+
+def _per_call_attempt_record(cfg, schema, prototypes, sentences, attempt):
+    """_attempt_record with one random() call per status and per mention
+    draw: the reference for the packed draws."""
+    stream = RngStream.for_label(cfg.seed, f"synth:{attempt}")
+    statuses = [None] * len(schema)
+    for pair in sorted(cfg.planted, key=lambda p: p.a):
+        a_pos = stream.random() < cfg.marginals[pair.a]
+        b_pos = stream.random() < (pair.p_pos_given_pos if a_pos else pair.p_pos_given_neg)
+        statuses[pair.a] = POS if a_pos else NEG
+        statuses[pair.b] = POS if b_pos else NEG
+    for idx in range(len(schema)):
+        if statuses[idx] is None:
+            statuses[idx] = POS if stream.random() < cfg.marginals[idx] else NEG
+    mentioned = []
+    for idx in range(len(schema)):
+        p = cfg.mention_positive if statuses[idx] is POS else cfg.mention_negative
+        if stream.random() < p:
+            mentioned.append(idx)
+    if not mentioned:
+        return None
+    report = render_report(statuses, mentioned, sentences, cfg.order_policy, stream)
+    features = sample_features(statuses, prototypes, cfg.noise_sigma, stream, schema.d)
+    return Record(f"r{attempt:06d}", report, features)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"order_policy": OrderPolicy.RANDOM},
+    # two pairs, the second listed with the larger exposure index
+    {"planted": (PlantedPair(9, 2, 0.9, 0.05), PlantedPair(3, 12, 0.7, 0.2)),
+     "order_policy": OrderPolicy.RANDOM},
+    {"mention_negative": 0.0, "mention_positive": 1.0},
+    {"mention_negative": 1.0, "mention_positive": 0.0},
+    # most attempts mention nothing
+    {"marginals": {i: 0.02 for i in range(14)}, "mention_negative": 0.03},
+], ids=["schema", "random", "planted", "mention-0-1", "mention-1-0", "mostly-silent"])
+def test_generate_matches_per_call_status_and_mention_draws(
+        monkeypatch, schema, default_templates, overrides):
+    cfg = small_cfg(schema, default_templates, n_records=80, seed=21, **overrides)
+    packed = synth_generate(cfg, schema)
+    monkeypatch.setattr(synth_module, "_attempt_record", _per_call_attempt_record)
+    reference = synth_generate(cfg, schema)
+    assert packed == reference
+    assert [r.features.texts for r in packed] == [r.features.texts for r in reference]
+    if "marginals" in overrides:
+        assert int(packed.records[-1].id[1:]) > 1.5 * len(packed)
 
 
 def test_features_differ_across_stream_positions(schema):
