@@ -17,22 +17,21 @@ labels ignore sentence order, so the reordering cannot change them.
 
 Each record draws from its own stream (seed + record id), so a dataset
 augmentation is a pure function of (corpus, lexicon, config) in whatever
-order its records are processed.
+order its records are processed: ``augment_dataset`` holds the corpus,
+``TwinSpool`` takes the records one at a time and holds none.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import tempfile
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, TypeVar, Union
+from typing import Callable, Mapping, Optional, TextIO, TypeVar, Union
 
-from .corpus import (
-    Corpus,
-    DiseaseStatus,
-    Provenance,
-    Record,
-    Report,
-)
+from .corpus import (Corpus, DiseaseStatus, LabelSchema, Provenance, Record, Report,
+                     record_to_line)
 from .errors import CoaugError, ConfigInvalid, MissingFeatures
 from .labeler import Matcher, label_report, label_sentence
 from .rng import RngStream
@@ -45,6 +44,9 @@ MAX_RESAMPLE = 5  # sentence draws before CSS gives up on a record
 MIN_SENTENCES = 2  # CSS leaves at least one sentence
 
 SKIP_REASONS = ("below-min-sentences", "no-labelable-sentence")
+
+TWIN_SUFFIX = "#cf"  # a twin's id is its source's id and this
+_INELIGIBLE, _SPOOLED, _SPOOLED_ORPHAN, _SKIPPED = range(4)  # a twin's fate in a TwinSpool
 
 T = TypeVar("T")
 
@@ -112,18 +114,15 @@ def _counterfactual(record: Record, matcher: Matcher, report: Report,
     features = record.features.mask(masked) if masked else record.features
     labels = label_report(report, matcher) if masked or record.labels is not None else None
     orphan = any(labels.mentioned(i) for i in masked)
-    twin = Record(record.id + "#cf", report, features,
+    twin = Record(record.id + TWIN_SUFFIX, report, features,
                   labels if record.labels is not None else None,
                   Provenance.COUNTERFACTUAL, record.id)
     return AugmentationOutcome(twin, popped_index, popped_labels, masked, permutation,
                                frozenset({ORPHAN_MENTION}) if orphan else frozenset())
 
 
-def css_augment(
-    record: Record,
-    matcher: Matcher,
-    stream: RngStream,
-) -> Union[AugmentationOutcome, Skip]:
+def css_augment(record: Record, matcher: Matcher,
+                stream: RngStream) -> Union[AugmentationOutcome, Skip]:
     """Pop one labeled sentence and mask the matching feature vectors.
 
     Masks every disease the popped sentence labels, even when another
@@ -148,12 +147,8 @@ def crr_augment(report: Report, stream: RngStream) -> tuple[Report, tuple[int, .
     return Report(tuple(report.sentences[i] for i in perm)), tuple(perm)
 
 
-def augment_record(
-    record: Record,
-    matcher: Matcher,
-    stream: RngStream,
-    cfg: AugmentationConfig,
-) -> Union[AugmentationOutcome, Skip]:
+def augment_record(record: Record, matcher: Matcher, stream: RngStream,
+                   cfg: AugmentationConfig) -> Union[AugmentationOutcome, Skip]:
     """Serial composition: pop-and-mask first (when enabled), then
     reorder what remains (when enabled)."""
     index, labels, report = None, {}, record.report
@@ -228,6 +223,17 @@ def augment(n: int, eligible: list[int],
     return twins, summary, skips
 
 
+def _check_original(record: Record) -> None:
+    if record.provenance is not Provenance.ORIGINAL:
+        raise CoaugError(f"record {record.id!r} is already counterfactual; "
+                         "augment_dataset requires an all-Original corpus")
+
+
+def _id_taken(source_id: str) -> CoaugError:
+    return CoaugError(f"record {source_id!r}: its twin's id "
+                      f"{source_id + TWIN_SUFFIX!r} is already a record id")
+
+
 def augment_dataset(corpus: Corpus, matcher: Matcher,
                     cfg: AugmentationConfig) -> tuple[Corpus, AugmentSummary]:
     """Augment floor(rate * |corpus|) records chosen uniformly without
@@ -235,9 +241,7 @@ def augment_dataset(corpus: Corpus, matcher: Matcher,
     input order followed by the twins ordered by source position.  A
     twin whose id is already a record's id is a ``CoaugError``."""
     for record in corpus:
-        if record.provenance is not Provenance.ORIGINAL:
-            raise CoaugError(f"record {record.id!r} is already counterfactual; "
-                             "augment_dataset requires an all-Original corpus")
+        _check_original(record)
     records = corpus.records
     ids = {record.id for record in records}
 
@@ -246,10 +250,62 @@ def augment_dataset(corpus: Corpus, matcher: Matcher,
         if isinstance(outcome, Skip):
             return outcome
         if outcome.record.id in ids:
-            raise CoaugError(f"record {records[index].id!r}: its twin's id "
-                             f"{outcome.record.id!r} is already a record id")
+            raise _id_taken(records[index].id)
         return outcome.record, ORPHAN_MENTION in outcome.flags
 
     eligible = [i for i, r in enumerate(records) if is_eligible(r, cfg)]
     twins, summary, _ = augment(len(records), eligible, twin, cfg)
     return Corpus(corpus.schema, records + tuple(twins.values())), summary
+
+
+class TwinSpool(AbstractContextManager):
+    """``augment_dataset`` of records fed in corpus order: ``add`` writes a
+    record's line to *out* and spools its twin's line in *directory*, and
+    ``finish`` appends the chosen twins'.  It keeps a fate byte per record
+    and the ids ending in ``TWIN_SUFFIX``, which alone a twin's id can equal."""
+
+    def __init__(self, out: TextIO, directory: str, schema: LabelSchema,
+                 matcher: Matcher, cfg: AugmentationConfig):
+        self.out, self.schema, self.matcher, self.cfg = out, schema, matcher, cfg
+        self.fates, self.skips, self.twin_ids = bytearray(), {}, set()
+        self.spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=directory)
+
+    def __exit__(self, *exc) -> None:
+        self.spool.close()
+
+    def add(self, record: Record, line: str) -> Optional[Record]:
+        """Write *record*'s *line*; returns its twin if the twin is spooled."""
+        _check_original(record)
+        self.out.write(line)
+        if record.id.endswith(TWIN_SUFFIX):
+            self.twin_ids.add(record.id)
+        fate, twin = _INELIGIBLE, None
+        if is_eligible(record, self.cfg):
+            outcome = record_twin(record, self.matcher, self.cfg)
+            if isinstance(outcome, Skip):
+                fate, self.skips[len(self.fates)] = _SKIPPED, outcome
+            else:
+                twin = outcome.record
+                self.spool.write(record_to_line(twin, self.schema) + "\n")
+                fate = _SPOOLED_ORPHAN if ORPHAN_MENTION in outcome.flags else _SPOOLED
+        self.fates.append(fate)
+        return twin
+
+    def _twin(self, i: int) -> Union[Skip, tuple[None, bool]]:
+        return self.skips.get(i) or (None, self.fates[i] == _SPOOLED_ORPHAN)
+
+    def finish(self) -> tuple[list[int], AugmentSummary, dict[str, int]]:
+        """Append the chosen twins' lines, or raise if one's id is a record's;
+        returns their rows among the spooled twins, the counts and skips."""
+        eligible = [i for i, fate in enumerate(self.fates) if fate != _INELIGIBLE]
+        chosen, summary, skips = augment(len(self.fates), eligible, self._twin, self.cfg)
+        spooled = (i for i, fate in enumerate(self.fates) if fate in (_SPOOLED, _SPOOLED_ORPHAN))
+        rows = []
+        self.spool.seek(0)
+        for row, (i, line) in enumerate(zip(spooled, self.spool)):
+            if i in chosen:
+                if self.twin_ids and (twin_id := json.loads(line)["id"]) in self.twin_ids:
+                    raise _id_taken(twin_id[:-len(TWIN_SUFFIX)])
+                self.out.write(line)
+                rows.append(row)
+        return rows, summary, skips

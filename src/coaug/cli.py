@@ -15,9 +15,7 @@ import dataclasses
 import json
 import operator
 import os
-import shutil
 import sys
-import tempfile
 import time
 from itertools import zip_longest
 from typing import Optional
@@ -276,22 +274,21 @@ def _cmd_augment(args) -> int:
     started = time.monotonic()
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
-    c = corpus.read_corpus(args.corpus, schema)
-    cfg = aug.AugmentationConfig(
-        rate=args.rate,
-        seed=args.seed if args.seed is not None else 0,
-        enable_css=not args.no_css,
-        enable_crr=not args.no_crr,
-    )
-    augmented, summary = aug.augment_dataset(c, matcher, cfg)
-    corpus.write_corpus(augmented, args.out)
+    records = corpus.iter_corpus(args.corpus, schema)
+    cfg = aug.AugmentationConfig(rate=args.rate, seed=args.seed or 0,
+                                 enable_css=not args.no_css, enable_crr=not args.no_crr)
+    with corpus.atomic_writer(args.out) as out, aug.TwinSpool(
+            out, os.path.dirname(os.path.abspath(args.out)), schema, matcher, cfg) as twins:
+        for record in records:
+            twins.add(record, corpus.record_to_line(record, schema) + "\n")
+        _, summary, _ = twins.finish()
+    corpus.write_schema(schema, corpus.schema_path_for(args.out))
     if args.summary:
         _write_json(args.summary, dataclasses.asdict(summary))
-    _run_sidecar(args.out, "augment",
-                 {"corpus": os.path.basename(args.corpus)},
+    _run_sidecar(args.out, "augment", {"corpus": os.path.basename(args.corpus)},
                  cfg.seed, dataclasses.asdict(summary), started)
     _info(args, f"augment: {summary.augmented} twins, {summary.skipped} skipped, "
-                f"wrote {len(augmented)} records to {args.out}")
+                f"wrote {summary.originals + summary.augmented} records to {args.out}")
     return EXIT_OK
 
 
@@ -376,9 +373,6 @@ def _cmd_evaluate(args) -> int:
 
 PIPELINE_CORPORA = ("original.jsonl", "labeled.jsonl", "augmented.jsonl")
 
-# the fate of each record's twin in the pipeline, one byte per record
-_INELIGIBLE, _SPOOLED, _SPOOLED_ORPHAN, _SKIPPED = range(4)
-
 
 def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                  n: Optional[int] = None, rate: float = 1.0,
@@ -387,8 +381,8 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
     pass over the records, writing every artifact under *outdir*; returns the
     summary, the seconds of each stage's per-record work and the augmentation
     skips by reason.  No record is kept: each labeled record leaves its
-    columns, and each eligible twin its spooled line, its columns and one
-    byte; below rate 1.0 the twins not chosen are built in vain."""
+    columns and its ``TwinSpool`` byte, and each spooled twin its columns;
+    below rate 1.0 the twins not chosen are built in vain."""
     schema = corpus.read_schema(schema_path or default_schema_path())
     matcher = labeler.default_matcher(schema)
     cfg = _synth_config(scenario_path, schema, n, seed)
@@ -408,62 +402,37 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
 
     columns = confound.LabelColumns(len(schema), matcher)  # the labeled records'
     twin_columns = confound.LabelColumns(len(schema), matcher)  # the spooled twins'
-    fates = bytearray()  # per record: _INELIGIBLE, _SPOOLED, _SPOOLED_ORPHAN or _SKIPPED
-    skips: dict[int, aug.Skip] = {}
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=outdir) as spool:
-        with corpus.atomic_writer(original_path) as original_out, \
-                corpus.atomic_writer(labeled_path) as labeled_out:
-            t = time.monotonic()
-            for record in synth.synth_records(cfg, schema):
-                t = lap("synth", t)
-                original_out.write(corpus.record_to_line(record, schema) + "\n")
-                t = lap("write_original", t)
-                record = record.with_labels(labeler.label_report(record.report, matcher))
-                t = lap("label", t)
-                labeled_out.write(corpus.record_to_line(record, schema) + "\n")
-                t = lap("write_labeled", t)
-                columns.append(record)
-                t = lap("analyze_before", t)
-                fate = _INELIGIBLE
-                if aug.is_eligible(record, acfg):
-                    outcome = aug.record_twin(record, matcher, acfg)
-                    t = lap("augment", t)
-                    if isinstance(outcome, aug.Skip):
-                        fate, skips[len(fates)] = _SKIPPED, outcome
-                    else:
-                        spool.write(corpus.record_to_line(outcome.record, schema) + "\n")
-                        t = lap("write_augmented", t)
-                        twin_columns.append(outcome.record)
-                        t = lap("analyze_after", t)
-                        fate = (_SPOOLED_ORPHAN if aug.ORPHAN_MENTION in outcome.flags
-                                else _SPOOLED)
-                fates.append(fate)
-        for path in (original_path, labeled_path):
-            corpus.write_schema(schema, corpus.schema_path_for(path))
-        t = lap("write_labeled", t)
-
-        before = pair_statistics(columns, schema, pairs)
-        atomic_write_text(os.path.join(outdir, "before.txt"),
-                          render_analysis(before, len(columns)))
-        t = lap("analyze_before", t)
-
-        def twin(i: int):
-            return skips[i] if fates[i] == _SKIPPED else (None, fates[i] == _SPOOLED_ORPHAN)
-
-        eligible = [i for i, fate in enumerate(fates) if fate != _INELIGIBLE]
-        chosen, asummary, skip_counts = aug.augment(len(fates), eligible, twin, acfg)
+    with corpus.atomic_writer(original_path) as original_out, \
+            corpus.atomic_writer(labeled_path) as labeled_out, \
+            corpus.atomic_writer(augmented_path) as augmented_out, \
+            aug.TwinSpool(augmented_out, outdir, schema, matcher, acfg) as twins:
+        t = time.monotonic()
+        for record in synth.synth_records(cfg, schema):
+            t = lap("synth", t)
+            original_out.write(corpus.record_to_line(record, schema) + "\n")
+            t = lap("write_original", t)
+            record = record.with_labels(labeler.label_report(record.report, matcher))
+            t = lap("label", t)
+            line = corpus.record_to_line(record, schema) + "\n"
+            labeled_out.write(line)
+            t = lap("write_labeled", t)
+            columns.append(record)
+            t = lap("analyze_before", t)
+            twin = twins.add(record, line)
+            t = lap("augment", t)
+            if twin is not None:
+                twin_columns.append(twin)
+                t = lap("analyze_after", t)
+        rows, asummary, skip_counts = twins.finish()
         t = lap("augment", t)
-        spooled = [i for i, fate in enumerate(fates) if fate in (_SPOOLED, _SPOOLED_ORPHAN)]
-        spool.seek(0)
-        with corpus.atomic_writer(augmented_path) as out, \
-                open(labeled_path, encoding="utf-8", newline="") as labeled_in:
-            shutil.copyfileobj(labeled_in, out)
-            out.writelines(line for i, line in zip(spooled, spool) if i in chosen)
-        corpus.write_schema(schema, corpus.schema_path_for(augmented_path))
-        t = lap("write_augmented", t)
+    for path in (original_path, labeled_path, augmented_path):
+        corpus.write_schema(schema, corpus.schema_path_for(path))
+    t = lap("write_augmented", t)
 
-    n_original = len(columns)
-    columns.extend(twin_columns, (row for row, i in enumerate(spooled) if i in chosen))
+    before = pair_statistics(columns, schema, pairs)
+    atomic_write_text(os.path.join(outdir, "before.txt"), render_analysis(before, len(columns)))
+    t = lap("analyze_before", t)
+    columns.extend(twin_columns, rows)
     after = pair_statistics(columns, schema, pairs)
     atomic_write_text(os.path.join(outdir, "after.txt"),
                       render_analysis(after, len(columns)))
@@ -473,7 +442,7 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
     summary = {
         "scenario": os.path.basename(scenario_path),
         "seed": cfg.seed,
-        "records_original": n_original,
+        "records_original": asummary.originals,
         "records_augmented": len(columns),
         "augmentation": dataclasses.asdict(asummary),
         "pairs": [{"a": b0["a"], "b": b0["b"], "before": {k: b0[k] for k in keys},

@@ -60,6 +60,7 @@ STATUS_RANK = {
     DiseaseStatus.UNCERTAIN: 2,
     DiseaseStatus.POSITIVE: 3,
 }
+_STATUSES = {status.value: status for status in DiseaseStatus}  # by their JSON text
 
 
 class Provenance(Enum):
@@ -361,7 +362,7 @@ def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int) -> Record:
+def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int, index: dict) -> Record:
     def fail(reason: str):
         raise MalformedRecord(line_no, reason)
 
@@ -423,14 +424,12 @@ def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int) -> Record:
             fail("labels must be a mapping")
         statuses = [DiseaseStatus.UNMENTIONED] * len(schema)
         for name, value in raw.items():
-            try:
-                idx = schema.index_of(name)
-            except UnknownDisease:
+            if name not in index:
                 raise SchemaMismatch(f"line {line_no}: unknown disease name {name!r}")
-            try:
-                statuses[idx] = DiseaseStatus(value)
-            except ValueError:
+            status = _STATUSES.get(value) if isinstance(value, str) else None  # [] is unhashable
+            if status is None:
                 fail(f"unknown status {value!r}")
+            statuses[index[name]] = status
         labels = ReportLabelVector(tuple(statuses))
 
     prov_raw = obj.get("provenance")
@@ -560,7 +559,7 @@ def iter_corpus(path: str, schema: LabelSchema) -> Iterator[Record]:
 
 
 def _read_records(path: str, schema: LabelSchema) -> Iterator[Record]:
-    seen = set()
+    seen, index = set(), {name: i for i, name in enumerate(schema.names)}
     # the lines below know their number, not their file: name it here
     try:
         with open(path, encoding="utf-8") as fh:
@@ -571,7 +570,7 @@ def _read_records(path: str, schema: LabelSchema) -> Iterator[Record]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}")
-                record = _obj_to_record(obj, schema, line_no)
+                record = _obj_to_record(obj, schema, line_no, index)
                 if record.id in seen:
                     raise MalformedRecord(line_no, f"duplicate record id {record.id!r}")
                 seen.add(record.id)

@@ -794,7 +794,8 @@ def test_determinism_script_passes_under_this_interpreter(capsys):
     assert check_determinism.main([sys.executable]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.rsplit(" ", 2)[1:] for line in lines] == [
-        ["pipeline-default:", "ok"], ["strong_pair:", "ok"], ["evaluate-reordered:", "ok"]]
+        ["pipeline-default:", "ok"], ["strong_pair:", "ok"], ["evaluate-reordered:", "ok"],
+        ["augment:", "ok"]]
 
 
 def test_pipeline_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):
@@ -1021,3 +1022,127 @@ def test_pipeline_run_summary_counts_skips_by_reason(tmp_path):
     assert skips["no-labelable-sentence"] > 0
     assert sum(skips.values()) == summary["augmentation"]["skipped"]
     assert "skips" not in json.dumps(summary)
+
+
+@pytest.mark.parametrize("value", ["positive", 1, ["x"], {}],
+                         ids=["lowercase", "int", "list", "object"])
+def test_a_label_value_that_is_no_status_is_data_error(tmp_path, capsys, value):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"id": "a", "report": ["Fine."], "labels": {"Edema": value},
+                                "provenance": "Original"}) + "\n")
+    out = tmp_path / "l.jsonl"
+    assert run(["--quiet", "label", "--corpus", str(path), "--out", str(out)]) == EXIT_DATA
+    assert f"{path}: line 1: unknown status {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _augment_into(out_dir, corpus_path, *flags):
+    """Run augment into *out_dir* over an existing output and summary, and
+    return the exit code and the directory's files with their bytes."""
+    out_dir.mkdir(exist_ok=True)
+    (out_dir / "a.jsonl").write_text("old output\n")
+    (out_dir / "s.json").write_text("old summary\n")
+    rc = run(["--quiet", "augment", "--corpus", str(corpus_path), "--seed", "7", *flags,
+              "--out", str(out_dir / "a.jsonl"), "--summary", str(out_dir / "s.json")])
+    return rc, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+UNTOUCHED = {"a.jsonl": b"old output\n", "s.json": b"old summary\n"}
+
+
+def test_augment_reports_a_counterfactual_record_before_a_later_bad_line(tmp_path, capsys):
+    # augment streams: line 3 is reported, not line 10 as when the whole
+    # corpus was read before the records were checked
+    corpus_path = _small_corpus(tmp_path, n=12)
+    lines = corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    obj = json.loads(lines[2])
+    obj.update(provenance="Counterfactual", source_id=json.loads(lines[0])["id"])
+    lines[2], lines[9] = json.dumps(obj) + "\n", "{not json\n"
+    corpus_path.write_text("".join(lines), encoding="utf-8")
+    rc, left = _augment_into(tmp_path / "out", corpus_path, "--rate", "1.0")
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert f"record {obj['id']!r} is already counterfactual" in err and "line 10" not in err
+    assert left == UNTOUCHED
+
+
+def test_augment_checks_twin_ids_only_after_the_whole_read(tmp_path, schema, capsys):
+    # r000000's twin id is a later record's id, and the last line is bad:
+    # the collision is found after the read, so the bad line is reported
+    texts = ["There is a moderate left apical pneumothorax.",
+             "There is a small right pleural effusion."]
+    records = [make_record(rid, texts, schema) for rid in ("r000000", "r000001", "r000000#cf")]
+    corpus_path = tmp_path / "c.jsonl"
+    write_corpus(Corpus(schema, tuple(records)), str(corpus_path))
+    rc, left = _augment_into(tmp_path / "out", corpus_path, "--rate", "1.0")
+    assert (rc, left) == (EXIT_DATA, UNTOUCHED)
+    assert "'r000000#cf' is already a record id" in capsys.readouterr().err
+    with open(corpus_path, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    rc, left = _augment_into(tmp_path / "out", corpus_path, "--rate", "1.0")
+    assert (rc, left) == (EXIT_DATA, UNTOUCHED)
+    assert f"{corpus_path}: line 4: invalid JSON" in capsys.readouterr().err
+
+
+def test_augment_memory_grows_by_less_than_512_b_per_record(tmp_path):
+    # augment streams its records to the output and spools their twins on
+    # disk; it keeps a byte per record, the read's record ids and the
+    # labeler's memo of distinct sentences
+    import tracemalloc
+
+    corpora = {}
+    for n in (100, 400):
+        (tmp_path / str(n)).mkdir()
+        corpora[n] = _small_corpus(tmp_path / str(n), n=n, seed=7)
+
+    def augment(n):
+        return run(["--quiet", "augment", "--corpus", str(corpora[n]), "--rate", "1.0",
+                    "--seed", "7", "--out", str(tmp_path / f"{n}.jsonl")])
+
+    assert augment(400) == EXIT_OK
+    peaks = {}
+    for n in (100, 400):
+        tracemalloc.start()
+        try:
+            assert augment(n) == EXIT_OK
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[400] - peaks[100]) / 300 < 512
+
+
+def _hand_edited(line: str, k: int) -> str:
+    """A corpus line as a person might write it: spaced, keys in another
+    order, integer feature values and, on every third line, null labels."""
+    obj = json.loads(line)
+    if k % 3 == 0:
+        obj["labels"] = None
+    for entry in obj["features"][k % 2::2]:
+        if not entry["masked"]:
+            entry["vec"][0] = k
+    return json.dumps(dict(reversed(obj.items())), separators=(" , ", " : ")) + "\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-css"], ["--no-crr"]], ids=["css-crr", "crr-only",
+                                                                          "css-only"])
+def test_augment_writes_the_bytes_of_the_in_memory_reference(tmp_path, schema, matcher, flags):
+    from coaug.augment import AugmentationConfig, augment_dataset
+
+    original = _small_corpus(tmp_path, n=60, seed=7)
+    labeled = tmp_path / "l.jsonl"
+    assert run(["--quiet", "label", "--corpus", str(original), "--out", str(labeled)]) == EXIT_OK
+    lines = labeled.read_text(encoding="utf-8").splitlines(keepends=True)
+    edited = [_hand_edited(line, k) for k, line in enumerate(lines)]
+    edited.insert(5, "\n")
+    labeled.write_text("".join(edited), encoding="utf-8")
+    out, reference = tmp_path / "a.jsonl", tmp_path / "ref.jsonl"
+    assert run(["--quiet", "augment", "--corpus", str(labeled), "--rate", "0.37",
+                "--seed", "7", *flags, "--out", str(out)]) == EXIT_OK
+    cfg = AugmentationConfig(rate=0.37, seed=7, enable_css="--no-css" not in flags,
+                             enable_crr="--no-crr" not in flags)
+    augmented, summary = augment_dataset(read_corpus(str(labeled), schema), matcher, cfg)
+    write_corpus(augmented, str(reference))
+    assert summary.augmented > 0
+    # the records are written as read and encoded again, not copied
+    assert not out.read_bytes().startswith(edited[0].encode("utf-8"))
+    assert out.read_bytes() == reference.read_bytes()

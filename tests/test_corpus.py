@@ -577,3 +577,17 @@ def test_reading_a_corpus_quantizes_no_feature(tmp_path, schema, monkeypatch):
     assert [r.id for r in back] == [r.id for r in records]
     monkeypatch.undo()
     assert back.records == tuple(records)
+
+
+@pytest.mark.parametrize("value", ["positive", 1, ["x"], {}],
+                         ids=["lowercase", "int", "list", "object"])
+def test_a_label_value_that_is_no_status_is_malformed(tmp_path, schema, value):
+    # an unhashable value is reported like any other, not as a TypeError
+    path = tmp_path / "c.jsonl"
+    good = json.dumps({"id": "a", "report": ["Fine."], "labels": {"Edema": "Positive"},
+                       "provenance": "Original"})
+    bad = json.dumps({"id": "b", "report": ["Fine."], "labels": {"Edema": value},
+                      "provenance": "Original"})
+    path.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(MalformedRecord, match=r"line 2: unknown status "):
+        read_corpus(str(path), schema)

@@ -4,7 +4,7 @@
     python tools/check_determinism.py [PYTHON ...]
 
 For each interpreter (by default the one running this script) it runs
-three commands of this checkout's ``src`` in fresh temporary directories
+four commands of this checkout's ``src`` in fresh temporary directories
 and compares the sha256 of every artifact but the ``.run.json`` timing
 sidecar:
 
@@ -16,7 +16,11 @@ sidecar:
   the 1,500 seed-7 report pairs that ``perfbench/freetext.py`` (imported,
   only read) builds, as the benchmark workload of that name does,
   against ``perfbench/reference_digests.json``.  The pairs are built
-  once, by the interpreter running this script.
+  once, by the interpreter running this script;
+* augment, ``augment --rate 1.0 --seed 7`` of pipeline-default's
+  ``labeled.jsonl``, against pipeline-default's ``augmented.jsonl`` and
+  ``.schema`` digests.  That ``labeled.jsonl`` is written once, by
+  ``pipeline`` under the interpreter running this script.
 
 It prints one line per interpreter and case and exits 0 when every
 digest matches, 1 otherwise.  Standard library only, so an interpreter
@@ -84,22 +88,33 @@ def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str
     def pipeline(*args: str) -> Callable[[Path], list[str]]:
         return lambda out: ["pipeline", *args, "--outdir", str(out)]
 
+    default = pipeline("--scenario", "default", "--seed", "7", "--n", "1600", "--rate", "1.0")
+    coaug(sys.executable, default(inputs / "pipeline-default"))
+    labeled = inputs / "pipeline-default" / "labeled.jsonl"
+    augmented = {name: digest for name, digest in reference["pipeline-default"].items()
+                 if name.startswith("augmented.jsonl")}
     return {
-        "pipeline-default": (pipeline("--scenario", "default", "--seed", "7", "--n", "1600",
-                                      "--rate", "1.0"), reference["pipeline-default"]),
+        "pipeline-default": (default, reference["pipeline-default"]),
         "strong_pair": (pipeline("--scenario", "strong_pair", "--seed", "11", "--n", "400",
                                  "--rate", "0.5"), STRONG_PAIR_SEED11_DIGESTS),
         "evaluate-reordered": (lambda out: [*evaluate, "--out", str(out / "scores.json")],
                                reference["evaluate-reordered"]),
+        "augment": (lambda out: ["augment", "--corpus", str(labeled), "--rate", "1.0",
+                                 "--seed", "7", "--out", str(out / "augmented.jsonl")],
+                    augmented),
     }
+
+
+def coaug(python: str, argv: list[str]) -> None:
+    """Run this checkout's coaug under *python*."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([python, "-m", "coaug", "--quiet", *argv], env=env, check=True)
 
 
 def run_case(python: str, argv: Callable[[Path], list[str]]) -> dict[str, str]:
     """The artifact digests of one coaug command run under *python*."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="coaug-determinism-") as out:
-        subprocess.run([python, "-m", "coaug", "--quiet", *argv(Path(out))],
-                       env=env, check=True)
+        coaug(python, argv(Path(out)))
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(Path(out).iterdir()) if not p.name.endswith(".run.json")}
 
