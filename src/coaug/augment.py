@@ -16,19 +16,24 @@ exactly when its source is, with ``label_report`` of its own report;
 labels ignore sentence order, so the reordering cannot change them.
 
 Each record draws from its own stream (seed + record id), so a dataset
-augmentation is a pure function of (corpus, lexicon, config) in whatever
-order its records are processed: ``augment_dataset`` holds the corpus,
-``TwinSpool`` takes the records one at a time and holds none.
+augmentation is a pure function of (corpus, lexicon, config).  One driver
+runs it: ``TwinSpool`` takes the records one at a time, spools each twin's
+line on disk and chooses among them at the end; ``augment_dataset`` feeds it
+a corpus held in memory.  What grows with the corpus is one fate byte per
+record, plus 8 B per eligible record while the twins are chosen.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import tempfile
+from array import array
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, TextIO, TypeVar, Union
+from itertools import compress
+from typing import Mapping, Optional, TextIO, Union
 
 from .corpus import (Corpus, DiseaseStatus, LabelSchema, Provenance, Record, Report,
                      record_to_line)
@@ -46,9 +51,8 @@ MIN_SENTENCES = 2  # CSS leaves at least one sentence
 SKIP_REASONS = ("below-min-sentences", "no-labelable-sentence")
 
 TWIN_SUFFIX = "#cf"  # a twin's id is its source's id and this
-_INELIGIBLE, _SPOOLED, _SPOOLED_ORPHAN, _SKIPPED = range(4)  # a twin's fate in a TwinSpool
-
-T = TypeVar("T")
+# a twin's fate in a TwinSpool; a skipped one's is _SKIPPED + its SKIP_REASONS index
+_INELIGIBLE, _SPOOLED, _SPOOLED_ORPHAN, _SKIPPED = range(4)
 
 
 @dataclass(frozen=True)
@@ -186,88 +190,29 @@ def record_twin(record: Record, matcher: Matcher,
     return augment_record(record, matcher, RngStream.for_record(cfg.seed, record.id), cfg)
 
 
-def _select(indices: list[int], target: int, seed: int) -> list[int]:
-    # partial Fisher-Yates over the eligible list, order fixed by the seed
-    if target >= len(indices):
-        return list(indices)
-    pool = list(indices)
-    stream = RngStream.for_label(seed, _SELECTION_KEY)
-    for i in range(target):
-        j = i + stream.randrange(len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return sorted(pool[:target])
-
-
-def augment(n: int, eligible: list[int],
-            twin: Callable[[int], Union[Skip, tuple[T, bool]]],
-            cfg: AugmentationConfig) -> tuple[dict[int, T], AugmentSummary, dict[str, int]]:
-    """Choose floor(rate * n) of an n-record corpus's *eligible* positions
-    uniformly without replacement.  ``twin`` gives each chosen position's
-    Skip, or its twin and whether the twin has an orphan mention.  Returns
-    the twins by source position, in order, the counts, and the skips by
-    reason."""
-    target = math.floor(cfg.rate * n)
-    summary = AugmentSummary(originals=n, eligible=len(eligible), target=target,
-                             shortfall=max(0, target - len(eligible)))
-    skips = dict.fromkeys(SKIP_REASONS, 0)
-    twins: dict[int, T] = {}
-    for index in _select(eligible, target, cfg.seed):
-        outcome = twin(index)
-        if isinstance(outcome, Skip):
-            summary.skipped += 1
-            skips[outcome.reason] += 1
-            continue
-        twins[index], orphan = outcome
-        summary.augmented += 1
-        summary.orphan_flagged += orphan
-    return twins, summary, skips
-
-
-def _check_original(record: Record) -> None:
-    if record.provenance is not Provenance.ORIGINAL:
-        raise CoaugError(f"record {record.id!r} is already counterfactual; "
-                         "augment_dataset requires an all-Original corpus")
-
-
-def _id_taken(source_id: str) -> CoaugError:
-    return CoaugError(f"record {source_id!r}: its twin's id "
-                      f"{source_id + TWIN_SUFFIX!r} is already a record id")
-
-
 def augment_dataset(corpus: Corpus, matcher: Matcher,
                     cfg: AugmentationConfig) -> tuple[Corpus, AugmentSummary]:
-    """Augment floor(rate * |corpus|) records chosen uniformly without
-    replacement among the eligible ones; output is the originals in
-    input order followed by the twins ordered by source position.  A
-    twin whose id is already a record's id is a ``CoaugError``."""
-    for record in corpus:
-        _check_original(record)
-    records = corpus.records
-    ids = {record.id for record in records}
-
-    def twin(index: int) -> Union[Skip, tuple[Record, bool]]:
-        outcome = record_twin(records[index], matcher, cfg)
-        if isinstance(outcome, Skip):
-            return outcome
-        if outcome.record.id in ids:
-            raise _id_taken(records[index].id)
-        return outcome.record, ORPHAN_MENTION in outcome.flags
-
-    eligible = [i for i, r in enumerate(records) if is_eligible(r, cfg)]
-    twins, summary, _ = augment(len(records), eligible, twin, cfg)
-    return Corpus(corpus.schema, records + tuple(twins.values())), summary
+    """``TwinSpool`` of a corpus held in memory: the originals in input
+    order followed by the chosen twins ordered by source position."""
+    with open(os.devnull, "w", encoding="utf-8") as out, \
+            TwinSpool(out, None, corpus.schema, matcher, cfg) as spool:
+        twins = [twin for record in corpus if (twin := spool.add(record, "")) is not None]
+        rows, summary, _ = spool.finish()
+    return Corpus(corpus.schema, corpus.records + tuple(twins[row] for row in rows)), summary
 
 
 class TwinSpool(AbstractContextManager):
-    """``augment_dataset`` of records fed in corpus order: ``add`` writes a
-    record's line to *out* and spools its twin's line in *directory*, and
-    ``finish`` appends the chosen twins'.  It keeps a fate byte per record
-    and the ids ending in ``TWIN_SUFFIX``, which alone a twin's id can equal."""
+    """Augmentation of records fed in corpus order: ``add`` writes a record's
+    line to *out* and spools its twin's line in *directory*, and ``finish``
+    chooses floor(rate * n) of the n records' eligible positions uniformly
+    without replacement and appends the chosen twins' lines.  It keeps a fate
+    byte per record and the ids ending in ``TWIN_SUFFIX``, which alone a
+    twin's id can equal."""
 
-    def __init__(self, out: TextIO, directory: str, schema: LabelSchema,
+    def __init__(self, out: TextIO, directory: Optional[str], schema: LabelSchema,
                  matcher: Matcher, cfg: AugmentationConfig):
         self.out, self.schema, self.matcher, self.cfg = out, schema, matcher, cfg
-        self.fates, self.skips, self.twin_ids = bytearray(), {}, set()
+        self.fates, self.twin_ids = bytearray(), set()
         self.spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=directory)
 
     def __exit__(self, *exc) -> None:
@@ -275,7 +220,9 @@ class TwinSpool(AbstractContextManager):
 
     def add(self, record: Record, line: str) -> Optional[Record]:
         """Write *record*'s *line*; returns its twin if the twin is spooled."""
-        _check_original(record)
+        if record.provenance is not Provenance.ORIGINAL:
+            raise CoaugError(f"record {record.id!r} is already counterfactual; "
+                             "augmentation requires an all-Original corpus")
         self.out.write(line)
         if record.id.endswith(TWIN_SUFFIX):
             self.twin_ids.add(record.id)
@@ -283,7 +230,7 @@ class TwinSpool(AbstractContextManager):
         if is_eligible(record, self.cfg):
             outcome = record_twin(record, self.matcher, self.cfg)
             if isinstance(outcome, Skip):
-                fate, self.skips[len(self.fates)] = _SKIPPED, outcome
+                fate = _SKIPPED + SKIP_REASONS.index(outcome.reason)
             else:
                 twin = outcome.record
                 self.spool.write(record_to_line(twin, self.schema) + "\n")
@@ -291,21 +238,42 @@ class TwinSpool(AbstractContextManager):
         self.fates.append(fate)
         return twin
 
-    def _twin(self, i: int) -> Union[Skip, tuple[None, bool]]:
-        return self.skips.get(i) or (None, self.fates[i] == _SPOOLED_ORPHAN)
-
-    def finish(self) -> tuple[list[int], AugmentSummary, dict[str, int]]:
+    def finish(self) -> tuple[array, AugmentSummary, dict[str, int]]:
         """Append the chosen twins' lines, or raise if one's id is a record's;
-        returns their rows among the spooled twins, the counts and skips."""
-        eligible = [i for i, fate in enumerate(self.fates) if fate != _INELIGIBLE]
-        chosen, summary, skips = augment(len(self.fates), eligible, self._twin, self.cfg)
-        spooled = (i for i, fate in enumerate(self.fates) if fate in (_SPOOLED, _SPOOLED_ORPHAN))
-        rows = []
+        returns their rows among the spooled twins, the counts and the skips
+        by reason."""
+        fates, n = self.fates, len(self.fates)
+        target = math.floor(self.cfg.rate * n)
+        eligible = n - fates.count(_INELIGIBLE)
+        chosen = fates if target >= eligible else _choose(fates, target, self.cfg.seed)
+        skips = {reason: chosen.count(_SKIPPED + k) for k, reason in enumerate(SKIP_REASONS)}
+        orphans = chosen.count(_SPOOLED_ORPHAN)
+        summary = AugmentSummary(originals=n, eligible=eligible, target=target,
+                                 augmented=chosen.count(_SPOOLED) + orphans,
+                                 skipped=sum(skips.values()), orphan_flagged=orphans,
+                                 shortfall=max(0, target - eligible))
+        rows = array("q")
         self.spool.seek(0)
-        for row, (i, line) in enumerate(zip(spooled, self.spool)):
-            if i in chosen:
+        # the chosen fate of each spooled twin, in spool order
+        picks = (pick for fate, pick in zip(fates, chosen) if fate in (_SPOOLED, _SPOOLED_ORPHAN))
+        for row, (pick, line) in enumerate(zip(picks, self.spool)):
+            if pick:
                 if self.twin_ids and (twin_id := json.loads(line)["id"]) in self.twin_ids:
-                    raise _id_taken(twin_id[:-len(TWIN_SUFFIX)])
+                    raise CoaugError(f"record {twin_id[:-len(TWIN_SUFFIX)]!r}: its twin's id "
+                                     f"{twin_id!r} is already a record id")
                 self.out.write(line)
                 rows.append(row)
         return rows, summary, skips
+
+
+def _choose(fates: bytearray, target: int, seed: int) -> bytearray:
+    """*fates* at *target* of the eligible positions, chosen by a partial
+    Fisher-Yates whose order the seed fixes, and ``_INELIGIBLE`` elsewhere."""
+    pool = array("q", compress(range(len(fates)), fates))
+    stream = RngStream.for_label(seed, _SELECTION_KEY)
+    chosen = bytearray(len(fates))
+    for i in range(target):
+        j = i + stream.randrange(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+        chosen[pool[i]] = fates[pool[i]]
+    return chosen

@@ -280,7 +280,10 @@ def _cmd_augment(args) -> int:
     with corpus.atomic_writer(args.out) as out, aug.TwinSpool(
             out, os.path.dirname(os.path.abspath(args.out)), schema, matcher, cfg) as twins:
         for record in records:
-            twins.add(record, corpus.record_to_line(record, schema) + "\n")
+            try:
+                twins.add(record, corpus.record_to_line(record, schema) + "\n")
+            except CoaugError as exc:  # an already counterfactual record
+                raise CoaugError(f"{args.corpus}: {exc}") from None
         _, summary, _ = twins.finish()
     corpus.write_schema(schema, corpus.schema_path_for(args.out))
     if args.summary:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -493,9 +492,10 @@ def default_schema(d: int = 16) -> LabelSchema:
 @contextmanager
 def atomic_writer(path: str) -> Iterator[TextIO]:
     """A text file whose lines replace *path* when the block ends; on error
-    the temporary file is removed and *path* is kept."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-coaug-")
+    the temporary file is removed and *path* is kept.  Like ``open``, it is
+    created with mode 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-coaug-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh

@@ -149,13 +149,10 @@ def label_report(report: Report, matcher: Matcher) -> ReportLabelVector:
     return ReportLabelVector(tuple(statuses))
 
 
-def label_corpus(corpus: Corpus, matcher: Matcher, keep_existing: bool = False) -> Corpus:
-    """Attach report labels to every record.  With *keep_existing*,
-    records that already carry labels keep them."""
-    return Corpus(corpus.schema, tuple(
-        r if keep_existing and r.labels is not None
-        else r.with_labels(label_report(r.report, matcher))
-        for r in corpus.records))
+def label_corpus(corpus: Corpus, matcher: Matcher) -> Corpus:
+    """Attach report labels to every record."""
+    return Corpus(corpus.schema, tuple(r.with_labels(label_report(r.report, matcher))
+                                       for r in corpus.records))
 
 
 # ---------------------------------------------------------------------------

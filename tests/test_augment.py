@@ -1,14 +1,20 @@
 import dataclasses
+import io
+import json
+import math
+import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coaug.augment import (
     MIN_SENTENCES,
     ORPHAN_MENTION,
+    SKIP_REASONS,
     AugmentationConfig,
     Skip,
+    TwinSpool,
     augment_dataset,
     augment_record,
     crr_augment,
@@ -325,6 +331,93 @@ def test_decoupling_invariant_on_strong_pair_corpus(schema, matcher):
     augmented, _ = augment_dataset(
         labeled, matcher, AugmentationConfig(rate=1.0, seed=cfg.seed)
     )
-    relabeled = label_corpus(augmented, matcher, keep_existing=True)
-    lift_after = co_mention_lift(relabeled, 8, 9)
+    assert all(r.labels is not None for r in augmented)  # twins of labeled records
+    lift_after = co_mention_lift(augmented, 8, 9)
     assert lift_before - lift_after > 0.06
+
+
+# ---------------------------------------------------------------------------
+# TwinSpool's choice over its fate bytes, against the list-based choice it replaced
+
+_FATES = st.binary().map(lambda b: bytearray(k % 5 for k in b))  # ineligible..skipped
+
+
+def _reference_choice(fates, cfg):
+    """The chosen positions, counts and skips as a list copy of the
+    eligible positions, a partial Fisher-Yates and a sort gave them."""
+    indices = [i for i, fate in enumerate(fates) if fate != 0]
+    target = math.floor(cfg.rate * len(fates))
+    if target >= len(indices):
+        chosen = list(indices)
+    else:
+        pool = list(indices)
+        stream = RngStream.for_label(cfg.seed, "augment:selection")
+        for i in range(target):
+            j = i + stream.randrange(len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        chosen = sorted(pool[:target])
+    summary = dict(originals=len(fates), eligible=len(indices), target=target, augmented=0,
+                   skipped=0, orphan_flagged=0, shortfall=max(0, target - len(indices)))
+    skips = dict.fromkeys(SKIP_REASONS, 0)
+    for i in chosen:
+        if fates[i] >= 3:
+            summary["skipped"] += 1
+            skips[SKIP_REASONS[fates[i] - 3]] += 1
+        else:
+            summary["augmented"] += 1
+            summary["orphan_flagged"] += fates[i] == 2
+    return chosen, summary, skips
+
+
+@settings(max_examples=300, deadline=None)
+@given(fates=_FATES, rate=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+@example(fates=bytearray(), rate=1.0, seed=3)  # no records
+@example(fates=bytearray(b"\x03\x00\x04\x01\x02"), rate=1.0, seed=0)  # every fate, all chosen
+def test_twin_spool_chooses_as_the_list_based_reference(schema, matcher, fates, rate, seed):
+    cfg = AugmentationConfig(rate=rate, seed=seed)
+    chosen, summary, skips = _reference_choice(fates, cfg)
+    spooled = [i for i, fate in enumerate(fates) if fate in (1, 2)]
+    out = io.StringIO()
+    with TwinSpool(out, None, schema, matcher, cfg) as spool:
+        spool.fates = bytearray(fates)
+        spool.spool.writelines(json.dumps({"id": f"r{i}#cf"}) + "\n" for i in spooled)
+        rows, got_summary, got_skips = spool.finish()
+    assert dataclasses.asdict(got_summary) == summary
+    assert got_skips == skips
+    assert list(rows) == [row for row, i in enumerate(spooled) if i in frozenset(chosen)]
+    assert out.getvalue() == "".join(json.dumps({"id": f"r{spooled[row]}#cf"}) + "\n"
+                                     for row in rows)
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.5])
+@pytest.mark.parametrize("texts, skipped", [
+    (["Heart size is normal.", "The lungs are clear."], True),  # no labelable sentence
+    (CSS_TEXTS[:2], False),  # every sentence labelable: each twin is spooled
+], ids=["all-skipped", "all-spooled"])
+def test_twin_spool_grows_by_less_than_32_b_per_record(schema, matcher, rate, texts, skipped):
+    # a fate byte per record, 8 B per eligible record while choosing, and
+    # the rows of the chosen twins
+    import tracemalloc
+
+    cfg = AugmentationConfig(rate=rate, seed=5)
+
+    def spool(n):
+        with open(os.devnull, "w", encoding="utf-8") as out, \
+                TwinSpool(out, None, schema, matcher, cfg) as twins:
+            for i in range(n):
+                twins.add(make_record(f"r{i:06d}", texts, schema), "")
+            rows, summary, _ = twins.finish()
+        chosen = math.floor(rate * n)
+        assert (summary.augmented, summary.skipped) == ((0, chosen) if skipped else (chosen, 0))
+        assert len(rows) == summary.augmented
+
+    spool(3000)
+    peaks = {}
+    for n in (1000, 4000):
+        tracemalloc.start()
+        try:
+            spool(n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[4000] - peaks[1000]) / 3000 < 32

@@ -189,6 +189,23 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     assert pair["after"]["co_mention_lift"] < pair["before"]["co_mention_lift"]
 
 
+def test_artifacts_take_their_mode_from_the_umask(tmp_path):
+    # a temporary file made by mkstemp is 0600, and its mode survived the rename
+    old = os.umask(0o022)
+    try:
+        assert run(["--quiet", "pipeline", "--scenario", "strong_pair", "--n", "50",
+                    "--seed", "11", "--outdir", str(tmp_path / "pipe")]) == EXIT_OK
+        assert run(["--quiet", "augment", "--corpus", str(tmp_path / "pipe" / "labeled.jsonl"),
+                    "--rate", "0.5", "--out", str(tmp_path / "a.jsonl"),
+                    "--summary", str(tmp_path / "s.json")]) == EXIT_OK
+    finally:
+        os.umask(old)
+    written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert len(written) == 10 + 4
+    assert {p.name: oct(p.stat().st_mode & 0o777) for p in written} == {
+        p.name: oct(0o644) for p in written}
+
+
 def test_pipeline_moves_planted_lift_toward_one(tmp_path):
     outdir = tmp_path / "strong"
     rc = run(["--quiet", "pipeline", "--scenario", "strong_pair", "--n", "4000",
@@ -1063,6 +1080,9 @@ def test_augment_reports_a_counterfactual_record_before_a_later_bad_line(tmp_pat
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert f"record {obj['id']!r} is already counterfactual" in err and "line 10" not in err
+    # the message names the corpus and no function of the library
+    assert err.startswith(f"error: {corpus_path}: record {obj['id']!r} ")
+    assert "augment_dataset" not in err and "all-Original corpus" in err
     assert left == UNTOUCHED
 
 
