@@ -382,10 +382,11 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                  schema_path: Optional[str] = None) -> tuple[dict, dict, dict]:
     """synth -> label -> analyze(before) -> augment -> analyze(after) in one
     pass over the records, writing every artifact under *outdir*; returns the
-    summary, the seconds of each stage's per-record work and the augmentation
-    skips by reason.  No record is kept: each labeled record leaves its
-    columns and its ``TwinSpool`` byte, and each spooled twin its columns;
-    below rate 1.0 the twins not chosen are built in vain."""
+    summary, the seconds of each stage's per-record work and the counts: the
+    augmentation skips by reason and the labeler's.  No record is kept: each
+    labeled record leaves its columns and its ``TwinSpool`` byte, and each
+    spooled twin its columns; below rate 1.0 the twins not chosen are built
+    in vain."""
     schema = corpus.read_schema(schema_path or default_schema_path())
     matcher = labeler.default_matcher(schema)
     cfg = _synth_config(scenario_path, schema, n, seed)
@@ -412,11 +413,12 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
         t = time.monotonic()
         for record in synth.synth_records(cfg, schema):
             t = lap("synth", t)
-            original_out.write(corpus.record_to_line(record, schema) + "\n")
+            line = corpus.record_to_line(record, schema)
+            original_out.write(line + "\n")
             t = lap("write_original", t)
             record = record.with_labels(labeler.label_report(record.report, matcher))
             t = lap("label", t)
-            line = corpus.record_to_line(record, schema) + "\n"
+            line = corpus.labeled_line(line, record, schema) + "\n"
             labeled_out.write(line)
             t = lap("write_labeled", t)
             columns.append(record)
@@ -428,6 +430,8 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                 t = lap("analyze_after", t)
         rows, asummary, skip_counts = twins.finish()
         t = lap("augment", t)
+    statuses = dict(zip(schema.names, columns.status_counts()))
+    counts = {"skips": skip_counts, "labeler": {**matcher.counts(), "statuses": statuses}}
     for path in (original_path, labeled_path, augmented_path):
         corpus.write_schema(schema, corpus.schema_path_for(path))
     t = lap("write_augmented", t)
@@ -453,18 +457,17 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)
     stage_seconds = {stage: round(seconds, 3) for stage, seconds in stages.items()}
-    return summary, stage_seconds, skip_counts
+    return summary, stage_seconds, counts
 
 
 def _cmd_pipeline(args) -> int:
     started = time.monotonic()
-    summary, stages, skips = run_pipeline(_resolve_scenario(args.scenario), args.seed,
-                                          args.outdir, args.n, args.rate, args.schema)
+    summary, stages, counts = run_pipeline(_resolve_scenario(args.scenario), args.seed,
+                                           args.outdir, args.n, args.rate, args.schema)
     sizes = {name: os.path.getsize(os.path.join(args.outdir, name)) for name in PIPELINE_CORPORA}
     _run_sidecar(os.path.join(args.outdir, "summary.json"), "pipeline",
                  {"scenario": os.path.basename(args.scenario)}, summary["seed"],
-                 {"records_augmented": summary["records_augmented"], "bytes": sizes,
-                  "skips": skips},
+                 {"records_augmented": summary["records_augmented"], "bytes": sizes, **counts},
                  started, stages=stages)
     _info(args, f"pipeline: artifacts in {args.outdir}")
     return EXIT_OK

@@ -288,6 +288,12 @@ class LabelColumns:
             if self.matcher is not None:
                 self._add_firsts(other.firsts[row * n:(row + 1) * n])
 
+    def status_counts(self) -> list[dict[str, int]]:
+        """Per disease, its records of each status, keyed by the status's value."""
+        return [{value: self._column(self.statuses, disease).count(code)
+                 for code, value in enumerate(_STATUS_STRATA)}
+                for disease in range(self.n_diseases)]
+
     def _add_firsts(self, firsts) -> None:
         try:
             self.firsts += array(self.firsts.typecode, firsts)

@@ -18,13 +18,17 @@ record's features are written as.  The texts come from one cached
 ``%``-template per vector shape that writes every value with ``%.9g``:
 a vector's pieces are its text when each has a ``.`` and no exponent,
 since such a piece is the ``repr`` of its float; otherwise the text is
-``float.__repr__`` of the quantized values, or ``json.dumps`` when one
+``float.__repr__`` of the quantized values, or json's text when one
 is NaN or infinite.  The floats are parsed back from the texts only
 when asked for, which writing a record never does.
 ``FeatureBundle.mask`` builds a counterfactual twin's bundle from its
 source's texts: the kept texts (and vectors, once parsed) are the
 source's objects, each masked vector is zeros with a text shared per
 dimension, and nothing is quantized again.
+
+A line is joined from pieces in json's key order, its labels from a
+per-schema table of ``"Name":"Status"`` pieces, and ``labeled_line``
+splices the labels into the line of the same record without them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .errors import MalformedRecord, MissingFile, SchemaMismatch, UnknownDisease
@@ -162,13 +167,13 @@ def _vector_texts(values: tuple, lengths: tuple[int, ...],
 def _repr_row(row: str, n: int) -> str:
     """An unmasked vector text of n ``%.9g`` pieces, with ``float.__repr__``
     of the quantized values in place of the pieces unless each is its own
-    repr, or ``json.dumps`` when one is NaN or infinite."""
+    repr, or json's text when one is NaN or infinite."""
     if row.count(".") == n and row.count("e") == _ROW_E and "n" not in row:
         return row
     values = list(map(float, row[len(_ROW_HEAD):-len(_ROW_TAIL)].split(",")))
     body = ",".join(map(float.__repr__, values))
     # json writes a finite float as its repr; only nan/inf have an "n"
-    return _dumps({"vec": values, "masked": False}) if "n" in body else _ROW_HEAD + body + _ROW_TAIL
+    return _encode({"vec": values, "masked": False}) if "n" in body else _ROW_HEAD + body + _ROW_TAIL
 
 
 def _parse_vectors(texts: tuple[str, ...], lengths: tuple[int, ...]
@@ -357,8 +362,9 @@ def validate_record(record: Record, schema: LabelSchema) -> Optional[Violation]:
 # serialization
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# json.dumps with these arguments would build a new encoder on every call
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_quote = json.encoder.encode_basestring  # what _encode writes a str as, in a list too
 
 
 def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int, index: dict) -> Record:
@@ -511,21 +517,43 @@ def atomic_write_text(path: str, data: str) -> None:
         fh.write(data)
 
 
+_VALUE = attrgetter("_value_")  # an enum member's value, without the ``value`` descriptor
+_PROVENANCE = ',"provenance":'  # once in a line without labels: a string's quotes are escaped
+_PROVENANCE_PIECES = {p.value: _PROVENANCE + _encode(p.value) for p in Provenance}
+
+
+@lru_cache(maxsize=16)
+def _label_pieces(names: tuple[str, ...]) -> tuple[dict[str, str], ...]:
+    """Per disease, each status value's ``"Name":"Status"`` piece; "" for Unmentioned."""
+    return tuple({s.value: "" if s is DiseaseStatus.UNMENTIONED
+                  else f"{_encode(name)}:{_encode(s.value)}" for s in DiseaseStatus}
+                 for name in names)
+
+
+def _labels_piece(labels: ReportLabelVector, schema: LabelSchema) -> str:
+    pieces = map(dict.__getitem__, _label_pieces(schema.names), map(_VALUE, labels.statuses))
+    return ',"labels":{' + ",".join(filter(None, pieces)) + "}"
+
+
 def record_to_line(record: Record, schema: LabelSchema) -> str:
-    head = {"id": record.id, "report": record.report.texts()}
-    tail: dict = {}
+    """The record's JSON line, without the newline, in json's key order."""
+    texts = ",".join(map(_quote, record.report.texts()))
+    line = '{"id":' + _encode(record.id) + ',"report":[' + texts + "]"
+    if record.features is not None:
+        line += ',"features":[' + ",".join(record.features.texts) + "]"
     if record.labels is not None:
-        tail["labels"] = {name: status.value
-                          for name, status in zip(schema.names, record.labels.statuses)
-                          if status is not DiseaseStatus.UNMENTIONED}
-    tail["provenance"] = record.provenance.value
+        line += _labels_piece(record.labels, schema)
+    line += _PROVENANCE_PIECES[_VALUE(record.provenance)]
     if record.source_id is not None:
-        tail["source_id"] = record.source_id
-    if record.features is None:
-        return _dumps({**head, **tail})
-    # the vectors' kept texts, spliced in where json puts "features"
-    features = ",".join(record.features.texts)
-    return f'{_dumps(head)[:-1]},"features":[{features}],{_dumps(tail)[1:]}'
+        line += ',"source_id":' + _encode(record.source_id)
+    return line + "}"
+
+
+def labeled_line(line: str, record: Record, schema: LabelSchema) -> str:
+    """``record_to_line(record, schema)`` from *line*, the line of *record*
+    without its labels: the labels piece goes in before the provenance."""
+    at = line.rindex(_PROVENANCE)
+    return line[:at] + _labels_piece(record.labels, schema) + line[at:]
 
 
 def write_records(records: Iterable[Record], schema: LabelSchema, path: str) -> int:

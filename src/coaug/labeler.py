@@ -91,6 +91,7 @@ class Matcher:
         # sentence text -> labels; label outcome -> its one read-only copy
         self._memo: dict[str, Mapping[int, DiseaseStatus]] = {}
         self._outcomes: dict[tuple, Mapping[int, DiseaseStatus]] = {}
+        self.sentences = 0  # of the reports label_report labeled with this matcher
 
     def label_tokens(self, tokens: Sequence[str]) -> dict[int, DiseaseStatus]:
         tokens = tuple(tokens)
@@ -123,6 +124,11 @@ class Matcher:
             self._memo[text] = labels
         return labels
 
+    def counts(self) -> dict[str, int]:
+        """Sentences labeled, distinct texts scanned, and those matching nothing."""
+        return {"sentences": self.sentences, "distinct_texts": len(self._memo),
+                "unmatched_texts": sum(not labels for labels in self._memo.values())}
+
 
 def _occurrences(tokens: tuple[str, ...], by_first: dict):
     """(start, end, value) of every indexed phrase found in *tokens*."""
@@ -142,6 +148,7 @@ def label_sentence(sentence: Sentence, matcher: Matcher) -> Mapping[int, Disease
 def label_report(report: Report, matcher: Matcher) -> ReportLabelVector:
     """Aggregate sentence labels to one status per schema disease."""
     statuses = [DiseaseStatus.UNMENTIONED] * len(matcher.schema)
+    matcher.sentences += len(report.sentences)
     for sentence in report.sentences:
         for disease, status in label_sentence(sentence, matcher).items():
             if STATUS_RANK[status] > STATUS_RANK[statuses[disease]]:

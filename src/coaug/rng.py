@@ -26,6 +26,8 @@ inside its lane), the lanes are read back through a memoryview and the
 scaling and Box-Muller run as C-level maps.  The floats, the final state
 and the pending spare equal those of the repeated calls; a u1 of 0.0,
 which ``gauss`` redraws, sends ``gauss_n`` to ``gauss`` itself.
+``RngStream.permutation(n)`` takes its n-1 ``randrange`` draws from one
+such pass, unshifted, unless one of them might be rejected.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import sys
 from functools import lru_cache
 from itertools import repeat
 from math import cos, log, sin, sqrt
-from operator import add, mul
+from operator import add, mod, mul
 
 _MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -108,7 +110,7 @@ class RngStream:
         same floats and final state."""
         if n <= 0 or not _LITTLE_ENDIAN:
             return [self.random() for _ in range(n)]
-        bits = _uniform_bits(self.state, n)
+        bits = _outputs(self.state, n, 11)
         self.state = (self.state + n * GOLDEN) & _MASK
         return list(map(mul, bits, repeat(_UNIT)))
 
@@ -122,15 +124,20 @@ class RngStream:
             if u < limit:
                 return u % n
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def permutation(self, n: int) -> list[int]:
-        perm = list(range(n))
-        self.shuffle(perm)
+        """Fisher-Yates over ``range(n)``: item i swaps with ``randrange(i + 1)``
+        for i = n-1 .. 1.  From five items on, the draws are one packed pass
+        unless one might be rejected (below five, the calls cost less)."""
+        perm, bounds = list(range(n)), range(n, 1, -1)
+        draws = _outputs(self.state, n - 1) if n > 4 and _LITTLE_ENDIAN else None
+        # randrange(b) redraws an output at or above 2**64 - 2**64 % b > 2**64 - n
+        if draws is None or max(draws) >= (1 << 64) - n:
+            draws = map(self.randrange, bounds)
+        else:
+            self.state = (self.state + (n - 1) * GOLDEN) & _MASK
+            draws = map(mod, draws, bounds)
+        for i, j in zip(range(n - 1, 0, -1), draws):
+            perm[i], perm[j] = perm[j], perm[i]
         return perm
 
     def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
@@ -155,7 +162,7 @@ class RngStream:
         head = [] if spare is None else [0.0 + sigma * spare]
         rest = n - len(head)
         pairs = (rest + 1) // 2
-        bits = _uniform_bits(self.state, 2 * pairs) if pairs and _LITTLE_ENDIAN else None
+        bits = _outputs(self.state, 2 * pairs, 11) if pairs and _LITTLE_ENDIAN else None
         u1 = [] if bits is None else list(bits[::2])
         if bits is None or 0 in u1:
             # gauss redraws a u1 of 0.0, which shifts every later draw
@@ -172,24 +179,25 @@ class RngStream:
         return head + list(map(add, repeat(_ZERO), map(mul, repeat(sigma), z)))
 
 
-@lru_cache(maxsize=16)
-def _lanes(m: int) -> tuple[int, int, int, int]:
+@lru_cache(maxsize=64)
+def _lanes(m: int) -> tuple[int, int, int]:
     """Constants for m lanes of 128 bits: a 1 in each lane, k·GOLDEN in
-    lane k-1, the 64-bit lane mask and the 53-bit lane mask."""
+    lane k-1, and the 64-bit lane mask."""
     ones = sum(1 << (128 * i) for i in range(m))
     steps = sum((((i + 1) * GOLDEN) & _MASK) << (128 * i) for i in range(m))
-    return ones, steps, ones * _MASK, ones * ((1 << 53) - 1)
+    return ones, steps, ones * _MASK
 
 
-def _uniform_bits(state: int, m: int) -> memoryview:
-    """The 53-bit uniforms of the next m splitmix64 outputs after *state*,
-    ``finalize64(state + k·GOLDEN) >> 11`` for k = 1..m, computed in 128-bit
-    lanes of one int: a 64x64-bit product never reaches the next lane."""
-    ones, steps, lane, lane53 = _lanes(m)
+def _outputs(state: int, m: int, shift: int = 0) -> memoryview:
+    """``finalize64(state + k·GOLDEN) >> shift`` for k = 1..m, computed in
+    128-bit lanes of one int: a 64x64-bit product never reaches the next
+    lane, and the shift moves a lane's bits only into the high half of the
+    lane below, which is not read back."""
+    ones, steps, lane = _lanes(m)
     z = (state * ones + steps) & lane
     z = (z ^ (z >> 30)) & lane
     z = (z * 0xBF58476D1CE4E5B9) & lane
     z = (z ^ (z >> 27)) & lane
     z = (z * 0x94D049BB133111EB) & lane
-    z = ((z ^ (z >> 31)) >> 11) & lane53
+    z = ((z ^ (z >> 31)) & lane) >> shift
     return memoryview(z.to_bytes(16 * m, "little")).cast("Q")[::2]

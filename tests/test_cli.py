@@ -773,6 +773,34 @@ def test_pipeline_run_summary_has_stage_times(tmp_path):
     assert (tmp_path / "b" / "summary.json").read_bytes() == summary
 
 
+def test_pipeline_run_summary_counts_what_the_labeler_did(tmp_path):
+    # negative templates no rule matches give texts the labeler leaves unmatched
+    text = Path(default_scenario_path()).read_text()
+    scenario = tmp_path / "unlabelable.cfg"
+    scenario.write_text(re.sub(r"(\| negative = ).*", r"\1Nothing further to note.", text))
+    out = tmp_path / "out"
+    assert run(["--quiet", "pipeline", "--scenario", str(scenario), "--n", "200", "--seed", "3",
+                "--outdir", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    counts = json.loads((out / "summary.json.run.json").read_text())["counts"]["labeler"]
+    originals = read_corpus(str(out / "labeled.jsonl"))
+    assert set(counts["statuses"]) == set(originals.schema.names)
+    for index, name in enumerate(originals.schema.names):
+        by_status = counts["statuses"][name]
+        assert list(by_status) == sorted(status.value for status in DiseaseStatus)
+        assert sum(by_status.values()) == summary["records_original"] == len(originals)
+        for status in DiseaseStatus:
+            assert by_status[status.value] == sum(
+                record.labels.statuses[index] is status for record in originals)
+    # at rate 1.0 every twin built is written: the originals' and the twins' sentences
+    augmented = read_corpus(str(out / "augmented.jsonl"))
+    assert counts["sentences"] == sum(len(record.report) for record in augmented)
+    texts = {s.text for record in augmented for s in record.report.sentences}
+    assert counts["distinct_texts"] == len(texts)
+    assert counts["unmatched_texts"] == 1  # "Nothing further to note."
+    assert b"labeler" not in (out / "summary.json").read_bytes()
+
+
 def test_pipeline_bytes_match_the_reference_digests(tmp_path):
     reference = json.loads(
         (Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from coaug.corpus import (
     ReportLabelVector,
     Sentence,
     default_schema,
+    labeled_line,
     make_schema,
     read_corpus,
     read_schema,
@@ -437,6 +439,9 @@ _feature_values = st.one_of(
 )
 
 
+_NEEDS_ESCAPING = ['Quote "q"', "Back\\slash", "Épanchement pleural", "Tab\tand\nline", "Line\u2028sep"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     raw=st.lists(st.lists(_feature_values, min_size=1, max_size=6), min_size=1, max_size=3),
@@ -446,10 +451,16 @@ _feature_values = st.one_of(
     statuses=st.none() | st.lists(st.sampled_from(DiseaseStatus), min_size=3, max_size=3),
     source_id=st.none() | st.text(max_size=5),
     with_features=st.booleans(),
+    names=st.just(["A", "B", "C"])
+    | st.lists(st.text(min_size=1, max_size=6).filter(str.strip) | st.sampled_from(_NEEDS_ESCAPING),
+               min_size=3, max_size=3, unique=True),
 )
+@example(raw=[[0.5]], masked=[False] * 3, rid='r"\\é', texts=['Say "é" \\ \u2028.'],
+         statuses=[DiseaseStatus.POSITIVE, DiseaseStatus.NEGATIVE, DiseaseStatus.UNCERTAIN],
+         source_id=None, with_features=True, names=_NEEDS_ESCAPING[:3])
 def test_record_to_line_matches_the_whole_record_encoder(
-        raw, masked, rid, texts, statuses, source_id, with_features):
-    schema = make_schema(["A", "B", "C"], d=1)
+        raw, masked, rid, texts, statuses, source_id, with_features, names):
+    schema = make_schema(names, d=1)
     bundle = FeatureBundle(tuple(map(tuple, raw)),
                            frozenset(i for i, m in zip(range(len(raw)), masked) if m))
     for vec, values in zip(bundle.vectors, raw):
@@ -465,6 +476,10 @@ def test_record_to_line_matches_the_whole_record_encoder(
     assert record_to_line(record, schema) == _old_record_to_line(record, schema)
     # a second encoding reuses each vector's kept text
     assert record_to_line(record, schema) == _old_record_to_line(record, schema)
+    if record.labels is not None:
+        # the labeled line spliced into the line of the record without labels
+        unlabeled = record_to_line(replace(record, labels=None), schema)
+        assert labeled_line(unlabeled, record, schema) == _old_record_to_line(record, schema)
 
 
 def test_non_finite_features_read_and_write_back_unchanged(tmp_path):

@@ -167,3 +167,61 @@ def test_random_n_leaves_a_pending_gauss_spare():
     spare = stream._gauss_spare
     stream.random_n(5)
     assert stream._gauss_spare == spare
+
+
+def _shuffled(state: int, n: int) -> tuple[list[int], int]:
+    """The in-place Fisher-Yates shuffle of ``list(range(n))`` from *state*,
+    one ``randrange`` call a draw, and the state after it."""
+    stream = RngStream(state)
+    items = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = stream.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items, stream.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=st.integers(0, _MASK), n=st.integers(0, 20))
+def test_permutation_equals_the_shuffle(state, n):
+    stream = RngStream(state)
+    assert (stream.permutation(n), stream.state) == _shuffled(state, n)
+
+
+def _unxorshift(z: int, shift: int) -> int:
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _unfinalize64(z: int) -> int:
+    """The input that ``finalize64`` maps to z: each xorshift and odd
+    multiply of the finalizer undone, last first."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK
+    return _unxorshift(z, 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 20), data=st.data())
+def test_permutation_redraws_an_output_above_the_rejection_limit(n, data):
+    # draw k of the shuffle is randrange(n - k + 1): force it at or above its limit
+    k = data.draw(st.integers(1, n - 1))
+    bound = n - k + 1
+    limit = (1 << 64) - (1 << 64) % bound
+    if limit == 1 << 64:  # a power of two rejects nothing
+        return
+    u = data.draw(st.integers(limit, _MASK))
+    state = (_unfinalize64(u) - k * GOLDEN) & _MASK
+    probe = RngStream(state)
+    assert [probe.next_u64() for _ in range(k)][-1] == u
+    stream = RngStream(state)
+    assert (stream.permutation(n), stream.state) == _shuffled(state, n)
+
+
+def test_permutation_scalar_path_off_little_endian_hosts(monkeypatch):
+    monkeypatch.setattr(rng, "_LITTLE_ENDIAN", False)
+    stream = RngStream(11)
+    assert (stream.permutation(9), stream.state) == _shuffled(11, 9)
