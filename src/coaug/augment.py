@@ -74,9 +74,8 @@ _CSS_ONLY = AugmentationConfig(enable_crr=False)
 
 @dataclass(frozen=True)
 class Skip:
-    """A record the augmenter declined to touch, with the reason."""
+    """Why the augmenter declined to touch a record."""
 
-    record_id: str
     reason: str  # one of SKIP_REASONS
 
 
@@ -99,13 +98,13 @@ def _pop_sentence(record: Record, matcher: Matcher, stream: RngStream
         raise MissingFeatures(f"record {record.id!r} has no feature bundle")
     sentences = record.report.sentences
     if len(sentences) < MIN_SENTENCES:
-        return Skip(record.id, "below-min-sentences")
+        return Skip("below-min-sentences")
     for _ in range(MAX_RESAMPLE):
         idx = stream.randrange(len(sentences))
         labels = label_sentence(sentences[idx], matcher)
         if labels:
             return idx, labels, Report(sentences[:idx] + sentences[idx + 1:])
-    return Skip(record.id, "no-labelable-sentence")
+    return Skip("no-labelable-sentence")
 
 
 def _counterfactual(record: Record, matcher: Matcher, report: Report,
@@ -178,18 +177,6 @@ class AugmentSummary:
     shortfall: int = 0  # target minus what eligibility allowed
 
 
-def is_eligible(record: Record, cfg: AugmentationConfig) -> bool:
-    if not cfg.enable_css:
-        return True
-    return record.features is not None and len(record.report) >= MIN_SENTENCES
-
-
-def record_twin(record: Record, matcher: Matcher,
-                cfg: AugmentationConfig) -> Union[AugmentationOutcome, Skip]:
-    """``augment_record`` on the record's own stream (seed + record id)."""
-    return augment_record(record, matcher, RngStream.for_record(cfg.seed, record.id), cfg)
-
-
 def augment_dataset(corpus: Corpus, matcher: Matcher,
                     cfg: AugmentationConfig) -> tuple[Corpus, AugmentSummary]:
     """``TwinSpool`` of a corpus held in memory: the originals in input
@@ -226,9 +213,12 @@ class TwinSpool(AbstractContextManager):
         self.out.write(line)
         if record.id.endswith(TWIN_SUFFIX):
             self.twin_ids.add(record.id)
-        fate, twin = _INELIGIBLE, None
-        if is_eligible(record, self.cfg):
-            outcome = record_twin(record, self.matcher, self.cfg)
+        fate, twin, cfg = _INELIGIBLE, None, self.cfg
+        # eligible: any record without CSS; with it, one with features and a sentence to spare
+        if not cfg.enable_css or (record.features is not None
+                                  and len(record.report) >= MIN_SENTENCES):
+            stream = RngStream.for_record(cfg.seed, record.id)  # seed + record id
+            outcome = augment_record(record, self.matcher, stream, cfg)
             if isinstance(outcome, Skip):
                 fate = _SKIPPED + SKIP_REASONS.index(outcome.reason)
             else:

@@ -255,12 +255,13 @@ def _cmd_analyze(args) -> int:
     elif args.stratify not in (None, "none"):
         raise UsageError(f"unknown stratifier {args.stratify!r}")
     matcher = _load_matcher(args, schema)
-    # one pass: a record without labels is labeled, and only its columns stay
-    columns = confound.LabelColumns(len(schema), matcher)
+    # one pass, one labeling walk per record; statuses it carries are kept
+    columns = confound.LabelColumns(len(schema))
     for record in corpus.iter_corpus(args.corpus, schema):
+        labels = labeler.label_report(record.report, matcher)
         if record.labels is None:
-            record = record.with_labels(labeler.label_report(record.report, matcher))
-        columns.append(record)
+            record = record.with_labels(labels)
+        columns.append(record, labels.firsts)
     blocks = pair_statistics(columns, schema, pairs, stratify)
     atomic_write_text(args.out, render_analysis(blocks, len(columns)))
     _run_sidecar(args.out, "analyze",
@@ -404,8 +405,8 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
         stages[stage] += now - since
         return now
 
-    columns = confound.LabelColumns(len(schema), matcher)  # the labeled records'
-    twin_columns = confound.LabelColumns(len(schema), matcher)  # the spooled twins'
+    columns = confound.LabelColumns(len(schema))  # the labeled records'
+    twin_columns = confound.LabelColumns(len(schema))  # the spooled twins'
     with corpus.atomic_writer(original_path) as original_out, \
             corpus.atomic_writer(labeled_path) as labeled_out, \
             corpus.atomic_writer(augmented_path) as augmented_out, \
@@ -421,12 +422,12 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
             line = corpus.labeled_line(line, record, schema) + "\n"
             labeled_out.write(line)
             t = lap("write_labeled", t)
-            columns.append(record)
+            columns.append(record, record.labels.firsts)
             t = lap("analyze_before", t)
             twin = twins.add(record, line)
             t = lap("augment", t)
             if twin is not None:
-                twin_columns.append(twin)
+                twin_columns.append(twin, twin.labels.firsts)
                 t = lap("analyze_after", t)
         rows, asummary, skip_counts = twins.finish()
         t = lap("augment", t)

@@ -15,7 +15,7 @@ that association reverses inside sub-populations:
 The statistics read ``LabelColumns``, a few bytes per record filled one
 record at a time: each cell, margin, stratum and lift count is a count of
 (stratum, status of A, status of B) over two or three zipped byte
-columns, and order asymmetry zips two first-mention columns.
+columns, and order asymmetry zips two columns of ``label_report``'s first mentions.
 
 Association direction is the sign of the log odds ratio, computed by
 exact integer cross-multiplication so scaling all counts never flips it.
@@ -38,7 +38,8 @@ from .errors import (
     UndefinedConditional,
     UndefinedLift,
 )
-from .labeler import Matcher, label_sentence
+# label_sentence is unused here: perfbench/tracer.py wraps this module's binding
+from .labeler import Matcher, label_report, label_sentence  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -230,14 +231,13 @@ _PROVENANCE_STRATA = tuple(provenance.value for provenance in _PROVENANCES)
 class LabelColumns:
     """A corpus as columns, filled one record at a time.  Per record, row
     after row: one status code byte per disease (the status's index in
-    ``DiseaseStatus``), the provenance code, and, when built with a
-    matcher, each disease's first-mention sentence index (-1 when no
-    sentence mentions it).  The pair statistics read these bytes; they
-    keep no record and hash no status."""
+    ``DiseaseStatus``), the provenance code, and each disease's first-mention
+    sentence index as ``label_report`` found it (-1: none, or none given).
+    The pair statistics read these bytes; they keep no record, label
+    nothing and hash no status."""
 
-    def __init__(self, n_diseases: int, matcher: Optional[Matcher] = None):
+    def __init__(self, n_diseases: int):
         self.n_diseases = n_diseases
-        self.matcher = matcher
         self.statuses = bytearray()
         self.provenance = bytearray()
         self.firsts = array("b")  # widened to "i" by a first mention past sentence 127
@@ -245,19 +245,22 @@ class LabelColumns:
 
     @classmethod
     def of(cls, corpus: Corpus, matcher: Optional[Matcher] = None) -> "LabelColumns":
-        """The columns of every record of *corpus*, in order."""
-        columns = cls(len(corpus.schema), matcher)
+        """Every record of *corpus*'s columns, in order, with *matcher*'s first mentions if given."""
+        columns = cls(len(corpus.schema))
         for record in corpus:
-            columns.append(record)
+            columns.append(record, () if matcher is None
+                           else label_report(record.report, matcher).firsts)
         return columns
 
     def __len__(self) -> int:
         return len(self.provenance)
 
-    def append(self, record: Record) -> None:
-        """Add *record*'s row.  A record without labels makes the label
-        statistics raise ``MissingLabels`` naming the first such record."""
+    def append(self, record: Record, firsts: Sequence[int] = ()) -> None:
+        """Add *record*'s row with its first mentions (empty: none).  A record
+        without labels makes the label statistics raise ``MissingLabels``."""
         n = self.n_diseases
+        if firsts and len(firsts) != n:
+            raise ValueError(f"record {record.id!r} has {len(firsts)} first mentions, expected {n}")
         if record.labels is None:
             if self.unlabeled is None:
                 self.unlabeled = record.id
@@ -268,13 +271,7 @@ class LabelColumns:
                 raise ValueError(f"record {record.id!r} has {len(codes)} labels, expected {n}")
         self.statuses += codes
         self.provenance.append(_PROVENANCES.index(record.provenance))
-        if self.matcher is not None:
-            firsts = [-1] * n
-            for s_idx, sentence in enumerate(record.report.sentences):
-                for disease in label_sentence(sentence, self.matcher):
-                    if firsts[disease] < 0:
-                        firsts[disease] = s_idx
-            self._add_firsts(firsts)
+        self._add_firsts(firsts or (-1,) * n)
 
     def extend(self, other: "LabelColumns", rows: Iterable[int]) -> None:
         """Append the rows of *other* at *rows*, in that order; *other*'s
@@ -285,8 +282,7 @@ class LabelColumns:
         for row in rows:
             self.statuses += other.statuses[row * n:(row + 1) * n]
             self.provenance.append(other.provenance[row])
-            if self.matcher is not None:
-                self._add_firsts(other.firsts[row * n:(row + 1) * n])
+            self._add_firsts(other.firsts[row * n:(row + 1) * n])
 
     def status_counts(self) -> list[dict[str, int]]:
         """Per disease, its records of each status, keyed by the status's value."""
@@ -347,9 +343,7 @@ class LabelColumns:
         return (n_ab / n) / ((n_a / n) * (n_b / n))
 
     def order_asymmetry(self, a: int, b: int) -> OrderAsymmetry:
-        """``order_asymmetry`` of these columns; they need a matcher."""
-        if self.matcher is None:
-            raise ValueError("first mentions need columns built with a matcher")
+        """``order_asymmetry`` of these columns."""
         return _order_asymmetry(self._column(self.firsts, a), self._column(self.firsts, b))
 
 
@@ -398,9 +392,8 @@ def co_mention_lift(corpus: Corpus, a: int, b: int) -> float:
 def first_mention_table(corpus: Corpus, matcher: Matcher) -> list[list[Optional[int]]]:
     """Per record, the index of the first sentence mentioning each
     disease (None when unmentioned)."""
-    columns = LabelColumns.of(corpus, matcher)
-    firsts, n = columns.firsts, columns.n_diseases
-    return [[None if f < 0 else f for f in firsts[i:i + n]] for i in range(0, len(firsts), n)]
+    return [[None if f < 0 else f for f in label_report(record.report, matcher).firsts]
+            for record in corpus]
 
 
 def order_asymmetry_from_table(

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
@@ -282,9 +282,12 @@ class FeatureBundle:
 
 @dataclass(frozen=True)
 class ReportLabelVector:
-    """One status per schema disease, indexed by disease index."""
+    """One status per schema disease, indexed by disease index.  ``firsts``,
+    outside ``==``, ``hash`` and ``repr``, holds ``label_report``'s first
+    mentions; labels read from a file or built by hand carry ``()``."""
 
     statuses: tuple[DiseaseStatus, ...]
+    firsts: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def mentioned(self, index: int) -> bool:
         return self.statuses[index] is not DiseaseStatus.UNMENTIONED
@@ -612,9 +615,7 @@ def _read_records(path: str, schema: LabelSchema) -> Iterator[Record]:
 def read_corpus(path: str, schema: Optional[LabelSchema] = None) -> Corpus:
     """The corpus of ``iter_corpus``; the schema comes from the sidecar
     file unless given."""
-    if schema is not None:
-        return Corpus(schema, tuple(iter_corpus(path, schema)))
     if not os.path.exists(path):
         raise MissingFile(path)
-    schema = read_schema(schema_path_for(path))
-    return Corpus(schema, tuple(_read_records(path, schema)))
+    schema = read_schema(schema_path_for(path)) if schema is None else schema
+    return Corpus(schema, tuple(iter_corpus(path, schema)))

@@ -146,14 +146,18 @@ def label_sentence(sentence: Sentence, matcher: Matcher) -> Mapping[int, Disease
 
 
 def label_report(report: Report, matcher: Matcher) -> ReportLabelVector:
-    """Aggregate sentence labels to one status per schema disease."""
+    """Aggregate sentence labels to one status per schema disease; the same
+    walk records each disease's first-mention sentence (-1: none) as ``firsts``."""
     statuses = [DiseaseStatus.UNMENTIONED] * len(matcher.schema)
+    firsts = [-1] * len(statuses)
     matcher.sentences += len(report.sentences)
-    for sentence in report.sentences:
+    for s_idx, sentence in enumerate(report.sentences):
         for disease, status in label_sentence(sentence, matcher).items():
+            if firsts[disease] < 0:
+                firsts[disease] = s_idx
             if STATUS_RANK[status] > STATUS_RANK[statuses[disease]]:
                 statuses[disease] = status
-    return ReportLabelVector(tuple(statuses))
+    return ReportLabelVector(tuple(statuses), tuple(firsts))
 
 
 def label_corpus(corpus: Corpus, matcher: Matcher) -> Corpus:

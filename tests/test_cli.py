@@ -1052,6 +1052,46 @@ def test_analyze_labels_only_the_records_without_labels(tmp_path, schema):
     assert "co_occurrences=5" in report
 
 
+def _count_label_text(monkeypatch):
+    """Count every ``Matcher.label_text`` call, and apart those of CSS's draw."""
+    from coaug import augment
+    from coaug.labeler import Matcher
+
+    calls = {"all": 0, "css": 0}
+    label_text, label_sentence = Matcher.label_text, augment.label_sentence
+
+    def counted(self, text):
+        calls["all"] += 1
+        return label_text(self, text)
+
+    def css_draw(sentence, matcher):
+        calls["css"] += 1
+        return label_sentence(sentence, matcher)
+
+    monkeypatch.setattr(Matcher, "label_text", counted)
+    monkeypatch.setattr(augment, "label_sentence", css_draw)
+    return calls
+
+
+def test_pipeline_looks_up_each_labeled_sentence_once(tmp_path, monkeypatch):
+    # the first mentions come from the labeler's walk, so the columns look
+    # nothing up: the lookups are the labeled sentences plus CSS's draws,
+    # not about twice the sentences
+    calls = _count_label_text(monkeypatch)
+    _, _, counts = run_pipeline(default_scenario_path(), seed=7, outdir=str(tmp_path), n=200)
+    assert calls["css"] > 0
+    assert calls["all"] == counts["labeler"]["sentences"] + calls["css"]
+
+
+def test_analyze_walks_each_report_once(tmp_path, monkeypatch):
+    corpus_path = _small_corpus(tmp_path, n=40)
+    sentences = sum(len(record.report) for record in read_corpus(str(corpus_path)))
+    calls = _count_label_text(monkeypatch)
+    assert run(["--quiet", "analyze", "--corpus", str(corpus_path),
+                "--out", str(tmp_path / "r.txt")]) == EXIT_OK
+    assert calls["all"] == sentences
+
+
 def test_pipeline_run_summary_counts_skips_by_reason(tmp_path):
     # negative templates no rule matches: a report of only those has no
     # sentence that CSS can pop, so its twin is skipped

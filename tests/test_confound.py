@@ -32,7 +32,7 @@ from coaug.errors import (
     UndefinedLift,
 )
 from coaug.synth import OrderPolicy, PlantedPair, SynthConfig, synth_generate
-from coaug.labeler import label_corpus, label_sentence
+from coaug.labeler import label_corpus, label_report, label_sentence
 
 from conftest import make_record
 
@@ -551,17 +551,17 @@ def test_columns_filled_record_by_record_equal_the_loops(schema, matcher, data):
     corpus = Corpus(schema, tuple(dataclasses.replace(r, report=Report.from_texts(texts))
                                   for r, texts in zip(corpus, reports)))
     split = data.draw(st.integers(0, n), label="split")
-    columns = LabelColumns(len(schema), matcher)
+    columns = LabelColumns(len(schema))
     for record in corpus.records[:split]:
-        columns.append(record)
-    tail = LabelColumns(len(schema), matcher)
+        columns.append(record, label_report(record.report, matcher).firsts)
+    tail = LabelColumns(len(schema))
     for record in corpus.records[split:]:
-        tail.append(record)
+        tail.append(record, label_report(record.report, matcher).firsts)
     if tail.unlabeled is None:
         columns.extend(tail, range(len(tail)))
     else:
         for record in corpus.records[split:]:
-            columns.append(record)
+            columns.append(record, label_report(record.report, matcher).firsts)
     a = data.draw(st.integers(0, 3), label="a")
     b = data.draw(st.integers(0, 3), label="b")
     stratify_by = data.draw(st.sampled_from([None, "provenance", 2, 3, a, b]), label="stratify")
@@ -589,11 +589,35 @@ def test_first_mentions_past_sentence_127_widen_their_column(schema, matcher):
     assert columns.firsts.typecode == "i"
     assert first_mention_table(corpus, matcher)[1][:2] == [241, 200]
     assert _outcome(order_asymmetry, corpus, matcher, 0, 1) == (3, 1 / 3)
-    head = LabelColumns(len(schema), matcher)
-    head.append(corpus.records[0])
+    head = LabelColumns(len(schema))
+    head.append(corpus.records[0], label_report(corpus.records[0].report, matcher).firsts)
     head.extend(columns, [2, 1])
     assert head.firsts.typecode == "i"
     assert _outcome(head.order_asymmetry, 0, 1) == (3, 1 / 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(MENTION_SENTENCES), max_size=8), max_size=5))
+def test_label_report_records_the_first_mentions_of_the_loop(schema, matcher, reports):
+    corpus = Corpus(schema, tuple(make_record(f"r{i}", texts, schema, features=False)
+                                  for i, texts in enumerate(reports)))
+    for record, row in zip(corpus, _loop_first_mention_table(corpus, matcher)):
+        labels = label_report(record.report, matcher)
+        assert labels.firsts == tuple(-1 if f is None else f for f in row)
+        # the first mentions take no part in equality, hash or repr
+        bare = ReportLabelVector(labels.statuses)
+        assert bare.firsts == ()
+        assert labels == bare and hash(labels) == hash(bare) and repr(labels) == repr(bare)
+
+
+@pytest.mark.parametrize("length", [1, 3, 5])
+def test_first_mentions_of_the_wrong_length_are_a_value_error(schema, length):
+    columns = LabelColumns(len(schema))
+    record = make_record("r1", ["Sentence."], schema, features=False, labels=label_vec(schema))
+    with pytest.raises(ValueError, match="'r1' has %d first mentions" % length):
+        columns.append(record, (-1,) * length)
+    columns.append(record, (-1,) * len(schema))
+    assert len(columns) == 1
 
 
 def test_columns_take_no_rows_from_unlabeled_columns(schema):
