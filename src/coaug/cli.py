@@ -3,7 +3,7 @@
 Subcommands: synth, label, analyze, augment, evaluate, pipeline.  All
 outputs are written atomically (temp file + rename); every command that
 writes an --out file also writes a machine-readable run summary next to
-it (``<out>.run.json``, carrying inputs, seed, counts and wall time).
+it (``<out>.run.json``, carrying inputs, seed, counts, stages and wall time).
 Exit codes: 0 success, 1 usage error, 2 data/validation error (an
 unreadable or unwritable path included), 3 internal error.
 """
@@ -72,16 +72,27 @@ def _write_json(path: str, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _run_sidecar(out_path: str, command: str, inputs: dict, seed: Optional[int],
-                 counts: dict, started: float, **extra) -> None:
-    _write_json(out_path + ".run.json", {
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
-        "counts": counts,
-        "wall_time_s": round(time.monotonic() - started, 3),
-        **extra,
-    })
+class _Run:
+    """One command's run record: the clock starts when it is built, each
+    ``lap`` adds the seconds since the last lap to a stage, and ``write``
+    puts the stages, the counts and the wall time in ``<out>.run.json``."""
+
+    def __init__(self, *stages: str):
+        self.started = self.last = time.monotonic()
+        self.stages = dict.fromkeys(stages, 0.0)  # every stage shows, 0.0 if it did nothing
+        self.counts: dict = {}
+
+    def lap(self, stage: str) -> None:
+        now = time.monotonic()
+        self.stages[stage] += now - self.last
+        self.last = now
+
+    def write(self, out_path: str, command: str, inputs: dict, seed: Optional[int] = None) -> None:
+        stages = {stage: round(seconds, 3) for stage, seconds in self.stages.items()}
+        _write_json(out_path + ".run.json", {
+            "command": command, "inputs": inputs, "seed": seed, "counts": self.counts,
+            "stages": stages, "wall_time_s": round(time.monotonic() - self.started, 3),
+        })
 
 
 def _info(args, message: str) -> None:
@@ -217,34 +228,47 @@ def _disease_index(schema: LabelSchema, name: str) -> int:
 
 
 def _cmd_synth(args) -> int:
-    started = time.monotonic()
+    run = _Run("setup", "synth", "write")
     schema = _load_schema(args)
     cfg = _synth_config(_resolve_scenario(args.scenario), schema, args.n, args.seed)
     synth.validate_config(cfg, schema)  # a bad config fails before the writer opens
-    n = corpus.write_records(synth.synth_records(cfg, schema), schema, args.out)
-    _run_sidecar(args.out, "synth",
-                 {"scenario": os.path.basename(args.scenario)},
-                 cfg.seed, {"records": n}, started)
+    run.lap("setup")
+    n = 0
+    with corpus.corpus_writer(args.out, schema) as out:
+        for n, record in enumerate(synth.synth_records(cfg, schema), start=1):
+            run.lap("synth")
+            out.write(corpus.record_to_line(record, schema) + "\n")
+            run.lap("write")
+    run.lap("write")
+    run.counts["records"] = n
+    run.write(args.out, "synth", {"scenario": os.path.basename(args.scenario)}, cfg.seed)
     _info(args, f"synth: wrote {n} records to {args.out}")
     return EXIT_OK
 
 
 def _cmd_label(args) -> int:
-    started = time.monotonic()
+    run = _Run("setup", "read", "label", "write")
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
     records = corpus.iter_corpus(args.corpus, schema)
-    n = corpus.write_records((record.with_labels(labeler.label_report(record.report, matcher))
-                              for record in records), schema, args.out)
-    _run_sidecar(args.out, "label",
-                 {"corpus": os.path.basename(args.corpus)},
-                 None, {"records": n}, started)
+    run.lap("setup")
+    n = 0
+    with corpus.corpus_writer(args.out, schema) as out:
+        for n, record in enumerate(records, start=1):
+            run.lap("read")
+            record = record.with_labels(labeler.label_report(record.report, matcher))
+            run.lap("label")
+            out.write(corpus.record_to_line(record, schema) + "\n")
+            run.lap("write")
+    run.lap("write")
+    run.counts.update(records=n, labeler=matcher.counts())
+    run.write(args.out, "label", {"corpus": os.path.basename(args.corpus)})
     _info(args, f"label: wrote {n} labeled records to {args.out}")
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    started = time.monotonic()
+    run = _Run("setup", "read", "label", "analyze", "write")
     schema = _load_schema(args)
     pairs = _parse_pairs(args.pairs, schema)
     stratify = None
@@ -255,42 +279,52 @@ def _cmd_analyze(args) -> int:
     elif args.stratify not in (None, "none"):
         raise UsageError(f"unknown stratifier {args.stratify!r}")
     matcher = _load_matcher(args, schema)
+    records = corpus.iter_corpus(args.corpus, schema)
+    run.lap("setup")
     # one pass, one labeling walk per record; statuses it carries are kept
     columns = confound.LabelColumns(len(schema))
-    for record in corpus.iter_corpus(args.corpus, schema):
+    for record in records:
+        run.lap("read")
         labels = labeler.label_report(record.report, matcher)
+        run.lap("label")
         if record.labels is None:
             record = record.with_labels(labels)
         columns.append(record, labels.firsts)
+        run.lap("analyze")
     blocks = pair_statistics(columns, schema, pairs, stratify)
+    run.lap("analyze")
     atomic_write_text(args.out, render_analysis(blocks, len(columns)))
-    _run_sidecar(args.out, "analyze",
-                 {"corpus": os.path.basename(args.corpus)},
-                 None, {"records": len(columns), "pairs": len(pairs)}, started)
+    run.lap("write")
+    run.counts.update(records=len(columns), pairs=len(pairs), labeler=matcher.counts())
+    run.write(args.out, "analyze", {"corpus": os.path.basename(args.corpus)})
     _info(args, f"analyze: wrote {len(pairs)} pair blocks to {args.out}")
     return EXIT_OK
 
 
 def _cmd_augment(args) -> int:
-    started = time.monotonic()
+    run = _Run("setup", "read", "augment", "write")
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
     records = corpus.iter_corpus(args.corpus, schema)
     cfg = aug.AugmentationConfig(rate=args.rate, seed=args.seed or 0,
                                  enable_css=not args.no_css, enable_crr=not args.no_crr)
-    with corpus.atomic_writer(args.out) as out, aug.TwinSpool(
+    run.lap("setup")
+    with corpus.corpus_writer(args.out, schema) as out, aug.TwinSpool(
             out, os.path.dirname(os.path.abspath(args.out)), schema, matcher, cfg) as twins:
         for record in records:
+            run.lap("read")
             try:
                 twins.add(record, corpus.record_to_line(record, schema) + "\n")
             except CoaugError as exc:  # an already counterfactual record
                 raise CoaugError(f"{args.corpus}: {exc}") from None
-        _, summary, _ = twins.finish()
-    corpus.write_schema(schema, corpus.schema_path_for(args.out))
+            run.lap("augment")
+        _, summary, skips = twins.finish()
+        run.lap("augment")
     if args.summary:
         _write_json(args.summary, dataclasses.asdict(summary))
-    _run_sidecar(args.out, "augment", {"corpus": os.path.basename(args.corpus)},
-                 cfg.seed, dataclasses.asdict(summary), started)
+    run.lap("write")
+    run.counts = {**dataclasses.asdict(summary), "skips": skips, "labeler": matcher.counts()}
+    run.write(args.out, "augment", {"corpus": os.path.basename(args.corpus)}, cfg.seed)
     _info(args, f"augment: {summary.augmented} twins, {summary.skipped} skipped, "
                 f"wrote {summary.originals + summary.augmented} records to {args.out}")
     return EXIT_OK
@@ -300,53 +334,54 @@ _METRIC_CHOICES = ("ce", "bleu4", "rougel")
 
 
 def _cmd_evaluate(args) -> int:
-    started = time.monotonic()
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not wanted or any(m not in _METRIC_CHOICES for m in wanted):
         raise UsageError(f"--metrics {args.metrics!r}: name one or more of "
                          f"{', '.join(_METRIC_CHOICES)}")
+    if args.macro and "ce" not in wanted:
+        raise UsageError("--macro scores the ce metric: add ce to --metrics")
+    run = _Run("setup", "read", "tokenize", *wanted, "write")
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
     # both files and their sidecars are checked here, before any line is read
     pairs = zip_longest(corpus.iter_corpus(args.gold, schema),
                         corpus.iter_corpus(args.generated, schema))
+    run.lap("setup")
     # one pass over the pairs: each pair is labeled and tokenized once and
     # fed to the requested metrics' per-pair cores; only the sums are kept
     ce, bleu, rouge = "ce" in wanted, "bleu4" in wanted, "rougel" in wanted
     tallies = [[0] * 4 for _ in schema.names]  # tp, fp, fn, tn of each disease
     bleu_counts = [0] * 8
-    rouge_total = ce_s = bleu_s = rouge_s = 0.0
+    rouge_total = 0.0
     n = gold_tokens = generated_tokens = 0
-    clock = time.monotonic
-    label = labeler.label_report
+    lap, label = run.lap, labeler.label_report
     for g, h in pairs:
+        lap("read")
         if g is None or h is None:  # one file has ended: count the other's rest
             rest = 1 + sum(1 for _ in pairs)
             n_gold, n_gen = (n + rest, n) if h is None else (n, n + rest)
             raise CoaugError(f"gold has {n_gold} records, generated has {n_gen}")
         n += 1
         if ce:
-            t = clock()
             pair = metrics.ce_pair_cells(label(g.report, matcher), label(h.report, matcher))
             for tally, k in zip(tallies, pair):
                 tally[k] += 1
-            ce_s += clock() - t
+            lap("ce")
         ref = metrics.report_tokens(g.report)
         cand = metrics.report_tokens(h.report)
         gold_tokens += len(ref)
         generated_tokens += len(cand)
+        lap("tokenize")
         if bleu:
-            t = clock()
             bleu_counts = list(map(operator.add, bleu_counts,
                                    metrics.bleu_pair_counts(ref, cand)))
-            bleu_s += clock() - t
+            lap("bleu4")
         if rouge:
-            t = clock()
             rouge_total += metrics.rouge_l_pair(ref, cand)
-            rouge_s += clock() - t
+            lap("rougel")
 
     scores: dict = {"records": n}
-    stages: dict = {}
+    run.counts.update(records=n, gold_tokens=gold_tokens, generated_tokens=generated_tokens)
     if ce:
         cells = [metrics.ConfusionCounts(*tally) for tally in tallies]
         counts = sum(cells, metrics.ConfusionCounts())  # micro: the cells pooled
@@ -354,23 +389,18 @@ def _cmd_evaluate(args) -> int:
         scores["ce"] = dataclasses.asdict(metrics.ce_scores(counts))
         if args.macro:
             scores["ce_macro"] = dataclasses.asdict(metrics.macro_ce_scores(cells))
-        stages["ce"] = round(ce_s, 3)
+        run.counts["labeler"] = matcher.counts()
     if bleu:
         precisions, bp, score = metrics.bleu_from_counts(bleu_counts, gold_tokens)
         scores["bleu4"] = score
         scores["bleu4_precisions"] = precisions
         scores["bleu4_brevity_penalty"] = bp
-        stages["bleu4"] = round(bleu_s, 3)
     if rouge:
         scores["rouge_l"] = rouge_total / n if n else 0.0
-        stages["rougel"] = round(rouge_s, 3)
     _write_json(args.out, scores)
-    _run_sidecar(args.out, "evaluate",
-                 {"gold": os.path.basename(args.gold),
-                  "generated": os.path.basename(args.generated)},
-                 None, {"records": n, "gold_tokens": gold_tokens,
-                        "generated_tokens": generated_tokens},
-                 started, stages=stages)
+    lap("write")
+    run.write(args.out, "evaluate", {"gold": os.path.basename(args.gold),
+                                     "generated": os.path.basename(args.generated)})
     _info(args, f"evaluate: wrote scores to {args.out}")
     return EXIT_OK
 
@@ -383,11 +413,12 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                  schema_path: Optional[str] = None) -> tuple[dict, dict, dict]:
     """synth -> label -> analyze(before) -> augment -> analyze(after) in one
     pass over the records, writing every artifact under *outdir*; returns the
-    summary, the seconds of each stage's per-record work and the counts: the
-    augmentation skips by reason and the labeler's.  No record is kept: each
-    labeled record leaves its columns and its ``TwinSpool`` byte, and each
-    spooled twin its columns; below rate 1.0 the twins not chosen are built
-    in vain."""
+    summary, the seconds of each stage and the counts: the augmentation skips
+    by reason and the labeler's.  No record is kept: each labeled record
+    leaves its columns and its ``TwinSpool`` byte, and each spooled twin its
+    columns; below rate 1.0 the twins not chosen are built in vain."""
+    run = _Run("setup", "synth", "write_original", "label", "write_labeled",
+               "analyze_before", "augment", "write_augmented", "analyze_after")
     schema = corpus.read_schema(schema_path or default_schema_path())
     matcher = labeler.default_matcher(schema)
     cfg = _synth_config(scenario_path, schema, n, seed)
@@ -395,56 +426,46 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
     pairs = [(p.a, p.b) for p in cfg.planted] or _parse_pairs(None, schema)
     original_path, labeled_path, augmented_path = (
         os.path.join(outdir, name) for name in PIPELINE_CORPORA)
-
     os.makedirs(outdir, exist_ok=True)
-    stages = dict.fromkeys(("synth", "write_original", "label", "write_labeled", "analyze_before",
-                            "augment", "write_augmented", "analyze_after"), 0.0)
-
-    def lap(stage: str, since: float) -> float:
-        now = time.monotonic()
-        stages[stage] += now - since
-        return now
+    run.lap("setup")
 
     columns = confound.LabelColumns(len(schema))  # the labeled records'
     twin_columns = confound.LabelColumns(len(schema))  # the spooled twins'
-    with corpus.atomic_writer(original_path) as original_out, \
-            corpus.atomic_writer(labeled_path) as labeled_out, \
-            corpus.atomic_writer(augmented_path) as augmented_out, \
+    with corpus.corpus_writer(original_path, schema) as original_out, \
+            corpus.corpus_writer(labeled_path, schema) as labeled_out, \
+            corpus.corpus_writer(augmented_path, schema) as augmented_out, \
             aug.TwinSpool(augmented_out, outdir, schema, matcher, acfg) as twins:
-        t = time.monotonic()
         for record in synth.synth_records(cfg, schema):
-            t = lap("synth", t)
+            run.lap("synth")
             line = corpus.record_to_line(record, schema)
             original_out.write(line + "\n")
-            t = lap("write_original", t)
+            run.lap("write_original")
             record = record.with_labels(labeler.label_report(record.report, matcher))
-            t = lap("label", t)
+            run.lap("label")
             line = corpus.labeled_line(line, record, schema) + "\n"
             labeled_out.write(line)
-            t = lap("write_labeled", t)
+            run.lap("write_labeled")
             columns.append(record, record.labels.firsts)
-            t = lap("analyze_before", t)
+            run.lap("analyze_before")
             twin = twins.add(record, line)
-            t = lap("augment", t)
+            run.lap("augment")
             if twin is not None:
                 twin_columns.append(twin, twin.labels.firsts)
-                t = lap("analyze_after", t)
+                run.lap("analyze_after")
         rows, asummary, skip_counts = twins.finish()
-        t = lap("augment", t)
+        run.lap("augment")
     statuses = dict(zip(schema.names, columns.status_counts()))
     counts = {"skips": skip_counts, "labeler": {**matcher.counts(), "statuses": statuses}}
-    for path in (original_path, labeled_path, augmented_path):
-        corpus.write_schema(schema, corpus.schema_path_for(path))
-    t = lap("write_augmented", t)
+    run.lap("write_augmented")
 
     before = pair_statistics(columns, schema, pairs)
     atomic_write_text(os.path.join(outdir, "before.txt"), render_analysis(before, len(columns)))
-    t = lap("analyze_before", t)
+    run.lap("analyze_before")
     columns.extend(twin_columns, rows)
     after = pair_statistics(columns, schema, pairs)
     atomic_write_text(os.path.join(outdir, "after.txt"),
                       render_analysis(after, len(columns)))
-    lap("analyze_after", t)
+    run.lap("analyze_after")
 
     keys = ("co_mention_lift", "independence_gap", "order_asymmetry")
     summary = {
@@ -457,19 +478,17 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
                    "after": {k: b1[k] for k in keys}} for b0, b1 in zip(before, after)],
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)
-    stage_seconds = {stage: round(seconds, 3) for stage, seconds in stages.items()}
-    return summary, stage_seconds, counts
+    return summary, run.stages, counts
 
 
 def _cmd_pipeline(args) -> int:
-    started = time.monotonic()
-    summary, stages, counts = run_pipeline(_resolve_scenario(args.scenario), args.seed,
-                                           args.outdir, args.n, args.rate, args.schema)
+    run = _Run()  # its clock; the stages are the pipeline's
+    summary, run.stages, counts = run_pipeline(_resolve_scenario(args.scenario), args.seed,
+                                               args.outdir, args.n, args.rate, args.schema)
     sizes = {name: os.path.getsize(os.path.join(args.outdir, name)) for name in PIPELINE_CORPORA}
-    _run_sidecar(os.path.join(args.outdir, "summary.json"), "pipeline",
-                 {"scenario": os.path.basename(args.scenario)}, summary["seed"],
-                 {"records_augmented": summary["records_augmented"], "bytes": sizes, **counts},
-                 started, stages=stages)
+    run.counts = {"records_augmented": summary["records_augmented"], "bytes": sizes, **counts}
+    run.write(os.path.join(args.outdir, "summary.json"), "pipeline",
+              {"scenario": os.path.basename(args.scenario)}, summary["seed"])
     _info(args, f"pipeline: artifacts in {args.outdir}")
     return EXIT_OK
 
@@ -559,6 +578,8 @@ def _validate(args) -> None:
     n = getattr(args, "n", None)
     if n is not None and n < 0:
         raise UsageError(f"--n must be >= 0, got {n}")
+    if getattr(args, "no_css", False) and args.no_crr:
+        raise UsageError("--no-css and --no-crr leave no augmentation to make")
 
 
 def run(argv: Optional[list[str]] = None) -> int:

@@ -515,6 +515,15 @@ def atomic_writer(path: str) -> Iterator[TextIO]:
         raise
 
 
+@contextmanager
+def corpus_writer(path: str, schema: LabelSchema) -> Iterator[TextIO]:
+    """An ``atomic_writer`` for a corpus's lines: once they replace *path*,
+    the schema sidecar is written; on error neither is written."""
+    with atomic_writer(path) as fh:
+        yield fh
+    write_schema(schema, schema_path_for(path))
+
+
 def atomic_write_text(path: str, data: str) -> None:
     with atomic_writer(path) as fh:
         fh.write(data)
@@ -559,21 +568,10 @@ def labeled_line(line: str, record: Record, schema: LabelSchema) -> str:
     return line[:at] + _labels_piece(record.labels, schema) + line[at:]
 
 
-def write_records(records: Iterable[Record], schema: LabelSchema, path: str) -> int:
-    """Write records atomically, one line each as they come, then the
-    schema sidecar; returns how many were written."""
-    n = 0
-    with atomic_writer(path) as fh:
-        for record in records:
-            fh.write(record_to_line(record, schema) + "\n")
-            n += 1
-    write_schema(schema, schema_path_for(path))
-    return n
-
-
 def write_corpus(corpus: Corpus, path: str) -> None:
     """Write a corpus atomically; identical corpora yield identical bytes."""
-    write_records(corpus.records, corpus.schema, path)
+    with corpus_writer(path, corpus.schema) as fh:
+        fh.writelines(record_to_line(record, corpus.schema) + "\n" for record in corpus)
 
 
 def iter_corpus(path: str, schema: LabelSchema) -> Iterator[Record]:

@@ -43,6 +43,15 @@ def test_rate_out_of_range_is_usage_error(tmp_path):
     assert rc == EXIT_USAGE
 
 
+def test_augment_with_neither_css_nor_crr_is_usage_error_before_reading(tmp_path):
+    # a missing corpus would exit 2: exit 1 shows the flags are checked first
+    out = tmp_path / "a.jsonl"
+    rc = run(["--quiet", "augment", "--corpus", str(tmp_path / "missing.jsonl"),
+              "--rate", "0.5", "--no-css", "--no-crr", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,out_flag", [("synth", "--out"), ("pipeline", "--outdir")])
 def test_negative_n_is_usage_error_before_reading_the_scenario(tmp_path, command, out_flag):
     # a missing scenario would exit 2: exit 1 shows --n is checked before any I/O
@@ -618,9 +627,18 @@ def test_evaluate_run_summary_has_stage_times_and_token_counts(tmp_path, schema)
     assert run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path,
                 "--out", str(out)]) == EXIT_OK
     summary = json.loads((tmp_path / "scores.json.run.json").read_text())
-    assert set(summary["stages"]) == {"ce", "bleu4", "rougel"}
-    assert set(summary["counts"]) == {"records", "gold_tokens", "generated_tokens"}
+    assert set(summary["stages"]) == {"setup", "read", "ce", "tokenize", "bleu4", "rougel",
+                                      "write"}
+    assert set(summary["counts"]) == {"records", "gold_tokens", "generated_tokens", "labeler"}
     assert "stages" not in json.loads(out.read_text())
+
+
+def test_evaluate_macro_without_ce_is_usage_error_before_reading(tmp_path):
+    # a missing corpus would exit 2: exit 1 shows the flags are checked first
+    rc = run(["--quiet", "evaluate", "--gold", str(tmp_path / "missing.jsonl"),
+              "--generated", str(tmp_path / "missing.jsonl"), "--metrics", "bleu4,rougel",
+              "--macro", "--out", str(tmp_path / "scores.json")])
+    assert rc == EXIT_USAGE
 
 
 def test_evaluate_unknown_metric_is_usage_error_before_reading(tmp_path):
@@ -763,7 +781,7 @@ def test_pipeline_run_summary_has_stage_times(tmp_path):
     assert run(argv + ["--outdir", str(tmp_path / "a")]) == EXIT_OK
     run_summary = json.loads((tmp_path / "a" / "summary.json.run.json").read_text())
     assert set(run_summary["stages"]) == {
-        "synth", "write_original", "label", "write_labeled",
+        "setup", "synth", "write_original", "label", "write_labeled",
         "analyze_before", "augment", "write_augmented", "analyze_after"}
     assert all(t >= 0 for t in run_summary["stages"].values())
     summary = (tmp_path / "a" / "summary.json").read_bytes()
@@ -1234,3 +1252,67 @@ def test_augment_writes_the_bytes_of_the_in_memory_reference(tmp_path, schema, m
     # the records are written as read and encoded again, not copied
     assert not out.read_bytes().startswith(edited[0].encode("utf-8"))
     assert out.read_bytes() == reference.read_bytes()
+
+
+_RUN_STAGES = {
+    "synth": {"setup", "synth", "write"},
+    "label": {"setup", "read", "label", "write"},
+    "analyze": {"setup", "read", "label", "analyze", "write"},
+    "augment": {"setup", "read", "augment", "write"},
+    "evaluate": {"setup", "read", "ce", "tokenize", "bleu4", "rougel", "write"},
+    "pipeline": {"setup", "synth", "write_original", "label", "write_labeled",
+                 "analyze_before", "augment", "write_augmented", "analyze_after"},
+}
+
+
+def test_every_command_writes_one_shape_of_run_record(tmp_path):
+    original = str(tmp_path / "c.jsonl")
+    labeled = str(tmp_path / "l.jsonl")
+    commands = {
+        "synth": (["--scenario", "default", "--n", "40", "--seed", "5", "--out", original],
+                  original),
+        "label": (["--corpus", original, "--out", labeled], labeled),
+        "analyze": (["--corpus", labeled, "--out", str(tmp_path / "r.txt")],
+                    str(tmp_path / "r.txt")),
+        "augment": (["--corpus", labeled, "--rate", "0.6", "--seed", "3",
+                     "--out", str(tmp_path / "a.jsonl")], str(tmp_path / "a.jsonl")),
+        "evaluate": (["--gold", original, "--generated", labeled, "--macro",
+                      "--out", str(tmp_path / "s.json")], str(tmp_path / "s.json")),
+        "pipeline": (["--scenario", "default", "--n", "40", "--seed", "5",
+                      "--outdir", str(tmp_path / "p")], str(tmp_path / "p" / "summary.json")),
+    }
+    for command, (flags, out) in commands.items():
+        assert run(["--quiet", command, *flags]) == EXIT_OK, command
+        record = json.loads(Path(out + ".run.json").read_text())
+        assert set(record) == {"command", "inputs", "seed", "counts", "stages",
+                               "wall_time_s"}, command
+        assert record["command"] == command
+        stages = record["stages"]
+        assert set(stages) == _RUN_STAGES[command], command
+        assert all(seconds >= 0 for seconds in stages.values()), command
+        # each stage and the wall time are rounded to 3 places
+        assert sum(stages.values()) <= record["wall_time_s"] + 0.0005 * (len(stages) + 1)
+        counts = record["counts"]
+        if command == "augment":
+            assert set(counts["skips"]) == {"below-min-sentences", "no-labelable-sentence"}
+            assert sum(counts["skips"].values()) == counts["skipped"]
+        if command in ("label", "analyze", "augment", "evaluate"):
+            assert set(counts["labeler"]) == {"sentences", "distinct_texts", "unmatched_texts"}
+    sentences = sum(len(record.report) for record in read_corpus(original))
+    labeled_counts = json.loads(Path(labeled + ".run.json").read_text())["counts"]
+    assert labeled_counts["labeler"]["sentences"] == sentences
+    assert labeled_counts["records"] == 40
+
+
+def test_a_run_record_lists_every_stage_of_an_empty_run(tmp_path):
+    empty = str(tmp_path / "e.jsonl")
+    assert run(["--quiet", "synth", "--scenario", "default", "--n", "0", "--out", empty]) == EXIT_OK
+    # ce of no pairs is a data error
+    assert run(["--quiet", "evaluate", "--gold", empty, "--generated", empty,
+                "--metrics", "bleu4,rougel", "--out", str(tmp_path / "s.json")]) == EXIT_OK
+    assert run(["--quiet", "pipeline", "--scenario", "default", "--n", "0",
+                "--outdir", str(tmp_path / "p")]) == EXIT_OK
+    for command, out in (("synth", empty), ("evaluate", str(tmp_path / "s.json")),
+                         ("pipeline", str(tmp_path / "p" / "summary.json"))):
+        stages = json.loads(Path(out + ".run.json").read_text())["stages"]
+        assert set(stages) == _RUN_STAGES[command] - {"ce"}, command

@@ -15,6 +15,7 @@ from coaug.corpus import (
     Report,
     ReportLabelVector,
     Sentence,
+    corpus_writer,
     default_schema,
     labeled_line,
     make_schema,
@@ -75,6 +76,23 @@ def test_write_is_deterministic(tmp_path, schema):
     write_corpus(corpus, str(p1))
     write_corpus(corpus, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_corpus_writer_writes_nothing_when_its_block_raises(tmp_path, schema):
+    corpus = Corpus(schema, (make_record("a", ["Some sentence."], schema),))
+    line = record_to_line(corpus.records[0], schema) + "\n"
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    write_corpus(corpus, str(old))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    other = make_schema(reversed(schema.names), schema.d)
+    for path in (new, old):
+        with pytest.raises(RuntimeError, match="mid-corpus"):
+            with corpus_writer(str(path), other) as fh:
+                fh.write(line)
+                raise RuntimeError("mid-corpus")
+    # no new file, no sidecar, no temporary file; the old corpus is whole
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert read_corpus(str(old)) == corpus
 
 
 def test_floats_quantized_to_nine_significant_digits():
