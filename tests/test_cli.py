@@ -1316,3 +1316,74 @@ def test_a_run_record_lists_every_stage_of_an_empty_run(tmp_path):
                          ("pipeline", str(tmp_path / "p" / "summary.json"))):
         stages = json.loads(Path(out + ".run.json").read_text())["stages"]
         assert set(stages) == _RUN_STAGES[command] - {"ce"}, command
+
+
+# ---------------------------------------------------------------------------
+# analyze: the text of every branch, on a hand-labeled corpus
+
+
+def _branch_corpus(tmp_path, schema):
+    """Thirteen records whose carried labels give every analysis branch:
+    Cardiomegaly ~ Pleural Effusion reverses within the Edema strata,
+    Pneumothorax is always positive (no negative margin) but never in the
+    text, and Fracture is never mentioned (four empty cells, no lift)."""
+    names = ("Cardiomegaly", "Pleural Effusion", "Edema", "Pneumothorax")
+    heart, effusion = "The heart is enlarged.", "There is a small right pleural effusion."
+    P, N, U = DiseaseStatus.POSITIVE, DiseaseStatus.NEGATIVE, DiseaseStatus.UNMENTIONED
+    # (Cardiomegaly, Pleural Effusion, Edema) and how many records carry them
+    rows = [((P, P, P), 4), ((P, N, P), 1), ((N, P, P), 1),
+            ((P, N, N), 1), ((N, P, N), 1), ((N, N, N), 4), ((U, P, U), 1)]
+    records = []
+    for statuses, count in rows:
+        for _ in range(count):
+            labels = [U] * len(schema)
+            for name, status in zip(names, (*statuses, P)):
+                labels[schema.index_of(name)] = status
+            k = len(records)
+            texts = [effusion] if statuses[0] is U else (
+                [effusion, heart] if k % 4 == 3 else [heart, effusion])
+            records.append(make_record(f"r{k}", texts, schema,
+                                       labels=ReportLabelVector(tuple(labels))))
+    path = tmp_path / "branches.jsonl"
+    write_corpus(Corpus(schema, tuple(records)), str(path))
+    return str(path)
+
+
+_BRANCH_PAIRS = "Cardiomegaly,Pleural Effusion;Cardiomegaly,Fracture;Pneumothorax,Cardiomegaly"
+_BRANCH_TEXT = """records: 13
+
+pair: Cardiomegaly ~ Pleural Effusion
+  cells: n_pp=4 n_pm=2 n_mp=2 n_mm=4
+  margins: a_pos=6 a_neg=6 classified=12 total=13
+  p(b+|a+)=0.667  p(b+|a-)=0.333  p(b-|a+)=0.333  p(b-|a-)=0.667
+  odds_ratio=4  independence_gap=0.0833333
+  co_mention_lift=1  order_asymmetry=0.5 (co_occurrences=12)
+  simpson_reversal: {}
+
+pair: Cardiomegaly ~ Fracture
+  cells: n_pp=0 n_pm=0 n_mp=0 n_mm=0
+  margins: a_pos=6 a_neg=6 classified=0 total=13
+  p(b+|a+)=0.000  p(b+|a-)=0.000  p(b-|a+)=0.000  p(b-|a-)=0.000
+  odds_ratio=n/a  independence_gap=n/a
+  co_mention_lift=n/a  order_asymmetry=n/a (co_occurrences=0)
+  simpson_reversal: {}
+
+pair: Pneumothorax ~ Cardiomegaly
+  cells: n_pp=6 n_pm=6 n_mp=0 n_mm=0
+  margins: a_pos=13 a_neg=0 classified=12 total=13
+  conditionals: n/a
+  odds_ratio=1  independence_gap=0
+  co_mention_lift=1  order_asymmetry=n/a (co_occurrences=0)
+  simpson_reversal: {}
+"""
+
+
+@pytest.mark.parametrize("stratify, verdicts", [
+    ([], ("n/a", "n/a", "n/a")),
+    (["--stratify", "disease:Edema"], ("yes", "no", "no")),
+], ids=["unstratified", "by-edema"])
+def test_analyze_text_is_pinned_on_every_branch(tmp_path, schema, stratify, verdicts):
+    out = tmp_path / "analysis.txt"
+    assert run(["--quiet", "analyze", "--corpus", _branch_corpus(tmp_path, schema),
+                "--pairs", _BRANCH_PAIRS, *stratify, "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == _BRANCH_TEXT.format(*verdicts)
