@@ -23,7 +23,7 @@ from typing import Optional
 from . import augment as aug
 from . import confound, corpus, labeler, metrics, synth
 from .corpus import LabelSchema, atomic_write_text
-from .errors import CoaugError, NoCooccurrence, UnknownDisease, UsageError
+from .errors import CoaugError, UnknownDisease, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,103 +101,54 @@ def _info(args, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pair statistics of a labeled corpus's columns, shared by analyze and pipeline
+# the analysis text of a labeled corpus's columns, shared by analyze and pipeline
 
 
-def pair_statistics(columns: confound.LabelColumns, schema: LabelSchema,
-                    pairs: list[tuple[int, int]],
-                    stratify=None) -> list[dict]:
-    blocks = []
+def _defined(statistic, *args):
+    """``statistic(*args)``, or None where the statistic is undefined."""
+    try:
+        return statistic(*args)
+    except CoaugError:
+        return None
+
+
+def _fmt(value) -> str:
+    return "n/a" if value is None else f"{value:.6g}"
+
+
+def pair_analysis(columns: confound.LabelColumns, schema: LabelSchema,
+                  pairs: list[tuple[int, int]], stratify=None) -> tuple[str, list]:
+    """The analysis text of *columns* for each of *pairs*, and each pair's
+    names with the numbers ``summary.json`` keeps of it."""
+    lines, kept = [f"records: {len(columns)}", ""], []
     for ia, ib in pairs:
         st = columns.contingency(ia, ib, stratify)
-        table = st.aggregate
-        block: dict = {
-            "a": schema.names[ia],
-            "b": schema.names[ib],
-            "cells": {"n_pp": table.n_pp, "n_pm": table.n_pm,
-                      "n_mp": table.n_mp, "n_mm": table.n_mm},
-            "margin_a_pos": table.margin_a_pos,
-            "margin_a_neg": table.margin_a_neg,
-            "classified": table.cell_total,
-            "total_population": table.total_population,
-        }
-        try:
-            p_pp, p_mp, p_pm, p_mm = confound.conditional_probability(table)
-            block["conditionals"] = {
-                "p_bpos_given_apos": round(p_pp, 3),
-                "p_bpos_given_aneg": round(p_mp, 3),
-                "p_bneg_given_apos": round(p_pm, 3),
-                "p_bneg_given_aneg": round(p_mm, 3),
-            }
-        except CoaugError:
-            block["conditionals"] = None
-        try:
-            stats = confound.association_stats(table)
-            block["odds_ratio"] = stats.odds_ratio
-            block["independence_gap"] = stats.independence_gap
-        except CoaugError:
-            block["odds_ratio"] = None
-            block["independence_gap"] = None
-        try:
-            block["co_mention_lift"] = columns.lift(ia, ib)
-        except CoaugError:
-            block["co_mention_lift"] = None
-        try:
-            oa = columns.order_asymmetry(ia, ib)
-            block["order_asymmetry"] = oa.asym
-            block["co_occurrences"] = oa.co_occur_count
-        except NoCooccurrence:
-            block["order_asymmetry"] = None
-            block["co_occurrences"] = 0
-        if stratify is not None:
-            block["simpson_reversal"] = confound.detect_simpson_reversal(st).reversal
-        else:
-            block["simpson_reversal"] = None
-        blocks.append(block)
-    return blocks
-
-
-def _fmt_opt(value, spec="{:.6g}") -> str:
-    return "n/a" if value is None else spec.format(value)
-
-
-def render_analysis(blocks: list[dict], n_records: int) -> str:
-    lines = [f"records: {n_records}", ""]
-    for b in blocks:
-        lines.append(f"pair: {b['a']} ~ {b['b']}")
-        c = b["cells"]
-        lines.append(
-            f"  cells: n_pp={c['n_pp']} n_pm={c['n_pm']} n_mp={c['n_mp']} n_mm={c['n_mm']}"
-        )
-        lines.append(
-            f"  margins: a_pos={b['margin_a_pos']} a_neg={b['margin_a_neg']}"
-            f" classified={b['classified']} total={b['total_population']}"
-        )
-        cond = b["conditionals"]
-        if cond is None:
-            lines.append("  conditionals: n/a")
-        else:
-            lines.append(
-                "  p(b+|a+)={:.3f}  p(b+|a-)={:.3f}  p(b-|a+)={:.3f}  p(b-|a-)={:.3f}".format(
-                    cond["p_bpos_given_apos"], cond["p_bpos_given_aneg"],
-                    cond["p_bneg_given_apos"], cond["p_bneg_given_aneg"],
-                )
-            )
-        lines.append(
-            f"  odds_ratio={_fmt_opt(b['odds_ratio'])}"
-            f"  independence_gap={_fmt_opt(b['independence_gap'])}"
-        )
-        lines.append(
-            f"  co_mention_lift={_fmt_opt(b['co_mention_lift'])}"
-            f"  order_asymmetry={_fmt_opt(b['order_asymmetry'])}"
-            f" (co_occurrences={b['co_occurrences']})"
-        )
-        if b["simpson_reversal"] is None:
-            lines.append("  simpson_reversal: n/a")
-        else:
-            lines.append(f"  simpson_reversal: {'yes' if b['simpson_reversal'] else 'no'}")
-        lines.append("")
-    return "\n".join(lines)
+        t = st.aggregate
+        conditionals = _defined(confound.conditional_probability, t)
+        stats = _defined(confound.association_stats, t) or confound.AssociationStats(None, None)
+        lift = _defined(columns.lift, ia, ib)
+        order = _defined(columns.order_asymmetry, ia, ib) or confound.OrderAsymmetry(0, None)
+        reversal = "n/a" if stratify is None else (
+            "yes" if confound.detect_simpson_reversal(st).reversal else "no")
+        a, b = schema.names[ia], schema.names[ib]
+        lines += [
+            f"pair: {a} ~ {b}",
+            f"  cells: n_pp={t.n_pp} n_pm={t.n_pm} n_mp={t.n_mp} n_mm={t.n_mm}",
+            f"  margins: a_pos={t.margin_a_pos} a_neg={t.margin_a_neg}"
+            f" classified={t.cell_total} total={t.total_population}",
+            "  conditionals: n/a" if conditionals is None else
+            "  p(b+|a+)={:.3f}  p(b+|a-)={:.3f}  p(b-|a+)={:.3f}  p(b-|a-)={:.3f}".format(
+                *conditionals),
+            f"  odds_ratio={_fmt(stats.odds_ratio)}"
+            f"  independence_gap={_fmt(stats.independence_gap)}",
+            f"  co_mention_lift={_fmt(lift)}  order_asymmetry={_fmt(order.asym)}"
+            f" (co_occurrences={order.co_occur_count})",
+            f"  simpson_reversal: {reversal}",
+            "",
+        ]
+        kept.append((a, b, {"co_mention_lift": lift, "independence_gap": stats.independence_gap,
+                            "order_asymmetry": order.asym}))
+    return "\n".join(lines), kept
 
 
 def _parse_pairs(spec_arg: Optional[str], schema: LabelSchema) -> list[tuple[int, int]]:
@@ -291,9 +242,9 @@ def _cmd_analyze(args) -> int:
             record = record.with_labels(labels)
         columns.append(record, labels.firsts)
         run.lap("analyze")
-    blocks = pair_statistics(columns, schema, pairs, stratify)
+    text, _ = pair_analysis(columns, schema, pairs, stratify)
     run.lap("analyze")
-    atomic_write_text(args.out, render_analysis(blocks, len(columns)))
+    atomic_write_text(args.out, text)
     run.lap("write")
     run.counts.update(records=len(columns), pairs=len(pairs), labeler=matcher.counts())
     run.write(args.out, "analyze", {"corpus": os.path.basename(args.corpus)})
@@ -383,6 +334,9 @@ def _cmd_evaluate(args) -> int:
     scores: dict = {"records": n}
     run.counts.update(records=n, gold_tokens=gold_tokens, generated_tokens=generated_tokens)
     if ce:
+        if not n:
+            raise CoaugError(f"{args.gold} and {args.generated} hold no records: "
+                             "the ce scores need at least one pair")
         cells = [metrics.ConfusionCounts(*tally) for tally in tallies]
         counts = sum(cells, metrics.ConfusionCounts())  # micro: the cells pooled
         scores["counts"] = dataclasses.asdict(counts)
@@ -458,24 +412,22 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
     counts = {"skips": skip_counts, "labeler": {**matcher.counts(), "statuses": statuses}}
     run.lap("write_augmented")
 
-    before = pair_statistics(columns, schema, pairs)
-    atomic_write_text(os.path.join(outdir, "before.txt"), render_analysis(before, len(columns)))
+    text, before = pair_analysis(columns, schema, pairs)
+    atomic_write_text(os.path.join(outdir, "before.txt"), text)
     run.lap("analyze_before")
     columns.extend(twin_columns, rows)
-    after = pair_statistics(columns, schema, pairs)
-    atomic_write_text(os.path.join(outdir, "after.txt"),
-                      render_analysis(after, len(columns)))
+    text, after = pair_analysis(columns, schema, pairs)
+    atomic_write_text(os.path.join(outdir, "after.txt"), text)
     run.lap("analyze_after")
 
-    keys = ("co_mention_lift", "independence_gap", "order_asymmetry")
     summary = {
         "scenario": os.path.basename(scenario_path),
         "seed": cfg.seed,
         "records_original": asummary.originals,
         "records_augmented": len(columns),
         "augmentation": dataclasses.asdict(asummary),
-        "pairs": [{"a": b0["a"], "b": b0["b"], "before": {k: b0[k] for k in keys},
-                   "after": {k: b1[k] for k in keys}} for b0, b1 in zip(before, after)],
+        "pairs": [{"a": a, "b": b, "before": numbers, "after": after_numbers}
+                  for (a, b, numbers), (_, _, after_numbers) in zip(before, after)],
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)
     return summary, run.stages, counts

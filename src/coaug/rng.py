@@ -22,8 +22,9 @@ once.  ``RngStream.random_n(n)``, n draws of ``random()``, and
 ``RngStream.gauss_n(n, sigma)``, n draws of ``gauss(0.0, sigma)``, do so:
 the uniforms sit in 128-bit lanes of one Python int, the finalizer runs
 as whole-int shifts, masks and multiplies (a 64x64-bit product stays
-inside its lane), the lanes are read back through a memoryview and the
-scaling and Box-Muller run as C-level maps.  The floats, the final state
+inside its lane), the lanes are read back as little-endian 64-bit words
+by one ``struct`` unpack, the same on every host, and the scaling and
+Box-Muller run as C-level maps.  The floats, the final state
 and the pending spare equal those of the repeated calls; a u1 of 0.0,
 which ``gauss`` redraws, sends ``gauss_n`` to ``gauss`` itself.
 ``RngStream.permutation(n)`` takes its n-1 ``randrange`` draws from one
@@ -33,7 +34,7 @@ such pass, unshifted, unless one of them might be rejected.
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from functools import lru_cache
 from itertools import repeat
 from math import cos, log, sin, sqrt
@@ -45,7 +46,6 @@ _UNIT = 1.0 / (1 << 53)
 _TWO_PI, _MINUS_TWO, _ZERO = 2.0 * math.pi, -2.0, 0.0
 # 2π·2⁻⁵³ is exact (a power-of-two scaling), so 2π·(u·2⁻⁵³) == (2π·2⁻⁵³)·u
 _TWO_PI_UNIT = _TWO_PI * _UNIT
-_LITTLE_ENDIAN = sys.byteorder == "little"  # the lanes are read back as native "Q"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -108,8 +108,8 @@ class RngStream:
     def random_n(self, n: int) -> list[float]:
         """``[self.random() for _ in range(n)]`` from one packed draw: the
         same floats and final state."""
-        if n <= 0 or not _LITTLE_ENDIAN:
-            return [self.random() for _ in range(n)]
+        if n <= 0:
+            return []
         bits = _outputs(self.state, n, 11)
         self.state = (self.state + n * GOLDEN) & _MASK
         return list(map(mul, bits, repeat(_UNIT)))
@@ -129,7 +129,7 @@ class RngStream:
         for i = n-1 .. 1.  From five items on, the draws are one packed pass
         unless one might be rejected (below five, the calls cost less)."""
         perm, bounds = list(range(n)), range(n, 1, -1)
-        draws = _outputs(self.state, n - 1) if n > 4 and _LITTLE_ENDIAN else None
+        draws = _outputs(self.state, n - 1) if n > 4 else None
         # randrange(b) redraws an output at or above 2**64 - 2**64 % b > 2**64 - n
         if draws is None or max(draws) >= (1 << 64) - n:
             draws = map(self.randrange, bounds)
@@ -162,10 +162,10 @@ class RngStream:
         head = [] if spare is None else [0.0 + sigma * spare]
         rest = n - len(head)
         pairs = (rest + 1) // 2
-        bits = _outputs(self.state, 2 * pairs, 11) if pairs and _LITTLE_ENDIAN else None
-        u1 = [] if bits is None else list(bits[::2])
-        if bits is None or 0 in u1:
-            # gauss redraws a u1 of 0.0, which shifts every later draw
+        bits = _outputs(self.state, 2 * pairs, 11)
+        u1 = bits[::2]
+        if not bits or 0 in u1:
+            # no pair to draw, or gauss redraws a u1 of 0.0, which shifts every later draw
             return [self.gauss(0.0, sigma) for _ in range(n)]
         # operator.mul over repeat() is the cheapest C-level product per element
         r = list(map(sqrt, map(mul, repeat(_MINUS_TWO), map(log, map(mul, u1, repeat(_UNIT))))))
@@ -180,24 +180,25 @@ class RngStream:
 
 
 @lru_cache(maxsize=64)
-def _lanes(m: int) -> tuple[int, int, int]:
+def _lanes(m: int) -> tuple[int, int, int, struct.Struct]:
     """Constants for m lanes of 128 bits: a 1 in each lane, k·GOLDEN in
-    lane k-1, and the 64-bit lane mask."""
+    lane k-1, the 64-bit lane mask, and the unpacker of each lane's low
+    64 bits from the little-endian bytes."""
     ones = sum(1 << (128 * i) for i in range(m))
     steps = sum((((i + 1) * GOLDEN) & _MASK) << (128 * i) for i in range(m))
-    return ones, steps, ones * _MASK
+    return ones, steps, ones * _MASK, struct.Struct("<" + "Q8x" * m)
 
 
-def _outputs(state: int, m: int, shift: int = 0) -> memoryview:
+def _outputs(state: int, m: int, shift: int = 0) -> tuple[int, ...]:
     """``finalize64(state + k·GOLDEN) >> shift`` for k = 1..m, computed in
     128-bit lanes of one int: a 64x64-bit product never reaches the next
     lane, and the shift moves a lane's bits only into the high half of the
     lane below, which is not read back."""
-    ones, steps, lane = _lanes(m)
+    ones, steps, lane, words = _lanes(m)
     z = (state * ones + steps) & lane
     z = (z ^ (z >> 30)) & lane
     z = (z * 0xBF58476D1CE4E5B9) & lane
     z = (z ^ (z >> 27)) & lane
     z = (z * 0x94D049BB133111EB) & lane
     z = ((z ^ (z >> 31)) & lane) >> shift
-    return memoryview(z.to_bytes(16 * m, "little")).cast("Q")[::2]
+    return words.unpack(z.to_bytes(16 * m, "little"))

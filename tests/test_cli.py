@@ -1387,3 +1387,19 @@ def test_analyze_text_is_pinned_on_every_branch(tmp_path, schema, stratify, verd
     assert run(["--quiet", "analyze", "--corpus", _branch_corpus(tmp_path, schema),
                 "--pairs", _BRANCH_PAIRS, *stratify, "--out", str(out)]) == EXIT_OK
     assert out.read_text() == _BRANCH_TEXT.format(*verdicts)
+
+
+def test_evaluate_ce_of_empty_corpora_names_both_files_and_writes_nothing(tmp_path, capsys):
+    gold, generated = str(tmp_path / "gold.jsonl"), str(tmp_path / "generated.jsonl")
+    for path in (gold, generated):
+        assert run(["--quiet", "synth", "--scenario", "default", "--n", "0",
+                    "--out", path]) == EXIT_OK
+    out = tmp_path / "scores.json"
+    capsys.readouterr()
+    assert run(["--quiet", "evaluate", "--gold", gold, "--generated", generated,
+                "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert gold in err and generated in err and "hold no records" in err
+    assert not out.exists() and not (tmp_path / "scores.json.run.json").exists()
+    assert run(["--quiet", "evaluate", "--gold", gold, "--generated", generated,
+                "--metrics", "bleu4,rougel", "--out", str(out)]) == EXIT_OK

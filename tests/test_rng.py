@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coaug import rng
 from coaug.rng import _MASK, GOLDEN, RngStream, finalize64, fnv1a64, mix64
 
 # published reference outputs of the splitmix64 generator seeded with 0
@@ -134,12 +133,6 @@ def test_gauss_n_zero_u2_gives_a_zero_sine(pending, sigma):
     _gauss_n_agrees_with_gauss(_stream((-4 * GOLDEN) & _MASK, pending), 6, sigma)
 
 
-def test_gauss_n_scalar_path_off_little_endian_hosts(monkeypatch):
-    monkeypatch.setattr(rng, "_LITTLE_ENDIAN", False)
-    for pending in (False, True):
-        _gauss_n_agrees_with_gauss(_stream(99, pending), 15, 0.3)
-
-
 def _random_n_agrees_with_random(state: int, n: int) -> None:
     stream, reference = RngStream(state), RngStream(state)
     expected = [reference.random() for _ in range(n)]
@@ -151,14 +144,6 @@ def _random_n_agrees_with_random(state: int, n: int) -> None:
 @given(state=st.integers(0, _MASK), n=st.integers(0, 300))
 def test_random_n_equals_repeated_random(state, n):
     _random_n_agrees_with_random(state, n)
-
-
-@settings(max_examples=50, deadline=None)
-@given(state=st.integers(0, _MASK), n=st.integers(0, 300))
-def test_random_n_scalar_path_off_little_endian_hosts(state, n):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rng, "_LITTLE_ENDIAN", False)
-        _random_n_agrees_with_random(state, n)
 
 
 def test_random_n_leaves_a_pending_gauss_spare():
@@ -219,9 +204,3 @@ def test_permutation_redraws_an_output_above_the_rejection_limit(n, data):
     assert [probe.next_u64() for _ in range(k)][-1] == u
     stream = RngStream(state)
     assert (stream.permutation(n), stream.state) == _shuffled(state, n)
-
-
-def test_permutation_scalar_path_off_little_endian_hosts(monkeypatch):
-    monkeypatch.setattr(rng, "_LITTLE_ENDIAN", False)
-    stream = RngStream(11)
-    assert (stream.permutation(9), stream.state) == _shuffled(11, 9)
