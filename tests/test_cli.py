@@ -605,6 +605,51 @@ def test_evaluate_one_pass_equals_the_report_metrics(data):
                       "generated_tokens": sum(len(report_tokens(r)) for r in gen)}
 
 
+
+_LONG_SENTENCES = st.lists(_WORDS, min_size=3, max_size=12).map(" ".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_evaluate_of_reordered_reports_equals_the_report_metrics(data):
+    # each generated report is its gold report shuffled, less one sentence,
+    # so the pairs share sentences of up to 12 words
+    from coaug.corpus import Provenance, default_schema
+    from coaug.metrics import bleu_stats, report_tokens, rouge_l
+
+    schema = default_schema()
+    gold_texts = data.draw(st.lists(st.lists(_LONG_SENTENCES, min_size=1, max_size=5),
+                                    min_size=1, max_size=5))
+    gen_texts = []
+    for texts in gold_texts:
+        shuffled = data.draw(st.permutations(texts))
+        del shuffled[data.draw(st.integers(0, len(shuffled) - 1))]
+        gen_texts.append(shuffled)
+    gold_records = [make_record(f"r{i}", texts, schema, features=False)
+                    for i, texts in enumerate(gold_texts)]
+    gen_records = [make_record(f"g{i}", texts, schema, features=False,
+                               provenance=Provenance.COUNTERFACTUAL, source_id=f"r{i}")
+                   for i, texts in enumerate(gen_texts)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, records in (("gold", gold_records), ("gen", gen_records)):
+            paths.append(os.path.join(tmp, f"{name}.jsonl"))
+            write_corpus(Corpus(schema, tuple(records)), paths[-1])
+        out = os.path.join(tmp, "scores.json")
+        assert run(["--quiet", "evaluate", "--gold", paths[0], "--generated", paths[1],
+                    "--metrics", "bleu4,rougel", "--out", out]) == EXIT_OK
+        scores = json.loads(Path(out).read_text())
+        counts = json.loads(Path(out + ".run.json").read_text())["counts"]
+        gold = [r.report for r in read_corpus(paths[0])]
+        gen = [r.report for r in read_corpus(paths[1])]
+    assert [r.texts() for r in gen] == gen_texts
+    precisions, bp, score = bleu_stats(gold, gen)
+    assert scores == {"records": len(gold), "bleu4": score, "bleu4_precisions": precisions,
+                      "bleu4_brevity_penalty": bp, "rouge_l": rouge_l(gold, gen)}
+    assert counts == {"records": len(gold),
+                      "gold_tokens": sum(len(report_tokens(r)) for r in gold),
+                      "generated_tokens": sum(len(report_tokens(r)) for r in gen)}
+
 def test_evaluate_metric_subsets_write_the_same_values(tmp_path, schema):
     gold_path, gen_path = _evaluate_pair(tmp_path, schema)
     written = {}

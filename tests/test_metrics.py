@@ -12,6 +12,7 @@ from coaug.metrics import (
     EmptyInput,
     bleu4,
     _lcs_length,
+    bleu_pair_counts,
     bleu_stats,
     ce_confusion,
     ce_confusion_per_disease,
@@ -374,3 +375,46 @@ def test_bleu_stats_equals_the_dict_clip(data):
     gold = data.draw(st.lists(reports, min_size=1, max_size=5))
     gen = data.draw(st.lists(reports, min_size=len(gold), max_size=len(gold)))
     assert bleu_stats(gold, gen) == _dict_bleu_stats(gold, gen)
+
+
+# ---------------------------------------------------------------------------
+# reports that share sentences, within a side and across the two sides
+
+# words with punctuation, "_", a final sigma ("ΑΣ" lowers to "ας") and a
+# capital that lowers to two characters ("İ")
+_POOL_WORDS = st.sampled_from(["the", "heart", "no", "effusion.", "clear,", "x_y", "_",
+                               "ΑΣ", "ΑΣ.", "İ", "İs", "(left)", "1.2", "'s"])
+# 1-14 words: the tokens of a sentence fall on both sides of 7
+_POOL_SENTENCES = st.lists(_POOL_WORDS, min_size=1, max_size=14).map(" ".join)
+
+
+def _shared_sentence_reports(data):
+    """Gold and generated reports drawn from one small pool of sentences,
+    so texts repeat within a report and across the two sides."""
+    pool = data.draw(st.lists(_POOL_SENTENCES, min_size=1, max_size=6))
+    reports = st.lists(st.sampled_from(pool), max_size=7).map(lambda texts: R(*texts))
+    gold = data.draw(st.lists(reports, min_size=1, max_size=4))
+    gen = data.draw(st.lists(reports, min_size=len(gold), max_size=len(gold)))
+    return gold, gen
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bleu_stats_of_reports_sharing_sentences_equals_the_dict_clip(data):
+    gold, gen = _shared_sentence_reports(data)
+    assert bleu_stats(gold, gen) == _dict_bleu_stats(gold, gen)
+
+
+def test_bleu_counts_of_shared_sentences_hand_case():
+    seven = "The left lung is clear today."            # 7 tokens
+    eight = "No pleural effusion or pneumothorax is seen."  # 8 tokens
+    twice = "Heart size is normal, mediastinum stable."  # 8 tokens, twice in gold
+    gold = R(eight, twice, seven, twice, "Lines unchanged.")
+    gen = R(twice, seven, "Mild cardiomegaly.", eight)
+    ref, cand = report_tokens(gold), report_tokens(gen)
+    assert (len(ref), len(cand)) == (34, 26)
+    # matches for n = 1..4, then the generated report's n-gram totals: all
+    # but "mild", "cardiomegaly" match; of the n-grams across the generated
+    # report's three sentence edges only those of twice -> seven match
+    assert bleu_pair_counts(ref, cand) == (24, 21, 19, 17, 26, 25, 24, 23)
+    assert _dict_bleu_stats([gold], [gen])[0] == [24 / 26, 21 / 25, 19 / 24, 17 / 23]
