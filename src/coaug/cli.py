@@ -318,14 +318,13 @@ def _cmd_evaluate(args) -> int:
             for tally, k in zip(tallies, pair):
                 tally[k] += 1
             lap("ce")
-        ref = metrics.report_tokens(g.report)
-        cand = metrics.report_tokens(h.report)
+        ref, cand, shared = metrics.pair_tokens(g.report, h.report)
         gold_tokens += len(ref)
         generated_tokens += len(cand)
         lap("tokenize")
         if bleu:
             bleu_counts = list(map(operator.add, bleu_counts,
-                                   metrics.bleu_pair_counts(ref, cand)))
+                                   metrics.bleu_shared_counts(ref, cand, shared)))
             lap("bleu4")
         if rouge:
             rouge_total += metrics.rouge_l_pair(ref, cand)

@@ -11,9 +11,12 @@ sensitive by design.  The LCS is the bit-vector algorithm of
 Allison-Dix (1986) and Hyyrö (2004): one Python-int match mask per
 distinct token, one add/or/and step per token of the other side.
 Each score has one per-pair core: ``ce_pair_cells`` on label vectors,
-``bleu_pair_counts`` and ``rouge_l_pair`` on token lists.  The functions
-that take whole sequences loop it over the pairs, and ``coaug evaluate``
-feeds it each pair as it reads it.
+and ``bleu_shared_counts`` and ``rouge_l_pair`` on the tokens that
+``pair_tokens`` makes of two reports.  BLEU counts the n-grams inside a
+sentence text that both reports hold by its length, not one by one,
+since a clip matches them all.  The functions that take whole sequences
+loop the core over the pairs, and ``coaug evaluate`` feeds it each pair
+as it reads it.
 
 Tokenization everywhere: lowercase; a word is a run of Unicode letters
 and digits, and any other non-space character (punctuation, ``_``) is a
@@ -26,9 +29,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .corpus import DiseaseStatus, Report, ReportLabelVector
 from .errors import CoaugError, LengthMismatch, SchemaMismatch
@@ -36,6 +39,10 @@ from .errors import CoaugError, LengthMismatch, SchemaMismatch
 
 class EmptyInput(CoaugError):
     pass
+
+
+# a pair's sentence texts, gold then generated, and each distinct text's tokens
+Shared = Optional[tuple[list[str], list[str], dict[str, list[str]]]]
 
 
 _TOKEN = re.compile(r"[^\W_]+|\S")
@@ -200,6 +207,49 @@ def bleu_pair_counts(ref: list[str], cand: list[str]) -> tuple[int, ...]:
     return (*matches, *totals)
 
 
+def pair_tokens(ref_report: Report, cand_report: Report) -> tuple[list[str], list[str], Shared]:
+    """Both reports' ``report_tokens`` and, when they share a sentence text,
+    their texts and each distinct text's tokens (else None).  Each such text
+    is tokenized once and a report's tokens are its sentences' joined in
+    order: the same, since the space that joins two sentences ends a
+    ``split`` chunk and ``lower``'s final-sigma context."""
+    ref_texts, cand_texts = ref_report.texts(), cand_report.texts()
+    if set(ref_texts).isdisjoint(cand_texts):
+        return tokenize(" ".join(ref_texts)), tokenize(" ".join(cand_texts)), None
+    texts = {text: tokenize(text) for text in {*ref_texts, *cand_texts}}
+    return (list(chain.from_iterable(map(texts.__getitem__, ref_texts))),
+            list(chain.from_iterable(map(texts.__getitem__, cand_texts))),
+            (ref_texts, cand_texts, texts))
+
+
+def bleu_shared_counts(ref: list[str], cand: list[str], shared: Shared) -> tuple[int, ...]:
+    """``bleu_pair_counts(ref, cand)`` of ``pair_tokens``, with the n-grams
+    inside shared sentences counted by length.  Each copy that both sides
+    hold of a text of m > 7 tokens is cut to its first 3 tokens, a space
+    (never a token) and its last 3.  That keeps every n-gram (n <= 4)
+    across the copy's edges and drops m - 7 inner n-grams of each order
+    from both sides, which all match, so m - 7 goes back on each match
+    and total."""
+    if shared is None:
+        return bleu_pair_counts(ref, cand)
+    ref_texts, cand_texts, texts = shared
+    cut = {text: min(ref_texts.count(text), cand_texts.count(text))
+           for text in set(ref_texts).intersection(cand_texts) if len(texts[text]) > 7}
+    squeezed = sum(copies * (len(texts[text]) - 7) for text, copies in cut.items())
+    if squeezed <= len(ref_texts) + len(cand_texts):  # not worth walking every text
+        return bleu_pair_counts(ref, cand)
+    sides: tuple[list[str], list[str]] = ([], [])
+    for tokens, report_texts, left in zip(sides, (ref_texts, cand_texts), (dict(cut), cut)):
+        for text in report_texts:
+            if left.get(text):  # one of the first ``cut[text]`` copies
+                left[text] -= 1
+                tokens += [*texts[text][:3], " ", *texts[text][-3:]]
+            else:
+                tokens += texts[text]
+    # from a list, not a generator: a resized tuple is left on the free list
+    return tuple([count + squeezed for count in bleu_pair_counts(*sides)])
+
+
 def bleu_from_counts(counts: Sequence[int], ref_len: int) -> tuple[list[float], float, float]:
     """(pooled modified precisions p_1..p_4, brevity penalty, score) from
     ``bleu_pair_counts`` summed over the pairs; the candidate length is
@@ -225,8 +275,8 @@ def bleu_stats(
     counts = [0] * 8
     ref_len = 0
     for ref_report, cand_report in zip(gold, gen):
-        ref = report_tokens(ref_report)
-        counts = list(map(add, counts, bleu_pair_counts(ref, report_tokens(cand_report))))
+        ref, cand, shared = pair_tokens(ref_report, cand_report)
+        counts = list(map(add, counts, bleu_shared_counts(ref, cand, shared)))
         ref_len += len(ref)
     return bleu_from_counts(counts, ref_len)
 

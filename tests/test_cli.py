@@ -903,7 +903,7 @@ def test_determinism_script_passes_under_this_interpreter(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.rsplit(" ", 2)[1:] for line in lines] == [
         ["pipeline-default:", "ok"], ["strong_pair:", "ok"], ["evaluate-reordered:", "ok"],
-        ["augment:", "ok"]]
+        ["evaluate-templated:", "ok"], ["augment:", "ok"]]
 
 
 def test_pipeline_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):

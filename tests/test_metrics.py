@@ -13,12 +13,14 @@ from coaug.metrics import (
     bleu4,
     _lcs_length,
     bleu_pair_counts,
+    bleu_shared_counts,
     bleu_stats,
     ce_confusion,
     ce_confusion_per_disease,
     ce_pair_cells,
     ce_scores,
     macro_ce_scores,
+    pair_tokens,
     report_tokens,
     rouge_l,
     tokenize,
@@ -405,16 +407,31 @@ def test_bleu_stats_of_reports_sharing_sentences_equals_the_dict_clip(data):
     assert bleu_stats(gold, gen) == _dict_bleu_stats(gold, gen)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pair_tokens_equal_report_tokens_and_count_the_same_bleu(data):
+    gold, gen = _shared_sentence_reports(data)
+    for ref_report, cand_report in zip(gold, gen):
+        ref, cand, shared = pair_tokens(ref_report, cand_report)
+        assert ref == report_tokens(ref_report)
+        assert cand == report_tokens(cand_report)
+        assert bleu_shared_counts(ref, cand, shared) == bleu_pair_counts(ref, cand)
+
+
 def test_bleu_counts_of_shared_sentences_hand_case():
     seven = "The left lung is clear today."            # 7 tokens
     eight = "No pleural effusion or pneumothorax is seen."  # 8 tokens
-    twice = "Heart size is normal, mediastinum stable."  # 8 tokens, twice in gold
-    gold = R(eight, twice, seven, twice, "Lines unchanged.")
+    # 16 tokens, twice in gold and once in generated: the copies both sides
+    # hold drop 1 + 9 tokens, more than the pair's 8 texts, so they are cut
+    twice = "Heart size is normal, the mediastinum is stable and the hila are unremarkable today."
+    gold = R(eight, twice, seven, twice)
     gen = R(twice, seven, "Mild cardiomegaly.", eight)
     ref, cand = report_tokens(gold), report_tokens(gen)
-    assert (len(ref), len(cand)) == (34, 26)
+    assert (len(ref), len(cand)) == (47, 34)
     # matches for n = 1..4, then the generated report's n-gram totals: all
     # but "mild", "cardiomegaly" match; of the n-grams across the generated
     # report's three sentence edges only those of twice -> seven match
-    assert bleu_pair_counts(ref, cand) == (24, 21, 19, 17, 26, 25, 24, 23)
-    assert _dict_bleu_stats([gold], [gen])[0] == [24 / 26, 21 / 25, 19 / 24, 17 / 23]
+    counts = (32, 29, 27, 25, 34, 33, 32, 31)
+    assert bleu_pair_counts(ref, cand) == counts
+    assert bleu_shared_counts(*pair_tokens(gold, gen)) == counts
+    assert _dict_bleu_stats([gold], [gen])[0] == [32 / 34, 29 / 33, 27 / 32, 25 / 31]

@@ -4,7 +4,7 @@
     python tools/check_determinism.py [PYTHON ...]
 
 For each interpreter (by default the one running this script) it runs
-four commands of this checkout's ``src`` in fresh temporary directories
+five commands of this checkout's ``src`` in fresh temporary directories
 and compares the sha256 of every artifact but the ``.run.json`` timing
 sidecar:
 
@@ -17,6 +17,14 @@ sidecar:
   only read) builds, as the benchmark workload of that name does,
   against ``perfbench/reference_digests.json``.  The pairs are built
   once, by the interpreter running this script;
+* evaluate-templated, ``evaluate --metrics ce,bleu4,rougel --macro`` of
+  pipeline-default's ``original.jsonl`` against ``synth --scenario
+  default --seed 8 --n 1600``, against ``EVALUATE_TEMPLATED_DIGESTS``
+  below.  Every pair shares template sentences, so each distinct text is
+  tokenized on its own; the shared templates longer than 7 tokens drop
+  too few tokens for BLEU to cut them, which evaluate-reordered does in
+  every pair.  The seed-8 corpus is written once, by the interpreter
+  running this script;
 * augment, ``augment --rate 1.0 --seed 7`` of pipeline-default's
   ``labeled.jsonl``, against pipeline-default's ``augmented.jsonl`` and
   ``.schema`` digests.  That ``labeled.jsonl`` is written once, by
@@ -58,6 +66,9 @@ STRONG_PAIR_SEED11_DIGESTS = {
     "summary.json": "f328b9dbb3ce28f06963f6b9613b68fb0ace643a3f3944f7c3c979d8dce2c2ec",
 }
 
+EVALUATE_TEMPLATED_DIGESTS = {
+    "scores.json": "263ab85c4d9f6d2682d0caceec1279741d90feaca7fc5fbc1580cc6d7c197fec",
+}
 
 EVALUATE_SEED = 7
 EVALUATE_N = 1500
@@ -91,6 +102,11 @@ def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str
     default = pipeline("--scenario", "default", "--seed", "7", "--n", "1600", "--rate", "1.0")
     coaug(sys.executable, default(inputs / "pipeline-default"))
     labeled = inputs / "pipeline-default" / "labeled.jsonl"
+    seed8 = inputs / "seed8.jsonl"
+    coaug(sys.executable, ["synth", "--scenario", "default", "--seed", "8", "--n", "1600",
+                           "--out", str(seed8)])
+    templated = ["evaluate", "--gold", str(inputs / "pipeline-default" / "original.jsonl"),
+                 "--generated", str(seed8), "--metrics", "ce,bleu4,rougel", "--macro"]
     augmented = {name: digest for name, digest in reference["pipeline-default"].items()
                  if name.startswith("augmented.jsonl")}
     return {
@@ -99,6 +115,8 @@ def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str
                                  "--rate", "0.5"), STRONG_PAIR_SEED11_DIGESTS),
         "evaluate-reordered": (lambda out: [*evaluate, "--out", str(out / "scores.json")],
                                reference["evaluate-reordered"]),
+        "evaluate-templated": (lambda out: [*templated, "--out", str(out / "scores.json")],
+                               EVALUATE_TEMPLATED_DIGESTS),
         "augment": (lambda out: ["augment", "--corpus", str(labeled), "--rate", "1.0",
                                  "--seed", "7", "--out", str(out / "augmented.jsonl")],
                     augmented),
