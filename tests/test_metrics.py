@@ -435,3 +435,69 @@ def test_bleu_counts_of_shared_sentences_hand_case():
     assert bleu_pair_counts(ref, cand) == counts
     assert bleu_shared_counts(*pair_tokens(gold, gen)) == counts
     assert _dict_bleu_stats([gold], [gen])[0] == [32 / 34, 29 / 33, 27 / 32, 25 / 31]
+
+
+# ---------------------------------------------------------------------------
+# the n-grams across the edges of sentences that both reports hold
+
+# one-token words that collide across texts, so clips are partial
+_EDGE_WORDS = st.sampled_from(["a", "b", "c", ".", ","])
+
+
+def _edge_text(min_size, max_size):
+    return st.lists(_EDGE_WORDS, min_size=min_size, max_size=max_size).map(" ".join)
+
+
+def _takes_the_cut(gold, gen):
+    """Whether the pair counts by edges: the copies both sides hold of texts
+    longer than 7 tokens drop more inner tokens than the pair has texts."""
+    ref_texts, cand_texts = gold.texts(), gen.texts()
+    dropped = sum(min(ref_texts.count(t), cand_texts.count(t)) * (len(tokenize(t)) - 7)
+                  for t in set(ref_texts) & set(cand_texts) if len(tokenize(t)) > 7)
+    return dropped > len(ref_texts) + len(cand_texts)
+
+
+def _edge_pair(data):
+    """A gold and a generated report from one pool of 1-14-token texts.
+    Both sides hold a pool text on each side of a 1-2-token sentence, so
+    a 4-gram can cross two edges, and the generated side may hold it once
+    more than gold.  ``cut`` pairs also hold three copies of a 13-14-token
+    text on each side, which puts them past the gate; the others' texts
+    have at most 7 tokens, so they count whole lists."""
+    cut = data.draw(st.booleans())
+    pool = data.draw(st.lists(_edge_text(1, 14 if cut else 7), min_size=1, max_size=4))
+    held, short = data.draw(st.sampled_from(pool)), data.draw(_edge_text(1, 2))
+    long = data.draw(_edge_text(13, 14)) if cut else None
+    sides = []
+    for extra_held in (0, data.draw(st.integers(0, 1))):
+        blocks = [[held, short, held], *[[held]] * extra_held]
+        blocks += [[long]] * 3 if cut else []
+        blocks += [[text] for text in data.draw(st.lists(st.sampled_from(pool), max_size=1))]
+        sides.append(R(*[text for block in data.draw(st.permutations(blocks)) for text in block]))
+    return sides[0], sides[1], cut
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_bleu_counts_across_held_copies_equal_the_whole_lists(data):
+    gold, gen, cut = _edge_pair(data)
+    assert _takes_the_cut(gold, gen) == cut
+    ref, cand, shared = pair_tokens(gold, gen)
+    assert bleu_shared_counts(ref, cand, shared) == bleu_pair_counts(ref, cand)
+    assert bleu_stats([gold], [gen]) == _dict_bleu_stats([gold], [gen])
+
+
+def test_bleu_counts_of_an_ngram_across_two_edges_hand_case():
+    twelve = "Heart size is normal, lungs are clear and no effusion."  # 12 distinct tokens
+    # a 1-token sentence between two held copies: "no effusion . unchanged"
+    # and "effusion . unchanged heart" each cross two edges
+    gold = R(twelve, "Unchanged", twelve, "Mild edema", twelve)
+    gen = R(twelve, "Unchanged", twelve, "Cardiomegaly")
+    assert _takes_the_cut(gold, gen)  # 2 copies x 5 dropped tokens > 9 texts
+    ref, cand = report_tokens(gold), report_tokens(gen)
+    assert (len(ref), len(cand)) == (39, 26)
+    # only the n-grams that reach "cardiomegaly" miss: 1, 1, 1 and 1 of them
+    counts = (25, 24, 23, 22, 26, 25, 24, 23)
+    assert bleu_pair_counts(ref, cand) == counts
+    assert bleu_shared_counts(*pair_tokens(gold, gen)) == counts
+    assert _dict_bleu_stats([gold], [gen])[0] == [25 / 26, 24 / 25, 23 / 24, 22 / 23]
