@@ -17,13 +17,20 @@ import operator
 import os
 import sys
 import time
+from importlib import import_module
 from itertools import zip_longest
 from typing import Optional
 
-from . import augment as aug
-from . import confound, corpus, labeler, metrics, synth
+from . import corpus
 from .corpus import LabelSchema, atomic_write_text
 from .errors import CoaugError, UnknownDisease, UsageError
+
+
+def __getattr__(name: str):
+    """``cli.<module>``; each command imports the modules it runs, no other."""
+    if name not in ("augment", "confound", "labeler", "metrics", "synth"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return import_module(f"{__package__}.{name}")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,6 +48,7 @@ def default_schema_path() -> str:
 
 
 def _resolve_scenario(arg: str) -> str:
+    from . import synth
     if arg == "default":
         return synth.default_scenario_path()
     if arg == "strong_pair":
@@ -50,6 +58,7 @@ def _resolve_scenario(arg: str) -> str:
 
 def _synth_config(scenario_path: str, schema: LabelSchema, n: Optional[int],
                   seed: Optional[int]) -> synth.SynthConfig:
+    from . import synth
     cfg = synth.parse_scenario(scenario_path, schema)
     if n is not None:
         cfg = dataclasses.replace(cfg, n_records=n)
@@ -63,6 +72,7 @@ def _load_schema(args) -> LabelSchema:
 
 
 def _load_matcher(args, schema: LabelSchema) -> labeler.Matcher:
+    from . import labeler
     rules = args.lexicon or labeler.default_lexicon_path()
     cues = args.cues or labeler.default_cues_path()
     return labeler.compile_lexicon(rules, cues, schema)
@@ -120,6 +130,7 @@ def pair_analysis(columns: confound.LabelColumns, schema: LabelSchema,
                   pairs: list[tuple[int, int]], stratify=None) -> tuple[str, list]:
     """The analysis text of *columns* for each of *pairs*, and each pair's
     names with the numbers ``summary.json`` keeps of it."""
+    from . import confound
     lines, kept = [f"records: {len(columns)}", ""], []
     for ia, ib in pairs:
         st = columns.contingency(ia, ib, stratify)
@@ -179,6 +190,7 @@ def _disease_index(schema: LabelSchema, name: str) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import synth
     run = _Run("setup", "synth", "write")
     schema = _load_schema(args)
     cfg = _synth_config(_resolve_scenario(args.scenario), schema, args.n, args.seed)
@@ -198,6 +210,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_label(args) -> int:
+    from . import labeler
     run = _Run("setup", "read", "label", "write")
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
@@ -219,6 +232,7 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import confound, labeler
     run = _Run("setup", "read", "label", "analyze", "write")
     schema = _load_schema(args)
     pairs = _parse_pairs(args.pairs, schema)
@@ -253,6 +267,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    from . import augment as aug
     run = _Run("setup", "read", "augment", "write")
     schema = _load_schema(args)
     matcher = _load_matcher(args, schema)
@@ -285,6 +300,7 @@ _METRIC_CHOICES = ("ce", "bleu4", "rougel")
 
 
 def _cmd_evaluate(args) -> int:
+    from . import labeler, metrics
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not wanted or any(m not in _METRIC_CHOICES for m in wanted):
         raise UsageError(f"--metrics {args.metrics!r}: name one or more of "
@@ -298,7 +314,7 @@ def _cmd_evaluate(args) -> int:
     pairs = zip_longest(corpus.iter_corpus(args.gold, schema),
                         corpus.iter_corpus(args.generated, schema))
     run.lap("setup")
-    # one pass over the pairs: each pair is labeled and tokenized once and
+    # one pass over the pairs: each pair is tokenized and labeled once and
     # fed to the requested metrics' per-pair cores; only the sums are kept
     ce, bleu, rouge = "ce" in wanted, "bleu4" in wanted, "rougel" in wanted
     tallies = [[0] * 4 for _ in schema.names]  # tp, fp, fn, tn of each disease
@@ -313,15 +329,18 @@ def _cmd_evaluate(args) -> int:
             n_gold, n_gen = (n + rest, n) if h is None else (n, n + rest)
             raise CoaugError(f"gold has {n_gold} records, generated has {n_gen}")
         n += 1
-        if ce:
-            pair = metrics.ce_pair_cells(label(g.report, matcher), label(h.report, matcher))
-            for tally, k in zip(tallies, pair):
-                tally[k] += 1
-            lap("ce")
         ref, cand, shared = metrics.pair_tokens(g.report, h.report)
         gold_tokens += len(ref)
         generated_tokens += len(cand)
         lap("tokenize")
+        if ce:
+            if shared is not None:  # each text's tokens: a new text is labeled from them
+                for text, tokens in shared[2].items():
+                    matcher.label_text(text, tokens)
+            pair = metrics.ce_pair_cells(label(g.report, matcher), label(h.report, matcher))
+            for tally, k in zip(tallies, pair):
+                tally[k] += 1
+            lap("ce")
         if bleu:
             bleu_counts = list(map(operator.add, bleu_counts,
                                    metrics.bleu_shared_counts(ref, cand, shared)))
@@ -370,6 +389,7 @@ def run_pipeline(scenario_path: str, seed: Optional[int], outdir: str,
     by reason and the labeler's.  No record is kept: each labeled record
     leaves its columns and its ``TwinSpool`` byte, and each spooled twin its
     columns; below rate 1.0 the twins not chosen are built in vain."""
+    from . import augment as aug, confound, labeler, synth
     run = _Run("setup", "synth", "write_original", "label", "write_labeled",
                "analyze_before", "augment", "write_augmented", "analyze_after")
     schema = corpus.read_schema(schema_path or default_schema_path())

@@ -9,7 +9,9 @@ tokens before the match, Uncertain if an uncertainty cue does, else
 Positive.  Report labels aggregate sentence labels by the precedence
 Positive > Uncertain > Negative > Unmentioned, which makes them
 invariant to sentence order.  A neural labeler could be swapped in
-behind the same two functions.
+behind the same two functions.  The words are the ``[a-z0-9]+`` runs of
+the lowercased text; on ASCII text they are the alphanumeric tokens of
+``metrics.tokenize``, which ``coaug evaluate`` has already made.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress, count
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import (
     Corpus,
@@ -93,7 +95,7 @@ class Matcher:
         self._outcomes: dict[tuple, Mapping[int, DiseaseStatus]] = {}
         self.sentences = 0  # of the reports label_report labeled with this matcher
 
-    def label_tokens(self, tokens: Sequence[str]) -> dict[int, DiseaseStatus]:
+    def label_tokens(self, tokens: Iterable[str]) -> dict[int, DiseaseStatus]:
         tokens = tuple(tokens)
         # best match per disease: longest pattern wins, then leftmost
         best: dict[int, tuple[int, int]] = {}  # disease -> (-length, start)
@@ -114,12 +116,16 @@ class Matcher:
             labels[disease] = min(found, key=STATUS_RANK.get, default=DiseaseStatus.POSITIVE)
         return labels
 
-    def label_text(self, text: str) -> Mapping[int, DiseaseStatus]:
+    def label_text(self, text: str,
+                   tokens: Optional[list[str]] = None) -> Mapping[int, DiseaseStatus]:
         """Read-only labels of one sentence text, scanned once per text;
-        texts with the same outcome share one mapping."""
+        texts with the same outcome share one mapping.  An ASCII text's
+        words are read off its ``metrics.tokenize`` ``tokens`` if given."""
         labels = self._memo.get(text)
         if labels is None:
-            fresh = self.label_tokens(match_tokens(text))
+            words = (match_tokens(text) if tokens is None or not text.isascii()
+                     else filter(str.isalnum, tokens))
+            fresh = self.label_tokens(words)
             labels = self._outcomes.setdefault(tuple(fresh.items()), MappingProxyType(fresh))
             self._memo[text] = labels
         return labels

@@ -13,10 +13,10 @@ distinct token, one add/or/and step per token of the other side.
 Each score has one per-pair core: ``ce_pair_cells`` on label vectors,
 and ``bleu_shared_counts`` and ``rouge_l_pair`` on the tokens that
 ``pair_tokens`` makes of two reports.  BLEU counts the n-grams inside a
-sentence text that both reports hold by its length, not one by one,
-since a clip matches them all.  The functions that take whole sequences
-loop the core over the pairs, and ``coaug evaluate`` feeds it each pair
-as it reads it.
+sentence text that both reports hold by its length, since a clip matches
+them all, and clips only those of the other sentences and those across
+an edge.  The functions that take whole sequences loop the core over
+the pairs, and ``coaug evaluate`` feeds it each pair as it reads it.
 
 Tokenization everywhere: lowercase; a word is a run of Unicode letters
 and digits, and any other non-space character (punctuation, ``_``) is a
@@ -30,7 +30,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Optional, Sequence
 
 from .corpus import DiseaseStatus, Report, ReportLabelVector
@@ -224,30 +224,72 @@ def pair_tokens(ref_report: Report, cand_report: Report) -> tuple[list[str], lis
 
 def bleu_shared_counts(ref: list[str], cand: list[str], shared: Shared) -> tuple[int, ...]:
     """``bleu_pair_counts(ref, cand)`` of ``pair_tokens``, with the n-grams
-    inside shared sentences counted by length.  Each copy that both sides
-    hold of a text of m > 7 tokens is cut to its first 3 tokens, a space
-    (never a token) and its last 3.  That keeps every n-gram (n <= 4)
-    across the copy's edges and drops m - 7 inner n-grams of each order
-    from both sides, which all match, so m - 7 goes back on each match
-    and total."""
+    inside shared sentences counted by length.  For any multiset S that both
+    sides hold, sum min(c + s, r + s) = |S| + sum min(c, r): so each of the
+    first ``min(copies)`` copies of a shared text adds its m - n + 1 n-grams
+    to the matches, and only the n-grams outside those are clipped.  Where
+    the copies of texts of m > 7 tokens hold no more than m - 7 tokens each
+    per text of the pair (templated text), the whole lists are counted."""
     if shared is None:
         return bleu_pair_counts(ref, cand)
     ref_texts, cand_texts, texts = shared
-    cut = {text: min(ref_texts.count(text), cand_texts.count(text))
-           for text in set(ref_texts).intersection(cand_texts) if len(texts[text]) > 7}
-    squeezed = sum(copies * (len(texts[text]) - 7) for text, copies in cut.items())
-    if squeezed <= len(ref_texts) + len(cand_texts):  # not worth walking every text
+    both = set(ref_texts).intersection(cand_texts)
+    held = {text: min(ref_texts.count(text), cand_texts.count(text))
+            for text in both if len(texts[text]) > 7}
+    squeezed = sum(copies * (len(texts[text]) - 7) for text, copies in held.items())
+    if squeezed <= len(ref_texts) + len(cand_texts):  # not worth walking every edge
         return bleu_pair_counts(ref, cand)
-    sides: tuple[list[str], list[str]] = ([], [])
-    for tokens, report_texts, left in zip(sides, (ref_texts, cand_texts), (dict(cut), cut)):
-        for text in report_texts:
-            if left.get(text):  # one of the first ``cut[text]`` copies
-                left[text] -= 1
-                tokens += [*texts[text][:3], " ", *texts[text][-3:]]
-            else:
-                tokens += texts[text]
-    # from a list, not a generator: a resized tuple is left on the free list
-    return tuple([count + squeezed for count in bleu_pair_counts(*sides)])
+    for text in both.difference(held):
+        held[text] = min(ref_texts.count(text), cand_texts.count(text))
+    matches = [0] * 5  # by n, from 1
+    for text, copies in held.items():
+        m = len(texts[text])
+        for n in range(1, min(m, 4) + 1):
+            matches[n] += copies * (m - n + 1)
+    cand_counts = Counter(_outside_held(cand, cand_texts, texts, dict(held)))
+    ref_counts = Counter(_outside_held(ref, ref_texts, texts, held))
+    in_ref = map(ref_counts.get, cand_counts, repeat(0))
+    for n, count in zip(map(len, cand_counts), map(min, cand_counts.values(), in_ref)):
+        matches[n] += count
+    n = len(cand)
+    return (*matches[1:], n, max(n - 1, 0), max(n - 2, 0), max(n - 3, 0))
+
+
+# of the 3 tokens before an edge and the 3 after it, the n-grams (n = 2..4)
+# across it that do not cross the edge (or start) g = 1, 2 or >= 3 before it
+_ACROSS = [None, *[itemgetter(*[slice(3 - d, 3 - d + n) for n in (2, 3, 4)
+                                for d in range(1, min(n - 1, g) + 1)]) for g in (1, 2, 3)]]
+
+
+def _outside_held(tokens: list[str], report_texts: list[str], texts: dict[str, list[str]],
+                  left: dict[str, int]) -> list[tuple[str, ...]]:
+    """A side's n-grams (n = 1..4, as tuples) outside the first ``left[text]``
+    copies of each text: those of each run of other sentences, and those
+    across a held copy's edge, each taken at the first edge it crosses.
+    One past the report's end holds this side's pad, so it matches nothing."""
+    runs, edges = [], {0}
+    start = end = 0
+    for text in report_texts:
+        m = len(texts[text])
+        if left.get(text):  # one of the first held copies of ``text``
+            left[text] -= 1
+            if end > start:
+                runs.append(tokens[start:end])
+            start = end + m
+            edges.update((end, start))
+        end += m
+    if end > start:
+        runs.append(tokens[start:end])
+    grams: list[tuple[str, ...]] = []
+    for run in runs:
+        grams += chain(zip(run), zip(run, run[1:]), zip(run, run[1:], run[2:]),
+                       zip(run, run[1:], run[2:], run[3:]))
+    edges = sorted(edges - {end})  # no n-gram crosses the report's end
+    pad = (object(),) * 3
+    padded = (*pad, *tokens, *pad)  # an edge's 3 + 3 tokens start at its index
+    for edge, gap in zip(edges[1:], map(sub, edges[1:], edges)):
+        grams += _ACROSS[min(gap, 3)](padded[edge:edge + 6])
+    return grams
 
 
 def bleu_from_counts(counts: Sequence[int], ref_len: int) -> tuple[list[float], float, float]:

@@ -1448,3 +1448,72 @@ def test_evaluate_ce_of_empty_corpora_names_both_files_and_writes_nothing(tmp_pa
     assert not out.exists() and not (tmp_path / "scores.json.run.json").exists()
     assert run(["--quiet", "evaluate", "--gold", gold, "--generated", generated,
                 "--metrics", "bleu4,rougel", "--out", str(out)]) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the modules a command loads
+
+_MODULES_PROBE = """
+import sys
+sys.path.insert(0, {root!r})
+from coaug import cli
+code = cli.run({argv!r})
+print(code, *sorted(name for name in sys.modules if name.startswith("coaug.")))
+"""
+
+
+def _modules_loaded_by(argv):
+    import subprocess
+
+    import coaug
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(coaug.__file__)))
+    result = subprocess.run([sys.executable, "-c", _MODULES_PROBE.format(root=root, argv=argv)],
+                            capture_output=True, text=True)
+    code, *modules = result.stdout.split()
+    assert code == str(EXIT_OK), result.stderr
+    return set(modules)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    out = tmp_path / "out"
+    loaded = _modules_loaded_by(["--quiet", "pipeline", "--scenario", "default", "--n", "20",
+                                 "--outdir", str(out)])
+    assert {"coaug.synth", "coaug.labeler", "coaug.augment", "coaug.confound"} <= loaded
+    assert "coaug.metrics" not in loaded
+    corpus = str(out / "original.jsonl")
+    loaded = _modules_loaded_by(["--quiet", "evaluate", "--gold", corpus, "--generated", corpus,
+                                 "--out", str(tmp_path / "scores.json")])
+    assert {"coaug.labeler", "coaug.metrics"} <= loaded
+    assert not loaded & {"coaug.synth", "coaug.augment", "coaug.confound", "coaug.rng"}
+
+
+# every name the package exported when it imported all of its modules
+_EXPORTED = """
+AugmentationConfig AugmentationOutcome AugmentSummary Skip augment_dataset augment_record
+crr_augment css_augment AssociationStats ContingencyTable OrderAsymmetry SimpsonReport
+StratifiedTables association_stats build_contingency co_mention_lift conditional_probability
+detect_simpson_reversal odds_ratio order_asymmetry Corpus DiseaseStatus FeatureBundle
+LabelSchema Provenance Record Report ReportLabelVector Sentence default_schema make_schema
+read_corpus read_schema validate_record write_corpus write_schema CueList LexiconRule Matcher
+compile_lexicon default_matcher label_corpus label_report label_sentence CeScores
+ConfusionCounts bleu4 bleu_stats ce_confusion ce_scores macro_ce_scores rouge_l RngStream
+fnv1a64 mix64 OrderPolicy PlantedPair SynthConfig parse_scenario render_report
+sample_features synth_generate __version__
+""".split()
+
+
+def test_the_package_still_exports_every_name():
+    import importlib
+
+    import coaug
+
+    assert sorted(coaug.__all__) == sorted(_EXPORTED)
+    for name in _EXPORTED:
+        namespace: dict = {}
+        exec(f"from coaug import {name}", namespace)
+        value = namespace[name]
+        if name != "__version__":
+            assert value is getattr(importlib.import_module(value.__module__), name)
+    with pytest.raises(ImportError):
+        exec("from coaug import no_such_name", {})

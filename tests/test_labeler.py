@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from coaug.labeler import (
     parse_cues,
     parse_lexicon,
 )
+from coaug.metrics import tokenize
 
 POS, NEG, UNC, UNM = (
     DiseaseStatus.POSITIVE,
@@ -392,3 +394,37 @@ def test_threads_sharing_a_matcher_get_the_fresh_labels(schema, default_template
     # one shared mapping per distinct outcome
     outcomes = {tuple(labels.items()) for labels in expected.values()}
     assert len({id(label_sentence(Sentence(t), matcher)) for t in texts}) == len(outcomes)
+
+
+# ---------------------------------------------------------------------------
+# words from the metric tokens of ``coaug evaluate``
+
+_ASCII_CHARS = st.sampled_from(string.ascii_letters + string.digits + string.punctuation
+                               + " _\t\n") | st.characters(max_codepoint=127)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(_ASCII_CHARS, max_size=60))
+def test_ascii_words_are_the_alphanumeric_metric_tokens(text):
+    assert list(filter(str.isalnum, tokenize(text))) == match_tokens(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(st.sampled_from(_COLD_VOCAB + ["no_", "(no)", "effusion.", "\t", "\n"]),
+                      max_size=20))
+def test_labels_from_metric_tokens_equal_a_fresh_scan(schema, words):
+    text = " ".join(words)
+    assert default_matcher(schema).label_text(text, tokenize(text)) == \
+        default_matcher(schema).label_text(text)
+
+
+# each holds a non-ASCII letter or digit, or one that lowercases to ASCII
+@pytest.mark.parametrize("text", ["Noé pleural effusion.", "Noß pneumothorax.", "No² effusion.",
+                                  "İs there no effusion?", "\u212a: no pneumothorax."])
+def test_a_non_ascii_text_is_labeled_by_the_word_regex(schema, text):
+    words = match_tokens(text)
+    fresh = default_matcher(schema).label_text(text)
+    assert default_matcher(schema).label_text(text, tokenize(text)) == fresh
+    if any(c in text for c in "éß²"):  # there the alphanumeric tokens are other words
+        assert list(filter(str.isalnum, tokenize(text))) != words
+        assert set(fresh.values()) == {NEG}

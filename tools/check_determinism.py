@@ -21,10 +21,10 @@ sidecar:
   pipeline-default's ``original.jsonl`` against ``synth --scenario
   default --seed 8 --n 1600``, against ``EVALUATE_TEMPLATED_DIGESTS``
   below.  Every pair shares template sentences, so each distinct text is
-  tokenized on its own; the shared templates longer than 7 tokens drop
-  too few tokens for BLEU to cut them, which evaluate-reordered does in
-  every pair.  The seed-8 corpus is written once, by the interpreter
-  running this script;
+  tokenized on its own; the shared templates hold too few tokens for
+  BLEU to count only the n-grams across their edges, which it does in
+  every evaluate-reordered pair.  The seed-8 corpus is written once, by
+  the interpreter running this script;
 * augment, ``augment --rate 1.0 --seed 7`` of pipeline-default's
   ``labeled.jsonl``, against pipeline-default's ``augmented.jsonl`` and
   ``.schema`` digests.  That ``labeled.jsonl`` is written once, by
