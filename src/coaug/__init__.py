@@ -1,9 +1,8 @@
 """coaug: counterfactual corpus augmentation and co-occurrence
 confounder analysis for paired per-disease feature / report datasets.
 
-The names below are served from their modules on first use (PEP 562), so
-importing the package, or running one command, loads only the modules
-that are used."""
+Its names are served from their modules on first use (PEP 562), so a
+command loads only the modules it uses."""
 
 from importlib import import_module
 

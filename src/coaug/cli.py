@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from importlib import import_module
-from itertools import zip_longest
+from itertools import filterfalse, zip_longest
 from typing import Optional
 
 from . import corpus
@@ -335,8 +335,9 @@ def _cmd_evaluate(args) -> int:
         lap("tokenize")
         if ce:
             if shared is not None:  # each text's tokens: a new text is labeled from them
-                for text, tokens in shared[2].items():
-                    matcher.label_text(text, tokens)
+                texts = shared[2]
+                for text in filterfalse(matcher.labeled.__contains__, texts):
+                    matcher.label_text(text, texts[text])
             pair = metrics.ce_pair_cells(label(g.report, matcher), label(h.report, matcher))
             for tally, k in zip(tallies, pair):
                 tally[k] += 1

@@ -93,6 +93,7 @@ class Matcher:
         # sentence text -> labels; label outcome -> its one read-only copy
         self._memo: dict[str, Mapping[int, DiseaseStatus]] = {}
         self._outcomes: dict[tuple, Mapping[int, DiseaseStatus]] = {}
+        self.labeled = self._memo.keys()  # the texts labeled so far, a live view
         self.sentences = 0  # of the reports label_report labeled with this matcher
 
     def label_tokens(self, tokens: Iterable[str]) -> dict[int, DiseaseStatus]:
@@ -118,9 +119,8 @@ class Matcher:
 
     def label_text(self, text: str,
                    tokens: Optional[list[str]] = None) -> Mapping[int, DiseaseStatus]:
-        """Read-only labels of one sentence text, scanned once per text;
-        texts with the same outcome share one mapping.  An ASCII text's
-        words are read off its ``metrics.tokenize`` ``tokens`` if given."""
+        """Read-only labels of one sentence text, scanned once per text, and
+        shared by equal outcomes.  ASCII text takes its words from ``tokens``."""
         labels = self._memo.get(text)
         if labels is None:
             # a list, since label_tokens' tuple of an iterator is resized: +1.4 MB peak RSS
