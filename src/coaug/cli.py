@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from importlib import import_module
-from itertools import filterfalse, zip_longest
+from itertools import zip_longest
 from typing import Optional
 
 from . import corpus
@@ -334,10 +334,10 @@ def _cmd_evaluate(args) -> int:
         generated_tokens += len(cand)
         lap("tokenize")
         if ce:
-            if shared is not None:  # each text's tokens: a new text is labeled from them
-                texts = shared[2]
-                for text in filterfalse(matcher.labeled.__contains__, texts):
-                    matcher.label_text(text, texts[text])
+            # each text's tokens, when one is new: the matcher labels new ones from them
+            if shared is not None and not shared[2].keys() <= matcher.labeled:
+                for text, tokens in shared[2].items():
+                    matcher.label_text(text, tokens)
             pair = metrics.ce_pair_cells(label(g.report, matcher), label(h.report, matcher))
             for tally, k in zip(tallies, pair):
                 tally[k] += 1

@@ -227,9 +227,9 @@ def bleu_shared_counts(ref: list[str], cand: list[str], shared: Shared) -> tuple
     inside shared sentences counted by length.  For any multiset S that both
     sides hold, sum min(c + s, r + s) = |S| + sum min(c, r): so each of the
     first ``min(copies)`` copies of a shared text adds its m - n + 1 n-grams
-    to the matches, and only the n-grams outside those are clipped.  Where
-    the copies of texts of m > 7 tokens hold no more than m - 7 tokens each
-    per text of the pair (templated text), the whole lists are counted."""
+    to the matches, and only the n-grams outside those are clipped.  That
+    walks every edge, so where sum(copies * (m - 7)) over texts of m > 7
+    is at most the pair's sentence count (templated text), whole lists are."""
     if shared is None:
         return bleu_pair_counts(ref, cand)
     ref_texts, cand_texts, texts = shared
@@ -255,8 +255,8 @@ def bleu_shared_counts(ref: list[str], cand: list[str], shared: Shared) -> tuple
     return (*matches[1:], n, max(n - 1, 0), max(n - 2, 0), max(n - 3, 0))
 
 
-# of the 3 tokens before an edge and the 3 after it, the n-grams (n = 2..4)
-# across it that do not cross the edge (or start) g = 1, 2 or >= 3 before it
+# _ACROSS[g]: of the 3 + 3 tokens around an edge, the n-grams (n = 2..4) across
+# it that start at or after the edge (or report start) g = 1, 2 or 3+ tokens back
 _ACROSS = [None, *[itemgetter(*[slice(3 - d, 3 - d + n) for n in (2, 3, 4)
                                 for d in range(1, min(n - 1, g) + 1)]) for g in (1, 2, 3)]]
 
