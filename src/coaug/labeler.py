@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress, count
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .corpus import (
     Corpus,
@@ -96,7 +96,7 @@ class Matcher:
         self.labeled = self._memo.keys()  # the texts labeled so far, a live view
         self.sentences = 0  # of the reports label_report labeled with this matcher
 
-    def label_tokens(self, tokens: Iterable[str]) -> dict[int, DiseaseStatus]:
+    def label_tokens(self, tokens: Sequence[str]) -> dict[int, DiseaseStatus]:
         tokens = tuple(tokens)
         # best match per disease: longest pattern wins, then leftmost
         best: dict[int, tuple[int, int]] = {}  # disease -> (-length, start)
