@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -43,7 +44,8 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
-from .errors import MalformedRecord, MissingFile, SchemaMismatch, UnknownDisease
+from .errors import (ConfigInvalid, DuplicateRule, MalformedRecord, MissingFile, SchemaMismatch,
+                     UnknownDisease)
 
 
 class DiseaseStatus(Enum):
@@ -368,6 +370,7 @@ def validate_record(record: Record, schema: LabelSchema) -> Optional[Violation]:
 # json.dumps with these arguments would build a new encoder on every call
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 _quote = json.encoder.encode_basestring  # what _encode writes a str as, in a list too
+_SURROGATE = re.compile("[\ud800-\udfff]").search  # a lone one: no UTF-8 text holds it
 
 
 def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int, index: dict) -> Record:
@@ -448,6 +451,11 @@ def _obj_to_record(obj: dict, schema: LabelSchema, line_no: int, index: dict) ->
     source_id = obj.get("source_id")
     if source_id is not None and not isinstance(source_id, str):
         fail("source_id must be a string")
+    # JSON may escape a lone surrogate; an ASCII string holds none
+    if not ("".join(texts).isascii() and rid.isascii() and (source_id or "").isascii()):
+        lone = _SURROGATE("".join([rid, *texts, source_id or ""]))
+        if lone:
+            fail(f"lone surrogate {lone.group()!r} in a string")
 
     record = Record(rid, report, features, labels, provenance, source_id)
     violation = validate_record(record, schema)
@@ -465,28 +473,49 @@ def write_schema(schema: LabelSchema, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_lines(path: str) -> list[str]:
-    """Every line of a UTF-8 text file, newlines kept."""
+@contextmanager
+def reading(path: str) -> Iterator[Iterator[str]]:
+    """The lines of the UTF-8 text file at *path*, newlines kept, each
+    checked as it is read: a byte that is not UTF-8 is a ``MalformedRecord``
+    of its line.  A ``MalformedRecord``, ``SchemaMismatch``, ``DuplicateRule``
+    or ``ConfigInvalid`` raised in the block is raised again naming the file."""
     if not os.path.exists(path):
         raise MissingFile(path)
-    with open(path, encoding="utf-8") as fh:
-        return fh.readlines()
+    try:
+        # a strict decoder, which works in chunks, fails a bad byte before the lines ahead of it
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            yield _utf8_lines(fh)
+    except MalformedRecord as exc:
+        raise MalformedRecord(exc.line, exc.reason, path) from None
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{path}: {exc.field_path}", exc.reason) from None
+    except (SchemaMismatch, DuplicateRule) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
+    for line_no, line in enumerate(lines, start=1):
+        # surrogateescape reads a bad byte as a lone surrogate, and nothing else as one
+        bad = not line.isascii() and _SURROGATE(line)
+        if bad:
+            raise MalformedRecord(line_no, f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x}")
+        yield line
 
 
 def read_schema(path: str) -> LabelSchema:
-    lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(read_lines(path), start=1)
-             if ln.strip()]
-    line_no, head = lines[0] if lines else (1, "")
-    if not head.startswith("d="):
-        raise MalformedRecord(line_no, "schema file must start with 'd=<int>'", path)
-    try:
-        d = int(head[2:])
-    except ValueError:
-        raise MalformedRecord(line_no, f"bad feature dimension {head!r}", path)
-    try:
-        return make_schema((name for _, name in lines[1:]), d)
-    except ValueError as exc:
-        raise SchemaMismatch(f"{path}: {exc}") from None
+    with reading(path) as lines:
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(lines, start=1) if ln.strip()]
+        line_no, head = lines[0] if lines else (1, "")
+        if not head.startswith("d="):
+            raise MalformedRecord(line_no, "schema file must start with 'd=<int>'")
+        try:
+            d = int(head[2:])
+        except ValueError:
+            raise MalformedRecord(line_no, f"bad feature dimension {head!r}")
+        try:
+            return make_schema((name for _, name in lines[1:]), d)
+        except ValueError as exc:
+            raise SchemaMismatch(str(exc)) from None
 
 
 def default_schema_path() -> str:
@@ -589,31 +618,27 @@ def iter_corpus(path: str, schema: LabelSchema) -> Iterator[Record]:
 
 def _read_records(path: str, schema: LabelSchema) -> Iterator[Record]:
     seen, index = set(), {name: i for i, name in enumerate(schema.names)}
-    # the lines below know their number, not their file: name it here
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}")
-                record = _obj_to_record(obj, schema, line_no, index)
-                if record.id in seen:
-                    raise MalformedRecord(line_no, f"duplicate record id {record.id!r}")
-                seen.add(record.id)
-                yield record
-    except MalformedRecord as exc:
-        raise MalformedRecord(exc.line, exc.reason, path) from None
-    except SchemaMismatch as exc:
-        raise SchemaMismatch(f"{path}: {exc}") from None
+    with reading(path) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}")
+            record = _obj_to_record(obj, schema, line_no, index)
+            if record.id in seen:
+                raise MalformedRecord(line_no, f"duplicate record id {record.id!r}")
+            seen.add(record.id)
+            yield record
 
 
 def read_corpus(path: str, schema: Optional[LabelSchema] = None) -> Corpus:
     """The corpus of ``iter_corpus``; the schema comes from the sidecar
     file unless given."""
+    if schema is not None:
+        return Corpus(schema, tuple(iter_corpus(path, schema)))
     if not os.path.exists(path):
         raise MissingFile(path)
-    schema = read_schema(schema_path_for(path)) if schema is None else schema
-    return Corpus(schema, tuple(iter_corpus(path, schema)))
+    schema = read_schema(schema_path_for(path))  # the sidecar's own: nothing to compare
+    return Corpus(schema, tuple(_read_records(path, schema)))

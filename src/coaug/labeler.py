@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress, count
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import (
     Corpus,
@@ -31,7 +31,7 @@ from .corpus import (
     ReportLabelVector,
     Sentence,
     STATUS_RANK,
-    read_lines,
+    reading,
 )
 from .errors import DuplicateRule, MalformedRecord, UnknownDisease
 
@@ -177,7 +177,7 @@ def label_corpus(corpus: Corpus, matcher: Matcher) -> Corpus:
 # lexicon / cue files
 
 
-def parse_lexicon(lines: list[str], schema: LabelSchema) -> list[LexiconRule]:
+def parse_lexicon(lines: Iterable[str], schema: LabelSchema) -> list[LexiconRule]:
     rules = []
     seen = set()
     for line_no, raw in enumerate(lines, start=1):
@@ -203,7 +203,7 @@ def parse_lexicon(lines: list[str], schema: LabelSchema) -> list[LexiconRule]:
     return rules
 
 
-def parse_cues(lines: list[str]) -> CueList:
+def parse_cues(lines: Iterable[str]) -> CueList:
     negation, uncertainty = [], []
     window = 6
     for line_no, raw in enumerate(lines, start=1):
@@ -234,19 +234,11 @@ def parse_cues(lines: list[str]) -> CueList:
 def compile_lexicon(rules_path: str, cues_path: str, schema: LabelSchema) -> Matcher:
     """Compile lexicon and cue files into a matcher.  Compilation is
     independent of rule-file ordering."""
-    rules = _parse_file(parse_lexicon, rules_path, schema)
-    cues = _parse_file(parse_cues, cues_path)
+    with reading(rules_path) as lines:
+        rules = parse_lexicon(lines, schema)
+    with reading(cues_path) as lines:
+        cues = parse_cues(lines)
     return Matcher(schema, rules, cues)
-
-
-def _parse_file(parse, path: str, *args):
-    """``parse`` of the file's lines; a line error also names the file."""
-    try:
-        return parse(read_lines(path), *args)
-    except MalformedRecord as exc:
-        raise MalformedRecord(exc.line, exc.reason, path) from None
-    except DuplicateRule as exc:
-        raise DuplicateRule(f"{path}: {exc}") from None
 
 
 def default_lexicon_path() -> str:

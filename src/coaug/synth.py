@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import add
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .corpus import (
     Corpus,
@@ -33,7 +33,7 @@ from .corpus import (
     Record,
     Report,
     Sentence,
-    read_lines,
+    reading,
 )
 from .errors import ConfigInvalid, MissingTemplate, UnknownDisease
 from .rng import RngStream
@@ -269,8 +269,9 @@ def strong_pair_scenario_path() -> str:
     return os.path.join(os.path.dirname(__file__), "data", "strong_pair_scenario.cfg")
 
 
-def _parse_sections(lines: list[str]) -> dict[str, list[tuple[int, str]]]:
-    sections: dict[str, list[tuple[int, str]]] = {
+def _parse_sections(lines: Iterable[str]) -> dict[str, list[tuple[str, str]]]:
+    """Each section's ``(key, value)`` pairs; any other line is a ``ConfigInvalid`` of its line."""
+    sections: dict[str, list[tuple[str, str]]] = {
         "general": [], "marginals": [], "planted": [], "templates": [], "prototypes": []}
     current = "general"
     for line_no, raw in enumerate(lines, start=1):
@@ -283,15 +284,13 @@ def _parse_sections(lines: list[str]) -> dict[str, list[tuple[int, str]]]:
                 raise ConfigInvalid(f"line {line_no}", f"unknown section [{current}]; "
                                     f"expected one of {', '.join(sections)}")
             continue
-        sections[current].append((line_no, line))
+        if "=" not in line:
+            raise ConfigInvalid(f"line {line_no}", f"expected 'key = value', got {line!r}")
+        key, value = line.split("=", 1)
+        if current == "planted" and "->" not in key:
+            raise ConfigInvalid(f"line {line_no}", "planted key must be 'A -> B'")
+        sections[current].append((key.strip(), value.strip()))
     return sections
-
-
-def _split_kv(line: str, line_no: int) -> tuple[str, str]:
-    if "=" not in line:
-        raise ConfigInvalid(f"line {line_no}", f"expected 'key = value', got {line!r}")
-    key, value = line.split("=", 1)
-    return key.strip(), value.strip()
 
 
 def _index_of(schema: LabelSchema, name: str, path: str) -> int:
@@ -323,13 +322,13 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
     p_pos_given_neg``), [templates] (``disease | positive = sentence``),
     and optionally [prototypes] (``disease | positive = v1, v2, ...``).
     """
-    sections = _parse_sections(read_lines(path))
+    with reading(path) as lines:  # a line error names the file
+        sections = _parse_sections(lines)
 
     general = {"n_records": "1000", "seed": "0", "order_policy": "schema",
                "mention_positive": "1.0", "mention_negative": "0.6",
                "noise_sigma": "0.1", "prototypes": "auto"}
-    for line_no, line in sections["general"]:
-        key, value = _split_kv(line, line_no)
+    for key, value in sections["general"]:
         if key not in general:
             raise ConfigInvalid(f"general.{key}", "unknown key")
         general[key] = value
@@ -338,18 +337,14 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
                             "must be 'auto'; give other vectors in a [prototypes] section")
 
     marginals: dict[int, float] = {}
-    for line_no, line in sections["marginals"]:
-        key, value = _split_kv(line, line_no)
+    for key, value in sections["marginals"]:
         try:
             marginals[_index_of(schema, key, f"marginals.{key}")] = float(value)
         except ValueError:
             raise ConfigInvalid(f"marginals.{key}", f"bad probability {value!r}")
 
     planted: list[PlantedPair] = []
-    for line_no, line in sections["planted"]:
-        key, value = _split_kv(line, line_no)
-        if "->" not in key:
-            raise ConfigInvalid(f"line {line_no}", "planted key must be 'A -> B'")
+    for key, value in sections["planted"]:
         a_name, b_name = key.split("->", 1)
         parts = [p.strip() for p in value.split(",")]
         if len(parts) != 2:
@@ -361,8 +356,7 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
             raise ConfigInvalid(f"planted.{key}", f"bad conditionals {value!r}")
 
     templates: dict[tuple[int, DiseaseStatus], str] = {}
-    for line_no, line in sections["templates"]:
-        key, value = _split_kv(line, line_no)
+    for key, value in sections["templates"]:
         status_key = _status_key("templates", key, schema)
         if not value:
             raise ConfigInvalid(f"templates.{key}", "empty template")
@@ -371,8 +365,7 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
     prototypes: Optional[Prototypes] = None
     if sections["prototypes"]:
         raw: dict[tuple[int, DiseaseStatus], tuple[float, ...]] = {}
-        for line_no, line in sections["prototypes"]:
-            key, value = _split_kv(line, line_no)
+        for key, value in sections["prototypes"]:
             status_key = _status_key("prototypes", key, schema)
             try:
                 raw[status_key] = tuple(float(x) for x in value.replace(",", " ").split())

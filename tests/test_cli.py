@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import sys
 import tempfile
@@ -694,13 +695,27 @@ def test_evaluate_unknown_metric_is_usage_error_before_reading(tmp_path):
 
 
 @pytest.mark.parametrize("bad", ["gold", "generated", "generated-labels", "lexicon",
-                                 "lexicon-duplicate", "cues", "schema"])
+                                 "lexicon-duplicate", "cues", "schema", "gold-byte",
+                                 "generated-byte", "generated-surrogate", "lexicon-byte",
+                                 "cues-byte", "schema-byte"])
 def test_evaluate_line_errors_name_their_file(tmp_path, schema, capsys, bad):
     # evaluate reads up to five files; "line 2: ..." alone does not say which
     gold_path, gen_path = _evaluate_pair(tmp_path, schema)
-    clean = gen_path if bad == "gold" else gold_path
+    clean = gen_path if bad.startswith("gold") else gold_path
     flags = []
-    if bad in ("gold", "generated", "generated-labels"):
+    if bad.endswith("-byte"):  # "\udcff" is written as the byte 0xff, which UTF-8 never holds
+        kind = bad[:-len("-byte")]
+        path = Path({"gold": gold_path, "generated": gen_path}.get(kind, tmp_path / kind))
+        text = path.read_text() if path.exists() else {
+            "lexicon": "Edema\tedema\nAtelectasis\tatelectasis\n", "cues": "neg\tno\nunc\tmay\n",
+            "schema": "d=16\nEdema\n"}[kind]
+        lines = text.splitlines(keepends=True)
+        lines[1] = lines[1][:3] + "\udcff" + lines[1][3:]
+        path.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
+        if kind not in ("gold", "generated"):
+            flags = [f"--{kind}", str(path)]
+        where = f"{path}: line 2: invalid UTF-8 byte 0xff"
+    elif bad in ("gold", "generated", "generated-labels", "generated-surrogate"):
         path = Path(gold_path if bad == "gold" else gen_path)
         lines = path.read_text().splitlines(keepends=True)
         if bad == "generated-labels":
@@ -708,6 +723,11 @@ def test_evaluate_line_errors_name_their_file(tmp_path, schema, capsys, bad):
             record["labels"] = {"Nessie": "Positive"}
             lines[1] = json.dumps(record) + "\n"
             where = f"{path}: line 2: unknown disease name 'Nessie'"
+        elif bad == "generated-surrogate":  # valid JSON, but no UTF-8 text holds it
+            record = json.loads(lines[1])
+            record["report"][0] = "Lone \ud800 surrogate."
+            lines[1] = json.dumps(record) + "\n"
+            where = f"{path}: line 2: lone surrogate '\\ud800' in a string"
         else:
             lines[1] = "{not json\n"
             where = f"{path}: line 2: invalid JSON"
@@ -755,6 +775,145 @@ def test_evaluate_reports_the_first_line_error_in_read_order(tmp_path, schema, c
     err = capsys.readouterr().err
     assert f"error: {gen_path}: line 2: invalid JSON" in err
     assert gold_path not in err
+
+
+def test_evaluate_reports_a_bad_byte_in_read_order(tmp_path, schema, capsys):
+    # each line is checked as it is read: a bad byte on gold line 5 comes after
+    # bad JSON on generated line 2, though each small file is decoded in one chunk
+    gold_path, gen_path = _evaluate_pair(tmp_path, schema)
+    for path, line, bad in ((gold_path, 4, None), (gen_path, 1, "{not json\n")):
+        lines = Path(path).read_text().splitlines(keepends=True)
+        lines[line] = bad or lines[line].replace("{", "{\udcff", 1)
+        Path(path).write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
+    capsys.readouterr()
+    assert run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path,
+                "--out", str(tmp_path / "scores.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {gen_path}: line 2: invalid JSON" in err
+    assert gold_path not in err
+
+
+def _copy_corpus(src, dst):
+    """Copy the corpus at *src*, its schema sidecar too, to *dst*."""
+    for suffix in ("", ".schema"):
+        Path(f"{dst}{suffix}").write_bytes(Path(f"{src}{suffix}").read_bytes())
+    return dst
+
+
+def _corpus_command(command, corpus_path, gold_path, out_dir):
+    """The arguments that run *command* over the corpus at *corpus_path*
+    into *out_dir*; evaluate scores it against the corpus at *gold_path*."""
+    args = ["--quiet", command, "--out", str(out_dir / "out")]
+    if command == "evaluate":
+        return args + ["--gold", str(gold_path), "--generated", str(corpus_path)]
+    if command == "augment":
+        args += ["--rate", "1.0", "--seed", "7"]
+    return args + ["--corpus", str(corpus_path)]
+
+
+@pytest.mark.parametrize("kind", ["byte", "surrogate"])
+@pytest.mark.parametrize("command", ["label", "analyze", "augment"])
+def test_a_bad_byte_or_a_lone_surrogate_is_a_data_error(tmp_path, capsys, command, kind):
+    # a byte that is not UTF-8, or a JSON-escaped lone surrogate that UTF-8
+    # cannot write: each is a bad line of its file, in every command alike
+    # (test_evaluate_line_errors_name_their_file has evaluate's cases)
+    corpus_path = _small_corpus(tmp_path, n=8)
+    lines = corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if kind == "byte":
+        lines[2] = lines[2].replace('"report":["', '"report":["\udcff', 1)
+        where = "line 3: invalid UTF-8 byte 0xff"
+    else:
+        lines[2] = lines[2].replace('"report":["', '"report":["Lone \\ud800 surrogate.","', 1)
+        where = "line 3: lone surrogate '\\ud800' in a string"
+    corpus_path.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    capsys.readouterr()
+    assert run(_corpus_command(command, corpus_path, None, out_dir)) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {corpus_path}: {where}\n"
+    assert list(out_dir.iterdir()) == []
+
+
+_MUTATIONS = ("delete", "rename", "retype", "cut", "byte", "surrogate")
+
+
+def _mutate(line, kind, rng):
+    """A seeded *kind* of mutation of the valid corpus line *line*, as text
+    to write with ``surrogateescape``: its "\\udcXX" is the byte 0xXX."""
+    if kind == "cut":
+        return line[:rng.randrange(1, len(line) - 1)] + "\n"
+    if kind == "byte":
+        at = rng.randrange(len(line) - 1)
+        return line[:at] + chr(0xDC80 + rng.randrange(128)) + line[at:]
+    obj = json.loads(line)
+    if kind == "surrogate":  # json.dumps escapes it: valid JSON in ASCII
+        texts = obj["report"]
+        i = rng.randrange(len(texts))
+        at = rng.randrange(len(texts[i]) + 1)
+        texts[i] = texts[i][:at] + chr(rng.randrange(0xD800, 0xE000)) + texts[i][at:]
+        return json.dumps(obj) + "\n"
+    # a key of the record, of a feature entry or of the labels
+    part = rng.choice([obj, rng.choice(obj["features"]), obj["labels"] or obj])
+    key = rng.choice(sorted(part))
+    if kind == "delete":
+        del part[key]
+    elif kind == "rename":
+        part[key.upper() if key.islower() else key.lower()] = part.pop(key)
+    else:
+        part[key] = rng.choice([v for v in (None, True, 7, 1.5, "x", ["x"], {})
+                                if type(v) is not type(part[key])])
+    return json.dumps(obj) + "\n"
+
+
+def test_mutated_lines_exit_0_or_2_naming_their_file(tmp_path, capsys):
+    # seeded mutations of valid lines, through every command that reads a
+    # corpus: a bad line is a data error that names its file, never exit 3,
+    # and no command leaves its temporary file behind
+    rng = random.Random(26)
+    gold_path = tmp_path / "gold.jsonl"
+    assert run(["--quiet", "label", "--corpus", str(_small_corpus(tmp_path, n=6)),
+                "--out", str(gold_path)]) == EXIT_OK
+    lines = gold_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus_path = _copy_corpus(gold_path, tmp_path / "m.jsonl")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    for case in range(60):
+        kind = _MUTATIONS[case % len(_MUTATIONS)]
+        at = rng.randrange(len(lines))
+        mutated = lines[:at] + [_mutate(lines[at], kind, rng)] + lines[at + 1:]
+        corpus_path.write_text("".join(mutated), encoding="utf-8", errors="surrogateescape")
+        for command in ("label", "analyze", "augment", "evaluate"):
+            capsys.readouterr()
+            rc = run(_corpus_command(command, corpus_path, gold_path, out_dir))
+            err = capsys.readouterr().err
+            assert rc in (EXIT_OK, EXIT_DATA), (command, mutated[at], err)
+            assert rc == EXIT_OK or str(corpus_path) in err, (command, mutated[at], err)
+            assert not list(tmp_path.rglob(".tmp-coaug-*")), (command, mutated[at])
+
+
+def test_an_escaped_surrogate_pair_reads_and_writes_as_before(tmp_path, capsys):
+    # a valid pair is one character, written raw like any other text
+    corpus_path = _small_corpus(tmp_path, n=3)
+    lines = corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1].replace('"report":["', '"report":["Smile \\ud83d\\ude00.","', 1)
+    corpus_path.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "l.jsonl"
+    assert run(["--quiet", "label", "--corpus", str(corpus_path), "--out", str(out)]) == EXIT_OK
+    assert '"report":["Smile \U0001f600.",' in out.read_text(encoding="utf-8").splitlines()[1]
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("n_records 5", "expected 'key = value', got 'n_records 5'"),
+    ("n_records = 5\udcff", "invalid UTF-8 byte 0xff"),
+], ids=["no-equals", "byte"])
+def test_scenario_line_errors_name_their_file(tmp_path, capsys, line, reason):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[general]\n{line}\n", encoding="utf-8", errors="surrogateescape")
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert run(["--quiet", "synth", "--scenario", str(path), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: line 2: {reason}\n"
+    assert not out.exists()
 
 
 def _unique_sentence_pairs(tmp_path, schema, n):

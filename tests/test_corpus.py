@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coaug import corpus as corpus_module
 from coaug.corpus import (
     Corpus,
     DiseaseStatus,
@@ -209,6 +210,17 @@ def test_bad_feature_dimension_reports_its_line(tmp_path):
     with pytest.raises(MalformedRecord, match="bad feature dimension") as err:
         read_schema(str(path))
     assert err.value.line == 3
+
+
+def test_read_corpus_without_a_schema_reads_the_sidecar_once(tmp_path, schema, monkeypatch):
+    # the sidecar gives the schema: there is nothing to compare it with
+    path = tmp_path / "c.jsonl"
+    write_corpus(Corpus(schema, (make_record("r1", ["There is edema."], schema),)), str(path))
+    read = []
+    monkeypatch.setattr(corpus_module, "read_schema",
+                        lambda p, real=corpus_module.read_schema: read.append(p) or real(p))
+    assert read_corpus(str(path)).schema == schema
+    assert read == [str(path) + ".schema"]
 
 
 def test_index_of_an_unknown_name_raises_unknown_disease(schema):

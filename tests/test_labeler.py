@@ -11,7 +11,6 @@ from coaug.corpus import (
     Sentence,
     STATUS_RANK,
     make_schema,
-    read_lines,
 )
 from coaug.errors import DuplicateRule, MalformedRecord
 from coaug.labeler import (
@@ -102,7 +101,8 @@ def test_bad_window_and_shared_cue_report_their_line(lines, line):
 
 
 def test_compilation_order_independent(schema, matcher):
-    lines = read_lines(default_lexicon_path())
+    with open(default_lexicon_path(), encoding="utf-8") as fh:
+        lines = fh.readlines()
     shuffled = list(lines)
     random.Random(0).shuffle(shuffled)
     rules = parse_lexicon(shuffled, schema)

@@ -494,6 +494,14 @@ def test_scenario_template_key_needs_positive_or_negative(tmp_path, schema, key)
     assert err.value.field_path == f"templates.{key}"
 
 
+def test_scenario_line_errors_name_the_file_and_stay_config_errors(tmp_path, schema):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[general]\nseed = 3\n[planted]\nEdema = 0.5, 0.1\n")
+    with pytest.raises(ConfigInvalid, match=r"line 4: planted key must be 'A -> B'$") as err:
+        parse_scenario(str(path), schema)
+    assert err.value.field_path == f"{path}: line 4"
+
+
 def test_labels_mirror_mentions(schema, matcher, default_templates):
     # the shipped templates and lexicon agree: labeling a rendered report
     # recovers exactly the mentioned statuses
