@@ -16,7 +16,7 @@ and ``bleu_shared_counts`` and ``rouge_l_pair`` on the tokens that
 sentence text that both reports hold by its length, since a clip matches
 them all, and clips only those of the other sentences and those across
 an edge.  The functions that take whole sequences loop the core over
-the pairs, and ``coaug evaluate`` feeds it each pair as it reads it.
+the pairs, and ``coaug evaluate`` over each block of pairs it reads.
 
 Tokenization everywhere: lowercase; a word is a run of Unicode letters
 and digits, and any other non-space character (punctuation, ``_``) is a
@@ -331,15 +331,17 @@ def bleu4(gold: Sequence[Report], gen: Sequence[Report]) -> float:
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
     """After a[:i], bit j of ``v`` is 0 exactly where LCS(a[:i], b[:j + 1])
-    exceeds LCS(a[:i], b[:j]), so the zeros of ``v`` count LCS(a, b)."""
+    exceeds LCS(a[:i], b[:j]), so the zeros of ``v``'s low len(b) bits
+    count LCS(a, b).  Carries above those bits are cut once, at the end:
+    ``u`` lies in ``v``'s low bits, so ``v - u`` never borrows from them."""
     masks: dict[str, int] = {}
     for j, y in enumerate(b):
         masks[y] = masks.get(y, 0) | (1 << j)
     full = v = (1 << len(b)) - 1
-    for x in a:
-        u = v & masks.get(x, 0)
-        v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+    for mask in filter(None, map(masks.get, a)):
+        u = v & mask
+        v = (v + u) | (v - u)
+    return len(b) - (v & full).bit_count()
 
 
 def rouge_l_pair(ref: list[str], cand: list[str]) -> float:

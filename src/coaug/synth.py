@@ -322,9 +322,11 @@ def parse_scenario(path: str, schema: LabelSchema) -> SynthConfig:
     p_pos_given_neg``), [templates] (``disease | positive = sentence``),
     and optionally [prototypes] (``disease | positive = v1, v2, ...``).
     """
-    with reading(path) as lines:  # a line error names the file
-        sections = _parse_sections(lines)
+    with reading(path) as lines:  # a line or field error names the file
+        return _scenario_config(_parse_sections(lines), schema)
 
+
+def _scenario_config(sections: dict, schema: LabelSchema) -> SynthConfig:
     general = {"n_records": "1000", "seed": "0", "order_policy": "schema",
                "mention_positive": "1.0", "mention_negative": "0.6",
                "noise_sigma": "0.1", "prototypes": "auto"}

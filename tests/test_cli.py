@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coaug import cli
 from coaug.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run, run_pipeline
 from coaug.corpus import (
     Corpus,
@@ -24,6 +25,8 @@ from coaug.corpus import (
 from coaug.synth import default_scenario_path, strong_pair_scenario_path
 
 from conftest import make_record
+
+_BLOCK = cli._BLOCK  # evaluate's pairs per block
 
 
 def test_synth_is_byte_deterministic(tmp_path):
@@ -75,11 +78,17 @@ def test_missing_corpus_is_data_error(tmp_path):
     assert rc == EXIT_DATA
 
 
-@pytest.mark.parametrize("n_gold, n_gen", [(3, 2), (2, 3)],
-                         ids=["gold-longer", "generated-longer"])
+@pytest.mark.parametrize("n_gold, n_gen", [
+    (3, 2), (2, 3), (_BLOCK + 2, _BLOCK + 1), (_BLOCK + 1, _BLOCK + 2),
+    (_BLOCK + 1, _BLOCK), (_BLOCK, _BLOCK + 1), (2 * _BLOCK + 2, _BLOCK - 1),
+    (_BLOCK - 1, 2 * _BLOCK + 2),
+], ids=["gold-longer", "generated-longer", "gold-longer-inside-a-block",
+        "generated-longer-inside-a-block", "gold-longer-at-a-block-boundary",
+        "generated-longer-at-a-block-boundary", "gold-longer-by-blocks",
+        "generated-longer-by-blocks"])
 def test_evaluate_length_mismatch_is_data_error(tmp_path, schema, capsys, n_gold, n_gen):
-    # the pairs are zipped as they are read: the longer file's extra
-    # record must still be seen and counted
+    # the pairs are zipped as they are read, in blocks: the longer file's
+    # extra records must still be seen and counted, wherever a block ends
     paths = []
     for name, n in (("gold", n_gold), ("gen", n_gen)):
         records = [make_record(f"r{i}", ["No pneumothorax.", f"Edema grade {i}."], schema,
@@ -90,7 +99,7 @@ def test_evaluate_length_mismatch_is_data_error(tmp_path, schema, capsys, n_gold
     capsys.readouterr()
     assert run(["--quiet", "evaluate", "--gold", paths[0], "--generated", paths[1],
                 "--out", str(out)]) == EXIT_DATA
-    assert f"error: gold has {n_gold} records, generated has {n_gen}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: gold has {n_gold} records, generated has {n_gen}\n"
     assert not out.exists()
     assert not (tmp_path / "scores.json.run.json").exists()
 
@@ -434,13 +443,13 @@ def test_unknown_disease_in_a_lexicon_or_scenario_names_where(tmp_path, capsys, 
         path = tmp_path / "lexicon.tsv"
         path.write_text("Edema\tedema\nDragon Pox\tdragon pox\n")
         args = ["--corpus", str(_small_corpus(tmp_path)), "--lexicon", str(path)]
-        where = "line 2: unknown disease 'Dragon Pox'"
+        where = f"{path}: line 2: unknown disease 'Dragon Pox'"
     else:
         path = tmp_path / "nessie.cfg"
         text = Path(default_scenario_path()).read_text()
         path.write_text(text + "\n[marginals]\nNessie = 0.5\n")
         args = ["--scenario", str(path), "--n", "3"]
-        where = "marginals.Nessie: unknown disease 'Nessie'"
+        where = f"{path}: marginals.Nessie: unknown disease 'Nessie'"
     out = tmp_path / "out.jsonl"
     capsys.readouterr()
     assert run(["--quiet", command, *args, "--out", str(out)]) == EXIT_DATA
@@ -936,6 +945,65 @@ def _unique_sentence_pairs(tmp_path, schema, n):
     return paths
 
 
+def _mixed_pairs(tmp_path, schema, n):
+    """*n* gold reports of unique sentences and generated ones that, in
+    turn, reverse them less one, share none of them or repeat them."""
+    gold, gen = [], []
+    for i in range(n):
+        texts = [f"There is a {i} mm nodule in the right upper zone.",
+                 f"No pleural effusion is seen on view {i}.", f"Possible edema at level {i}.",
+                 "The heart is enlarged."]
+        gold.append(make_record(f"r{i}", texts, schema, features=False))
+        other = [texts[:0:-1], ["No pneumothorax.", f"Mild atelectasis {i}."], texts][i % 3]
+        gen.append(make_record(f"r{i}", other, schema, features=False))
+    paths = []
+    for name, records in (("gold", gold), ("gen", gen)):
+        paths.append(str(tmp_path / f"{name}.jsonl"))
+        write_corpus(Corpus(schema, tuple(records)), paths[-1])
+    return paths
+
+
+def _evaluate_outcome(tmp_path, gold_path, gen_path, metrics):
+    """evaluate's exit code, its scores.json bytes and its run record's counts."""
+    out = tmp_path / "scores.json"
+    macro = ["--macro"] if "ce" in metrics else []
+    rc = run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path,
+              "--metrics", metrics, *macro, "--out", str(out)])
+    if rc != EXIT_OK:
+        return rc, None, None
+    counts = json.loads((tmp_path / "scores.json.run.json").read_text())["counts"]
+    return rc, out.read_bytes(), counts
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("metrics", ["ce,bleu4,rougel", "bleu4,rougel"])
+def test_evaluate_in_blocks_writes_what_one_pair_per_block_writes(
+        tmp_path, schema, monkeypatch, n, metrics):
+    gold_path, gen_path = _mixed_pairs(tmp_path, schema, n)
+    blocked = _evaluate_outcome(tmp_path, gold_path, gen_path, metrics)
+    monkeypatch.setattr(cli, "_BLOCK", 1)
+    assert blocked == _evaluate_outcome(tmp_path, gold_path, gen_path, metrics)
+    assert blocked[0] == (EXIT_DATA if n == 0 and "ce" in metrics else EXIT_OK)
+
+
+@pytest.mark.parametrize("gold_line, gen_line, first", [
+    (_BLOCK + 1, _BLOCK, "gen"), (_BLOCK, _BLOCK + 1, "gold"),
+], ids=["generated-ends-a-block", "gold-ends-a-block"])
+def test_evaluate_reports_the_first_line_error_across_a_block_boundary(
+        tmp_path, schema, capsys, gold_line, gen_line, first):
+    # the pairs are read in blocks, but still gold then generated, pair by pair
+    paths = dict(zip(("gold", "gen"), _mixed_pairs(tmp_path, schema, 2 * _BLOCK + 1)))
+    for name, line_no in (("gold", gold_line), ("gen", gen_line)):
+        lines = Path(paths[name]).read_text().splitlines(keepends=True)
+        lines[line_no - 1] = "{not json\n"
+        Path(paths[name]).write_text("".join(lines))
+    capsys.readouterr()
+    assert run(["--quiet", "evaluate", "--gold", paths["gold"], "--generated", paths["gen"],
+                "--out", str(tmp_path / "scores.json")]) == EXIT_DATA
+    where = f"{paths[first]}: line {gold_line if first == 'gold' else gen_line}: invalid JSON"
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+
+
 def test_evaluate_memory_grows_by_less_than_2_kb_per_pair(tmp_path, schema):
     # evaluate streams its pairs and keeps sums; what grows is the labeler's
     # memo of distinct sentences and the record ids of the duplicate check
@@ -1062,7 +1130,7 @@ def test_determinism_script_passes_under_this_interpreter(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.rsplit(" ", 2)[1:] for line in lines] == [
         ["pipeline-default:", "ok"], ["strong_pair:", "ok"], ["evaluate-reordered:", "ok"],
-        ["evaluate-templated:", "ok"], ["augment:", "ok"]]
+        ["evaluate-partial-block:", "ok"], ["evaluate-templated:", "ok"], ["augment:", "ok"]]
 
 
 def test_pipeline_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -210,6 +211,35 @@ def test_bad_feature_dimension_reports_its_line(tmp_path):
     with pytest.raises(MalformedRecord, match="bad feature dimension") as err:
         read_schema(str(path))
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("kind", ["schema", "corpus", "lexicon", "cues", "scenario"])
+def test_a_byte_order_mark_reads_as_if_absent(tmp_path, schema, kind):
+    # an editor may save UTF-8 with a leading U+FEFF; it is no part of line 1
+    from coaug.labeler import compile_lexicon, default_cues_path, default_lexicon_path
+    from coaug.synth import default_scenario_path, parse_scenario
+
+    record = make_record("r0", ["No edema.", "Mild cardiomegaly."], schema)
+    text = {
+        "schema": "d=16\nEdema\nCardiomegaly\n",
+        "corpus": record_to_line(record, schema) + "\n",
+        "lexicon": "Edema\tedema\nCardiomegaly\tcardiomegaly\n",
+        "cues": "neg\tno\nunc\tmay\nwindow=4\n",
+        "scenario": "".join(line for line in Path(default_scenario_path()).read_text(
+            encoding="utf-8").splitlines(keepends=True) if not line.startswith("#")).lstrip(),
+    }[kind]
+    read = {
+        "schema": read_schema,
+        "corpus": lambda path: read_corpus(path, schema),
+        "lexicon": lambda path: compile_lexicon(path, default_cues_path(), schema).rules,
+        "cues": lambda path: compile_lexicon(default_lexicon_path(), path, schema).cues,
+        "scenario": lambda path: parse_scenario(path, schema),
+    }[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(str(marked)) == read(str(plain))
 
 
 def test_read_corpus_without_a_schema_reads_the_sidecar_once(tmp_path, schema, monkeypatch):

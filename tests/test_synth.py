@@ -471,7 +471,7 @@ def test_generation_stalls_after_exactly_max_attempts(monkeypatch, schema, defau
 
 
 def test_scenario_unknown_disease(tmp_path, schema):
-    # each names its section and key, as the scenario's other field errors do
+    # each names the file, its section and key, as the scenario's other field errors do
     path = tmp_path / "bad.cfg"
     for section, line in [("marginals", "Nessie = 0.5"),
                           ("planted", "Edema -> Nessie = 0.5, 0.1"),
@@ -482,7 +482,7 @@ def test_scenario_unknown_disease(tmp_path, schema):
         key = line.split("=")[0].strip()
         with pytest.raises(ConfigInvalid, match="unknown disease 'Nessie'") as err:
             parse_scenario(str(path), schema)
-        assert err.value.field_path == f"{section}.{key}"
+        assert err.value.field_path == f"{path}: {section}.{key}"
 
 
 @pytest.mark.parametrize("key", ["Edema", "Edema | maybe", "Edema | uncertain"])
@@ -491,7 +491,7 @@ def test_scenario_template_key_needs_positive_or_negative(tmp_path, schema, key)
     path.write_text(f"[templates]\n{key} = There is edema.\n")
     with pytest.raises(ConfigInvalid, match=r"bad status .*'disease \| positive'") as err:
         parse_scenario(str(path), schema)
-    assert err.value.field_path == f"templates.{key}"
+    assert err.value.field_path == f"{path}: templates.{key}"
 
 
 def test_scenario_line_errors_name_the_file_and_stay_config_errors(tmp_path, schema):

@@ -4,7 +4,7 @@
     python tools/check_determinism.py [PYTHON ...]
 
 For each interpreter (by default the one running this script) it runs
-five commands of this checkout's ``src`` in fresh temporary directories
+six commands of this checkout's ``src`` in fresh temporary directories
 and compares the sha256 of every artifact but the ``.run.json`` timing
 sidecar:
 
@@ -17,6 +17,10 @@ sidecar:
   only read) builds, as the benchmark workload of that name does,
   against ``perfbench/reference_digests.json``.  The pairs are built
   once, by the interpreter running this script;
+* evaluate-partial-block, the same command on 1,499 such pairs built
+  from seed 11, against ``EVALUATE_PARTIAL_BLOCK_DIGESTS`` below.
+  ``coaug evaluate`` reads its pairs in blocks, and 1,499 is prime, so
+  the last block is a partial one at every block size from 2 to 1,498;
 * evaluate-templated, ``evaluate --metrics ce,bleu4,rougel --macro`` of
   pipeline-default's ``original.jsonl`` against ``synth --scenario
   default --seed 8 --n 1600``, against ``EVALUATE_TEMPLATED_DIGESTS``
@@ -70,24 +74,31 @@ EVALUATE_TEMPLATED_DIGESTS = {
     "scores.json": "263ab85c4d9f6d2682d0caceec1279741d90feaca7fc5fbc1580cc6d7c197fec",
 }
 
+EVALUATE_PARTIAL_BLOCK_DIGESTS = {
+    "scores.json": "3af53176b79c9ece735b74609cb7ea593744ade70fde9301572d4da852c8850e",
+}
+
 EVALUATE_SEED = 7
 EVALUATE_N = 1500
+PARTIAL_BLOCK_SEED = 11
+PARTIAL_BLOCK_N = 1499
 
 
-def write_evaluate_pairs(d: Path) -> list[str]:
-    """Write the evaluate-reordered gold and generated corpora into *d*;
-    return the ``coaug evaluate`` arguments that read them."""
+def write_evaluate_pairs(d: Path, seed: int = EVALUATE_SEED, n: int = EVALUATE_N) -> list[str]:
+    """Write the evaluate-reordered gold and generated corpora of *n* pairs
+    from *seed* into *d*; return the ``coaug evaluate`` arguments that read
+    them."""
     spec = importlib.util.spec_from_file_location("freetext",
                                                   ROOT / "perfbench" / "freetext.py")
     freetext = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = freetext  # as ``import`` would: its dataclass looks it up
     spec.loader.exec_module(freetext)
-    gold = freetext.generate_reports(EVALUATE_SEED, EVALUATE_N)
-    freetext.write_text_corpus(str(d / "gold.jsonl"), gold)
-    freetext.write_text_corpus(str(d / "generated.jsonl"),
-                               freetext.drop_and_shuffle(gold, EVALUATE_SEED))
-    return ["evaluate", "--gold", str(d / "gold.jsonl"), "--generated",
-            str(d / "generated.jsonl"), "--metrics", "ce,bleu4,rougel", "--macro"]
+    gold = freetext.generate_reports(seed, n)
+    gold_path, generated_path = d / f"gold-{seed}-{n}.jsonl", d / f"generated-{seed}-{n}.jsonl"
+    freetext.write_text_corpus(str(gold_path), gold)
+    freetext.write_text_corpus(str(generated_path), freetext.drop_and_shuffle(gold, seed))
+    return ["evaluate", "--gold", str(gold_path), "--generated", str(generated_path),
+            "--metrics", "ce,bleu4,rougel", "--macro"]
 
 
 def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str, str]]]:
@@ -95,6 +106,7 @@ def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str
     expected digests; *inputs* is a directory for the cases' input files."""
     reference = json.loads((ROOT / "perfbench" / "reference_digests.json").read_text())
     evaluate = write_evaluate_pairs(inputs)
+    partial = write_evaluate_pairs(inputs, PARTIAL_BLOCK_SEED, PARTIAL_BLOCK_N)
 
     def pipeline(*args: str) -> Callable[[Path], list[str]]:
         return lambda out: ["pipeline", *args, "--outdir", str(out)]
@@ -115,6 +127,8 @@ def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str
                                  "--rate", "0.5"), STRONG_PAIR_SEED11_DIGESTS),
         "evaluate-reordered": (lambda out: [*evaluate, "--out", str(out / "scores.json")],
                                reference["evaluate-reordered"]),
+        "evaluate-partial-block": (lambda out: [*partial, "--out", str(out / "scores.json")],
+                                   EVALUATE_PARTIAL_BLOCK_DIGESTS),
         "evaluate-templated": (lambda out: [*templated, "--out", str(out / "scores.json")],
                                EVALUATE_TEMPLATED_DIGESTS),
         "augment": (lambda out: ["augment", "--corpus", str(labeled), "--rate", "1.0",
