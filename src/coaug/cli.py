@@ -337,11 +337,11 @@ def _cmd_evaluate(args) -> int:
         lap("tokenize")
         if ce:
             for (g, h), (_, _, shared) in zip(block, tokens):
-                # each text's tokens, when one is new: the matcher labels new ones from them
-                if shared is not None and not shared[2].keys() <= matcher.labeled:
-                    for text, text_tokens in shared[2].items():
-                        matcher.label_text(text, text_tokens)
-                pair = metrics.ce_pair_cells(label(g.report, matcher), label(h.report, matcher))
+                # a pair sharing a text labels each of its texts once, from its tokens
+                table = None if shared is None else {
+                    text: matcher.label_text(text, words) for text, words in shared[2].items()}
+                pair = metrics.ce_pair_cells(label(g.report, matcher, table),
+                                             label(h.report, matcher, table))
                 for tally, k in zip(tallies, pair):
                     tally[k] += 1
             lap("ce")

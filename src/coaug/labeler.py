@@ -36,6 +36,7 @@ from .corpus import (
 from .errors import DuplicateRule, MalformedRecord, UnknownDisease
 
 _WORD = re.compile(r"[a-z0-9]+")
+_MEMO_TEXTS = 1024  # texts a matcher's memo holds; a full one is cleared before an insert
 
 
 def match_tokens(text: str) -> list[str]:
@@ -58,17 +59,17 @@ class CueList:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("cue window must be >= 1")
-        if set(self.negation) & set(self.uncertainty):
-            raise ValueError("negation and uncertainty cues must be disjoint")
         if not all(map(match_tokens, self.negation + self.uncertainty)):
             raise ValueError("every cue phrase needs a word token")
+        negation = {tuple(match_tokens(p)) for p in self.negation}  # as the matcher keys cues
+        if not negation.isdisjoint(tuple(match_tokens(p)) for p in self.uncertainty):
+            raise ValueError("negation and uncertainty cues must be disjoint")
 
 
 class Matcher:
-    """Compiled lexicon + cues against a fixed schema.  ``label_text``
-    memoizes labels by sentence text for the matcher's lifetime, so its
-    memory grows with the distinct sentences labeled; an entry is a pure
-    function of its text."""
+    """Compiled lexicon + cues against a fixed schema.  ``label_text`` memoizes labels
+    by sentence text, ``_MEMO_TEXTS`` texts at most: an entry is a pure function of its
+    text, so clearing the memo changes no label, only which texts are scanned again."""
 
     def __init__(self, schema: LabelSchema, rules: list[LexiconRule], cues: CueList):
         self.schema = schema
@@ -93,8 +94,8 @@ class Matcher:
         # sentence text -> labels; label outcome -> its one read-only copy
         self._memo: dict[str, Mapping[int, DiseaseStatus]] = {}
         self._outcomes: dict[tuple, Mapping[int, DiseaseStatus]] = {}
-        self.labeled = self._memo.keys()  # the texts labeled so far, a live view
         self.sentences = 0  # of the reports label_report labeled with this matcher
+        self._scans = [0, 0]  # texts scanned that matched a pattern, and that matched none
 
     def label_tokens(self, tokens: Sequence[str]) -> dict[int, DiseaseStatus]:
         tokens = tuple(tokens)
@@ -119,8 +120,8 @@ class Matcher:
 
     def label_text(self, text: str,
                    tokens: Optional[list[str]] = None) -> Mapping[int, DiseaseStatus]:
-        """Read-only labels of one sentence text, scanned once per text, and
-        shared by equal outcomes.  ASCII text takes its words from ``tokens``."""
+        """Read-only labels of one sentence text, shared by equal outcomes; scanned
+        again only once the memo was cleared.  ASCII text takes its words from ``tokens``."""
         labels = self._memo.get(text)
         if labels is None:
             # a list, since label_tokens' tuple of an iterator is resized: +1.4 MB peak RSS
@@ -128,13 +129,17 @@ class Matcher:
                      else list(filter(str.isalnum, tokens)))
             fresh = self.label_tokens(words)
             labels = self._outcomes.setdefault(tuple(fresh.items()), MappingProxyType(fresh))
+            if len(self._memo) >= _MEMO_TEXTS:
+                self._memo.clear()
             self._memo[text] = labels
+            self._scans[not fresh] += 1
         return labels
 
     def counts(self) -> dict[str, int]:
-        """Sentences labeled, distinct texts scanned, and those matching nothing."""
-        return {"sentences": self.sentences, "distinct_texts": len(self._memo),
-                "unmatched_texts": sum(not labels for labels in self._memo.values())}
+        """Sentences labeled, texts scanned, and those matching nothing: the
+        texts are the distinct ones while no more than ``_MEMO_TEXTS`` are."""
+        return {"sentences": self.sentences, "distinct_texts": sum(self._scans),
+                "unmatched_texts": self._scans[1]}
 
 
 def _occurrences(tokens: tuple[str, ...], by_first: dict):
@@ -152,14 +157,17 @@ def label_sentence(sentence: Sentence, matcher: Matcher) -> Mapping[int, Disease
     return matcher.label_text(sentence.text)
 
 
-def label_report(report: Report, matcher: Matcher) -> ReportLabelVector:
-    """Aggregate sentence labels to one status per schema disease; the same
-    walk records each disease's first-mention sentence (-1: none) as ``firsts``."""
+def label_report(report: Report, matcher: Matcher,
+                 table: Optional[Mapping[str, Mapping]] = None) -> ReportLabelVector:
+    """Aggregate sentence labels to one status per schema disease, each sentence's from
+    *table* by its text when given, else ``label_sentence``; the same walk records
+    each disease's first-mention sentence (-1: none) as ``firsts``."""
     statuses = [DiseaseStatus.UNMENTIONED] * len(matcher.schema)
     firsts = [-1] * len(statuses)
     matcher.sentences += len(report.sentences)
     for s_idx, sentence in enumerate(report.sentences):
-        for disease, status in label_sentence(sentence, matcher).items():
+        labels = label_sentence(sentence, matcher) if table is None else table[sentence.text]
+        for disease, status in labels.items():
             if firsts[disease] < 0:
                 firsts[disease] = s_idx
             if STATUS_RANK[status] > STATUS_RANK[statuses[disease]]:
@@ -222,10 +230,10 @@ def parse_cues(lines: Iterable[str]) -> CueList:
         if len(parts) != 2 or parts[0] not in ("neg", "unc"):
             raise MalformedRecord(line_no, "expected 'neg<TAB>phrase' or 'unc<TAB>phrase'")
         phrase = parts[1].strip().lower()
-        if not match_tokens(phrase):
+        if not (tokens := tuple(match_tokens(phrase))):
             raise MalformedRecord(line_no, "cue phrase has no word tokens")
         own, other = (negation, uncertainty) if parts[0] == "neg" else (uncertainty, negation)
-        if phrase in other:
+        if tokens in {tuple(match_tokens(p)) for p in other}:  # as the matcher keys cues
             raise MalformedRecord(line_no, "negation and uncertainty cues must be disjoint")
         own.append(phrase)
     return CueList(tuple(negation), tuple(uncertainty), window)

@@ -209,14 +209,14 @@ def bleu_pair_counts(ref: list[str], cand: list[str]) -> tuple[int, ...]:
 
 def pair_tokens(ref_report: Report, cand_report: Report) -> tuple[list[str], list[str], Shared]:
     """Both reports' ``report_tokens`` and, when they share a sentence text,
-    their texts and each distinct text's tokens (else None).  Each such text
-    is tokenized once and a report's tokens are its sentences' joined in
+    their texts and each distinct text's tokens, in order of first use (else None).  Each
+    such text is tokenized once and a report's tokens are its sentences' joined in
     order: the same, since the space that joins two sentences ends a
     ``split`` chunk and ``lower``'s final-sigma context."""
     ref_texts, cand_texts = ref_report.texts(), cand_report.texts()
     if set(ref_texts).isdisjoint(cand_texts):
         return tokenize(" ".join(ref_texts)), tokenize(" ".join(cand_texts)), None
-    texts = {text: tokenize(text) for text in {*ref_texts, *cand_texts}}
+    texts = {text: tokenize(text) for text in dict.fromkeys(ref_texts + cand_texts)}
     return (list(chain.from_iterable(map(texts.__getitem__, ref_texts))),
             list(chain.from_iterable(map(texts.__getitem__, cand_texts))),
             (ref_texts, cand_texts, texts))

@@ -925,17 +925,30 @@ def test_scenario_line_errors_name_their_file(tmp_path, capsys, line, reason):
     assert not out.exists()
 
 
+def _unique_texts(i):
+    """Six sentence texts of report *i* that no other report repeats."""
+    return [f"There is a {i} mm nodule in the right upper zone.",
+            f"No pleural effusion is seen on the lateral view {i}.",
+            f"Possible mild interstitial edema at level {i}.",
+            f"The heart measures {i} cm and is enlarged.",
+            f"The lungs are otherwise clear on film {i}.",
+            f"No pneumothorax is seen after procedure {i}."]
+
+
+def _unique_sentence_corpus(tmp_path, schema, n):
+    """A corpus of *n* unlabeled records of ``_unique_texts``."""
+    path = tmp_path / f"unique{n}.jsonl"
+    write_corpus(Corpus(schema, tuple(make_record(f"r{i}", _unique_texts(i), schema)
+                                      for i in range(n))), str(path))
+    return str(path)
+
+
 def _unique_sentence_pairs(tmp_path, schema, n):
-    """*n* gold reports of six sentences that no other report repeats,
-    and generated ones that reverse them and drop one."""
+    """*n* gold reports of ``_unique_texts`` and generated ones that reverse
+    them and drop one."""
     gold, gen = [], []
     for i in range(n):
-        texts = [f"There is a {i} mm nodule in the right upper zone.",
-                 f"No pleural effusion is seen on the lateral view {i}.",
-                 f"Possible mild interstitial edema at level {i}.",
-                 f"The heart measures {i} cm and is enlarged.",
-                 f"The lungs are otherwise clear on film {i}.",
-                 f"No pneumothorax is seen after procedure {i}."]
+        texts = _unique_texts(i)
         gold.append(make_record(f"r{i}", texts, schema, features=False))
         gen.append(make_record(f"r{i}", texts[:0:-1], schema, features=False))
     paths = []
@@ -1004,29 +1017,74 @@ def test_evaluate_reports_the_first_line_error_across_a_block_boundary(
     assert capsys.readouterr().err.startswith(f"error: {where}")
 
 
-def test_evaluate_memory_grows_by_less_than_2_kb_per_pair(tmp_path, schema):
-    # evaluate streams its pairs and keeps sums; what grows is the labeler's
-    # memo of distinct sentences and the record ids of the duplicate check
+def test_evaluate_labels_each_text_of_a_sharing_pair_once_whatever_the_memo(
+        tmp_path, schema, monkeypatch):
+    # a memo of one text is cleared before every scan: the pairs that share a
+    # text still scan each of their 4 texts once, from the pair's own table,
+    # and a pair that shares none scans its 4 + 2 sentences through the memo
+    from coaug import labeler
+
+    n = 3 * _BLOCK + 1
+    gold_path, gen_path = _mixed_pairs(tmp_path, schema, n)
+    (tmp_path / "full").mkdir()
+    _, expected, _ = _evaluate_outcome(tmp_path / "full", gold_path, gen_path, "ce")
+    monkeypatch.setattr(labeler, "_MEMO_TEXTS", 1)
+    rc, scores, counts = _evaluate_outcome(tmp_path, gold_path, gen_path, "ce")
+    assert (rc, scores) == (EXIT_OK, expected)
+    sharing = sum(i % 3 != 1 for i in range(n))
+    assert counts["labeler"]["distinct_texts"] == 4 * sharing + 6 * (n - sharing)
+
+
+# both sizes hold more texts than the labeler's memo, whose peak is then the same;
+# they are far apart, since tracemalloc also counts CPython's tuple free lists,
+# whose fill (up to a few hundred KB) moves with the tests run before
+_MEMORY_SIZES = (300, 3000)
+
+
+def _peak_growth_per_record(command):
+    """Traced peak memory of ``command(n)`` per record from the smaller of
+    ``_MEMORY_SIZES`` to the larger, after a warm-up at the larger."""
     import tracemalloc
 
-    inputs = {n: _unique_sentence_pairs(tmp_path, schema, n) for n in (100, 400)}
+    from coaug import labeler
+
+    small, large = _MEMORY_SIZES
+    assert len(_unique_texts(0)) * small > labeler._MEMO_TEXTS
+    command(large)
+    peaks = {}
+    for n in (small, large):
+        tracemalloc.start()
+        try:
+            command(n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return (peaks[large] - peaks[small]) / (large - small)
+
+
+def test_evaluate_memory_grows_by_less_than_384_b_per_pair(tmp_path, schema):
+    # evaluate streams its pairs and keeps sums; what grows is the record ids
+    # of the duplicate check, not the labeler's memo, which holds a fixed
+    # number of texts
+    inputs = {n: _unique_sentence_pairs(tmp_path, schema, n) for n in _MEMORY_SIZES}
 
     def evaluate(n):
         gold_path, gen_path = inputs[n]
         assert run(["--quiet", "evaluate", "--gold", gold_path, "--generated", gen_path,
                     "--macro", "--out", str(tmp_path / f"scores{n}.json")]) == EXIT_OK
 
-    # warm up at the larger n, as the pipeline's memory test does
-    evaluate(400)
-    peaks = {}
-    for n in (100, 400):
-        tracemalloc.start()
-        try:
-            evaluate(n)
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert (peaks[400] - peaks[100]) / 300 < 2048
+    assert _peak_growth_per_record(evaluate) < 384
+
+
+def test_analyze_memory_grows_by_less_than_256_b_per_record(tmp_path, schema):
+    # analyze keeps each record's label columns and id, not its sentences
+    corpora = {n: _unique_sentence_corpus(tmp_path, schema, n) for n in _MEMORY_SIZES}
+
+    def analyze(n):
+        assert run(["--quiet", "analyze", "--corpus", corpora[n],
+                    "--out", str(tmp_path / f"r{n}.txt")]) == EXIT_OK
+
+    assert _peak_growth_per_record(analyze) < 256
 
 
 @pytest.mark.parametrize("metrics", ["", " , "])
@@ -1130,7 +1188,8 @@ def test_determinism_script_passes_under_this_interpreter(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.rsplit(" ", 2)[1:] for line in lines] == [
         ["pipeline-default:", "ok"], ["strong_pair:", "ok"], ["evaluate-reordered:", "ok"],
-        ["evaluate-partial-block:", "ok"], ["evaluate-templated:", "ok"], ["augment:", "ok"]]
+        ["evaluate-partial-block:", "ok"], ["evaluate-templated:", "ok"], ["augment:", "ok"],
+        ["analyze-freetext:", "ok"]]
 
 
 def test_pipeline_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):

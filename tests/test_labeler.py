@@ -100,6 +100,34 @@ def test_bad_window_and_shared_cue_report_their_line(lines, line):
     assert err.value.line == line
 
 
+# the matcher keys a cue by its tokens, so "free-of" is the cue "free of"
+@pytest.mark.parametrize("negation", ["free of", "free-of", "Free  of"])
+def test_a_cue_shared_by_its_tokens_reports_its_line(tmp_path, schema, capsys, negation):
+    from coaug.cli import EXIT_DATA, run
+    from coaug.corpus import Corpus, write_corpus
+    from conftest import make_record
+
+    lines = ["window=6", f"neg\t{negation}", "unc\tfree of"]
+    message = "line 3: negation and uncertainty cues must be disjoint"
+    with pytest.raises(MalformedRecord, match=message) as err:
+        parse_cues(lines)
+    assert err.value.line == 3
+    cues, corpus = tmp_path / "cues.tsv", tmp_path / "c.jsonl"
+    cues.write_text("\n".join(lines) + "\n")
+    write_corpus(Corpus(schema, (make_record("r0", ["Free of effusion."], schema),)), str(corpus))
+    assert run(["--quiet", "label", "--corpus", str(corpus), "--cues", str(cues),
+                "--out", str(tmp_path / "l.jsonl")]) == EXIT_DATA
+    assert f"error: {cues}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "l.jsonl").exists()
+
+
+@pytest.mark.parametrize("negation, uncertainty", [(("free-of",), ("free of",)),
+                                                    (("no", "free of"), ("FREE OF",))])
+def test_cue_lists_with_the_same_tokens_are_not_disjoint(negation, uncertainty):
+    with pytest.raises(ValueError, match="negation and uncertainty cues must be disjoint"):
+        CueList(negation, uncertainty)
+
+
 def test_compilation_order_independent(schema, matcher):
     with open(default_lexicon_path(), encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -247,6 +275,48 @@ def test_memoized_labels_equal_a_fresh_scan(schema, default_templates):
         assert second is first
 
 
+def test_a_cleared_memo_changes_no_label(schema, default_templates, monkeypatch):
+    # a memo of 4 texts is cleared many times over three passes in different orders
+    import coaug.labeler as labeler
+
+    monkeypatch.setattr(labeler, "_MEMO_TEXTS", 4)
+    texts = sorted(set(default_templates.values())) + CUE_SENTENCES
+    fresh = {text: dict(default_matcher(schema).label_text(text)) for text in texts}
+    matcher = default_matcher(schema)
+    shared: dict[tuple, set[int]] = {}  # outcome -> ids of the mappings returned for it
+    for order in range(3):
+        for text in random.Random(order).sample(texts, len(texts)):
+            labels = label_sentence(Sentence(text), matcher)
+            assert dict(labels) == fresh[text]
+            assert len(matcher._memo) <= 4
+            shared.setdefault(tuple(labels.items()), set()).add(id(labels))
+    assert all(len(ids) == 1 for ids in shared.values())
+    assert len(shared) == len({tuple(labels.items()) for labels in fresh.values()})
+    assert matcher.counts()["distinct_texts"] > len(texts)  # cleared texts were scanned again
+
+
+def test_counts_are_the_distinct_texts_of_a_corpus_that_fits_the_memo(schema, default_templates):
+    texts = sorted(set(default_templates.values())) + CUE_SENTENCES
+    matcher = default_matcher(schema)
+    reports = [Report.from_texts(texts[k:k + 5]) for k in range(0, len(texts), 3)]
+    for report in reports + reports:
+        label_report(report, matcher)
+    unmatched = sum(not default_matcher(schema).label_text(text) for text in texts)
+    assert 0 < unmatched < len(texts)
+    assert matcher.counts() == {"sentences": 2 * sum(map(len, reports)),
+                                "distinct_texts": len(texts), "unmatched_texts": unmatched}
+
+
+def test_a_report_labeled_from_a_table_equals_its_labels(schema, default_templates):
+    texts = sorted(set(default_templates.values())) + CUE_SENTENCES
+    table = {text: default_matcher(schema).label_text(text) for text in texts}
+    matcher = default_matcher(schema)
+    for k in range(0, len(texts), 4):
+        report = Report.from_texts(texts[k:k + 6] + texts[k:k + 2])
+        assert label_report(report, matcher, table) == label_report(report, default_matcher(schema))
+    assert matcher.counts()["distinct_texts"] == 0  # nothing scanned
+
+
 def test_returned_labels_cannot_change_a_later_lookup(schema):
     matcher = default_matcher(schema)
     sentence = Sentence("No pneumothorax or pleural effusion.")
@@ -364,36 +434,41 @@ def test_label_tokens_equals_the_loops_it_replaced(matcher, tokens):
     assert matcher.label_tokens(tokens) == _loop_label_tokens(matcher, tokens)
 
 
-def test_threads_sharing_a_matcher_get_the_fresh_labels(schema, default_templates):
+def test_threads_sharing_a_matcher_get_the_fresh_labels(schema, default_templates, monkeypatch):
     import sys
     import threading
 
+    import coaug.labeler as labeler
+
     texts = sorted(set(default_templates.values())) + CUE_SENTENCES
     expected = {t: default_matcher(schema).label_tokens(match_tokens(t)) for t in texts}
-    matcher = default_matcher(schema)
-    wrong = []
-
-    def work(offset):
-        for k in range(400):
-            text = texts[(offset + k) % len(texts)]
-            if dict(label_sentence(Sentence(text), matcher)) != expected[text]:
-                wrong.append(text)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert wrong == []
-    # one shared mapping per distinct outcome
     outcomes = {tuple(labels.items()) for labels in expected.values()}
-    assert len({id(label_sentence(Sentence(t), matcher)) for t in texts}) == len(outcomes)
+    # in a memo of 4 texts the threads also clear it under each other
+    for memo_texts in (labeler._MEMO_TEXTS, 4):
+        monkeypatch.setattr(labeler, "_MEMO_TEXTS", memo_texts)
+        matcher = default_matcher(schema)
+        wrong = []
+
+        def work(offset):
+            for k in range(400):
+                text = texts[(offset + k) % len(texts)]
+                if dict(label_sentence(Sentence(text), matcher)) != expected[text]:
+                    wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
+        # one shared mapping per distinct outcome
+        assert len({id(label_sentence(Sentence(t), matcher)) for t in texts}) == len(outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
     python tools/check_determinism.py [PYTHON ...]
 
 For each interpreter (by default the one running this script) it runs
-six commands of this checkout's ``src`` in fresh temporary directories
+seven commands of this checkout's ``src`` in fresh temporary directories
 and compares the sha256 of every artifact but the ``.run.json`` timing
 sidecar:
 
@@ -32,7 +32,13 @@ sidecar:
 * augment, ``augment --rate 1.0 --seed 7`` of pipeline-default's
   ``labeled.jsonl``, against pipeline-default's ``augmented.jsonl`` and
   ``.schema`` digests.  That ``labeled.jsonl`` is written once, by
-  ``pipeline`` under the interpreter running this script.
+  ``pipeline`` under the interpreter running this script;
+* analyze-freetext, ``analyze --stratify disease:Edema`` of the 5,000
+  seed-7 records that ``perfbench/freetext.py`` writes with features, as
+  the benchmark workload of that name does, against
+  ``perfbench/reference_digests.json``.  Its 30,000-odd distinct sentence
+  texts fill the labeler's memo many times over.  The corpus is written
+  once, by the interpreter running this script.
 
 It prints one line per interpreter and case and exits 0 when every
 digest matches, 1 otherwise.  Standard library only, so an interpreter
@@ -80,19 +86,27 @@ EVALUATE_PARTIAL_BLOCK_DIGESTS = {
 
 EVALUATE_SEED = 7
 EVALUATE_N = 1500
+ANALYZE_SEED = 7
+ANALYZE_N = 5000
 PARTIAL_BLOCK_SEED = 11
 PARTIAL_BLOCK_N = 1499
+
+
+def load_freetext():
+    """``perfbench/freetext.py``, the benchmark's corpus generator, as a module."""
+    spec = importlib.util.spec_from_file_location("freetext",
+                                                  ROOT / "perfbench" / "freetext.py")
+    freetext = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = freetext  # as ``import`` would: its dataclass looks it up
+    spec.loader.exec_module(freetext)
+    return freetext
 
 
 def write_evaluate_pairs(d: Path, seed: int = EVALUATE_SEED, n: int = EVALUATE_N) -> list[str]:
     """Write the evaluate-reordered gold and generated corpora of *n* pairs
     from *seed* into *d*; return the ``coaug evaluate`` arguments that read
     them."""
-    spec = importlib.util.spec_from_file_location("freetext",
-                                                  ROOT / "perfbench" / "freetext.py")
-    freetext = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = freetext  # as ``import`` would: its dataclass looks it up
-    spec.loader.exec_module(freetext)
+    freetext = load_freetext()
     gold = freetext.generate_reports(seed, n)
     gold_path, generated_path = d / f"gold-{seed}-{n}.jsonl", d / f"generated-{seed}-{n}.jsonl"
     freetext.write_text_corpus(str(gold_path), gold)
@@ -107,6 +121,9 @@ def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str
     reference = json.loads((ROOT / "perfbench" / "reference_digests.json").read_text())
     evaluate = write_evaluate_pairs(inputs)
     partial = write_evaluate_pairs(inputs, PARTIAL_BLOCK_SEED, PARTIAL_BLOCK_N)
+    freetext, features = load_freetext(), inputs / "freetext.jsonl"
+    records = freetext.generate_reports(ANALYZE_SEED, ANALYZE_N)
+    freetext.write_feature_corpus(str(features), records, ANALYZE_SEED)
 
     def pipeline(*args: str) -> Callable[[Path], list[str]]:
         return lambda out: ["pipeline", *args, "--outdir", str(out)]
@@ -134,6 +151,9 @@ def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str
         "augment": (lambda out: ["augment", "--corpus", str(labeled), "--rate", "1.0",
                                  "--seed", "7", "--out", str(out / "augmented.jsonl")],
                     augmented),
+        "analyze-freetext": (lambda out: ["analyze", "--corpus", str(features), "--stratify",
+                                          "disease:Edema", "--out", str(out / "report.txt")],
+                             reference["analyze-freetext"]),
     }
 
 
