@@ -1,17 +1,17 @@
 """Counterfactual augmentation: sentence popping with feature masking,
 sentence-order reconstruction, and dataset-level orchestration.
 
-A counterfactual twin of a record is built in two serial steps:
+``augment_record`` builds a record's counterfactual twin in two serial steps:
 
-* feature-side (``css_augment``): pop one uniformly chosen sentence
-  (re-drawn until it carries at least one disease label), keep the rest
-  in order, and mask the feature vector of every disease the popped
-  sentence labeled;
-* report-side (``crr_augment``): reorder the remaining sentences by a
-  uniform non-identity permutation (identity only for reports shorter
-  than two sentences).
+* Counterfactual Sample Synthesis (CSS, ``css_augment`` alone): pop one
+  uniformly chosen sentence (re-drawn until it carries at least one
+  disease label), keep the rest in order, and mask the feature vector of
+  every disease the popped sentence labeled;
+* Counterfactual Report Reconstruction (CRR, ``crr_augment``): reorder
+  the remaining sentences by a uniform non-identity permutation
+  (identity only for reports shorter than two sentences).
 
-The twin record and its outcome are then built once.  A twin is labeled
+Then it builds the twin record and its outcome.  A twin is labeled
 exactly when its source is, with ``label_report`` of its own report;
 labels ignore sentence order, so the reordering cannot change them.
 
@@ -89,41 +89,6 @@ class AugmentationOutcome:
     flags: frozenset[str]
 
 
-def _pop_sentence(record: Record, matcher: Matcher, stream: RngStream
-                  ) -> Union[tuple[int, Mapping[int, DiseaseStatus], Report], Skip]:
-    """CSS's draw: the popped index, its labels and the kept sentences."""
-    if record.provenance is not Provenance.ORIGINAL:
-        raise ValueError("css_augment requires an Original record")
-    if record.features is None:
-        raise MissingFeatures(f"record {record.id!r} has no feature bundle")
-    sentences = record.report.sentences
-    if len(sentences) < MIN_SENTENCES:
-        return Skip("below-min-sentences")
-    for _ in range(MAX_RESAMPLE):
-        idx = stream.randrange(len(sentences))
-        labels = label_sentence(sentences[idx], matcher)
-        if labels:
-            return idx, labels, Report(sentences[:idx] + sentences[idx + 1:])
-    return Skip("no-labelable-sentence")
-
-
-def _counterfactual(record: Record, matcher: Matcher, report: Report,
-                    permutation: tuple[int, ...], popped_index: Optional[int],
-                    popped_labels: Mapping[int, DiseaseStatus]) -> AugmentationOutcome:
-    """The twin of *record* with *report*, and its outcome.  The popped
-    diseases' vectors are masked; the twin's labels, kept when its source
-    has labels, also flag a masked disease a kept sentence still mentions."""
-    masked = frozenset(popped_labels)
-    features = record.features.mask(masked) if masked else record.features
-    labels = label_report(report, matcher) if masked or record.labels is not None else None
-    orphan = any(labels.mentioned(i) for i in masked)
-    twin = Record(record.id + TWIN_SUFFIX, report, features,
-                  labels if record.labels is not None else None,
-                  Provenance.COUNTERFACTUAL, record.id)
-    return AugmentationOutcome(twin, popped_index, popped_labels, masked, permutation,
-                               frozenset({ORPHAN_MENTION}) if orphan else frozenset())
-
-
 def css_augment(record: Record, matcher: Matcher,
                 stream: RngStream) -> Union[AugmentationOutcome, Skip]:
     """Pop one labeled sentence and mask the matching feature vectors.
@@ -152,18 +117,41 @@ def crr_augment(report: Report, stream: RngStream) -> tuple[Report, tuple[int, .
 
 def augment_record(record: Record, matcher: Matcher, stream: RngStream,
                    cfg: AugmentationConfig) -> Union[AugmentationOutcome, Skip]:
-    """Serial composition: pop-and-mask first (when enabled), then
-    reorder what remains (when enabled)."""
-    index, labels, report = None, {}, record.report
+    """The twin of *record* and its outcome.  CSS (when enabled) checks the
+    record, then pops a sentence, re-drawn up to ``MAX_RESAMPLE`` times until
+    it is labeled, and masks the popped diseases' vectors; CRR (when enabled)
+    then reorders what is left on the same stream.  The twin's labels, kept
+    when its source has labels, also flag a masked disease a kept sentence
+    still mentions."""
+    index, popped, report = None, {}, record.report
     if cfg.enable_css:
-        popped = _pop_sentence(record, matcher, stream)
-        if isinstance(popped, Skip):
-            return popped
-        index, labels, report = popped
+        if record.provenance is not Provenance.ORIGINAL:
+            raise ValueError("css_augment requires an Original record")
+        if record.features is None:
+            raise MissingFeatures(f"record {record.id!r} has no feature bundle")
+        sentences = report.sentences
+        if len(sentences) < MIN_SENTENCES:
+            return Skip("below-min-sentences")
+        for _ in range(MAX_RESAMPLE):
+            index = stream.randrange(len(sentences))
+            popped = label_sentence(sentences[index], matcher)
+            if popped:
+                report = Report(sentences[:index] + sentences[index + 1:])
+                break
+        else:
+            return Skip("no-labelable-sentence")
     permutation = tuple(range(len(report)))
     if cfg.enable_crr:
         report, permutation = crr_augment(report, stream)
-    return _counterfactual(record, matcher, report, permutation, index, labels)
+    masked = frozenset(popped)
+    features = record.features.mask(masked) if masked else record.features
+    labels = label_report(report, matcher) if masked or record.labels is not None else None
+    orphan = any(labels.mentioned(i) for i in masked)
+    twin = Record(record.id + TWIN_SUFFIX, report, features,
+                  labels if record.labels is not None else None,
+                  Provenance.COUNTERFACTUAL, record.id)
+    return AugmentationOutcome(twin, index, popped, masked, permutation,
+                               frozenset({ORPHAN_MENTION}) if orphan else frozenset())
 
 
 @dataclass

@@ -3,16 +3,20 @@ import io
 import json
 import math
 import os
+from typing import Mapping, Optional, Union
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coaug.augment import (
+    MAX_RESAMPLE,
     MIN_SENTENCES,
     ORPHAN_MENTION,
     SKIP_REASONS,
+    TWIN_SUFFIX,
     AugmentationConfig,
+    AugmentationOutcome,
     Skip,
     TwinSpool,
     augment_dataset,
@@ -24,10 +28,12 @@ from coaug.corpus import (
     Corpus,
     DiseaseStatus,
     Provenance,
+    Record,
     Report,
+    Sentence,
 )
 from coaug.errors import ConfigInvalid, MissingFeatures
-from coaug.labeler import label_corpus, label_report, label_sentence
+from coaug.labeler import Matcher, label_corpus, label_report, label_sentence
 from coaug.rng import RngStream
 from coaug.synth import OrderPolicy, SynthConfig, synth_generate
 
@@ -421,3 +427,103 @@ def test_twin_spool_grows_by_less_than_32_b_per_record(schema, matcher, rate, te
         finally:
             tracemalloc.stop()
     assert (peaks[4000] - peaks[1000]) / 3000 < 32
+
+
+# ---------------------------------------------------------------------------
+# augment_record against the three-function recipe it folded: the CSS draw,
+# the CRR reorder and the twin's build, copied as they were
+
+
+def _reference_pop_sentence(record: Record, matcher: Matcher, stream: RngStream
+                            ) -> Union[tuple[int, Mapping[int, DiseaseStatus], Report], Skip]:
+    """CSS's draw: the popped index, its labels and the kept sentences."""
+    if record.provenance is not Provenance.ORIGINAL:
+        raise ValueError("css_augment requires an Original record")
+    if record.features is None:
+        raise MissingFeatures(f"record {record.id!r} has no feature bundle")
+    sentences = record.report.sentences
+    if len(sentences) < MIN_SENTENCES:
+        return Skip("below-min-sentences")
+    for _ in range(MAX_RESAMPLE):
+        idx = stream.randrange(len(sentences))
+        labels = label_sentence(sentences[idx], matcher)
+        if labels:
+            return idx, labels, Report(sentences[:idx] + sentences[idx + 1:])
+    return Skip("no-labelable-sentence")
+
+
+def _reference_counterfactual(record: Record, matcher: Matcher, report: Report,
+                              permutation: tuple[int, ...], popped_index: Optional[int],
+                              popped_labels: Mapping[int, DiseaseStatus]
+                              ) -> AugmentationOutcome:
+    """The twin of *record* with *report*, and its outcome.  The popped
+    diseases' vectors are masked; the twin's labels, kept when its source
+    has labels, also flag a masked disease a kept sentence still mentions."""
+    masked = frozenset(popped_labels)
+    features = record.features.mask(masked) if masked else record.features
+    labels = label_report(report, matcher) if masked or record.labels is not None else None
+    orphan = any(labels.mentioned(i) for i in masked)
+    twin = Record(record.id + TWIN_SUFFIX, report, features,
+                  labels if record.labels is not None else None,
+                  Provenance.COUNTERFACTUAL, record.id)
+    return AugmentationOutcome(twin, popped_index, popped_labels, masked, permutation,
+                               frozenset({ORPHAN_MENTION}) if orphan else frozenset())
+
+
+def _reference_augment_record(record: Record, matcher: Matcher, stream: RngStream,
+                              cfg: AugmentationConfig) -> Union[AugmentationOutcome, Skip]:
+    """Serial composition: pop-and-mask first (when enabled), then
+    reorder what remains (when enabled)."""
+    index, labels, report = None, {}, record.report
+    if cfg.enable_css:
+        popped = _reference_pop_sentence(record, matcher, stream)
+        if isinstance(popped, Skip):
+            return popped
+        index, labels, report = popped
+    permutation = tuple(range(len(report)))
+    if cfg.enable_crr:
+        report, permutation = crr_augment(report, stream)
+    return _reference_counterfactual(record, matcher, report, permutation, index, labels)
+
+
+# texts no rule of the default lexicon matches
+UNMATCHED_TEXTS = ["Heart size is normal.", "The lungs are clear.",
+                   "Comparison is made with the prior study."]
+
+
+def _recipe_outcome(fn, record, matcher, seed, cfg):
+    """What *fn* gives, field by field, or its skip, or its error's type and
+    message; each with the state its stream is left in."""
+    stream = RngStream.for_record(seed, record.id)
+    try:
+        out = fn(record, matcher, stream, cfg)
+    except Exception as exc:  # the two recipes must raise alike
+        return (type(exc), str(exc)), stream.state
+    if isinstance(out, Skip):
+        return out, stream.state
+    twin = out.record
+    fields = [getattr(out, f.name) for f in dataclasses.fields(out)]
+    firsts = None if twin.labels is None else twin.labels.firsts
+    texts = None if twin.features is None else twin.features.texts
+    return (fields, type(out.popped_labels), firsts, texts), stream.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_augment_record_draws_and_builds_as_the_three_function_recipe(
+        schema, matcher, default_templates, data):
+    assert not any(label_sentence(Sentence(t), matcher) for t in UNMATCHED_TEXTS)
+    pool = sorted(default_templates.values()) + UNMATCHED_TEXTS
+    texts = data.draw(st.lists(st.sampled_from(pool), max_size=6), label="texts")
+    counterfactual = data.draw(st.booleans(), label="counterfactual")
+    record = make_record(
+        "r1", texts, schema, features=data.draw(st.booleans(), label="features"),
+        provenance=Provenance.COUNTERFACTUAL if counterfactual else Provenance.ORIGINAL,
+        source_id="r0" if counterfactual else None)
+    if data.draw(st.booleans(), label="labeled"):
+        record = record.with_labels(label_report(record.report, matcher))
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3), label="seeds")
+    for cfg in MODES.values():
+        for seed in seeds:
+            assert (_recipe_outcome(augment_record, record, matcher, seed, cfg)
+                    == _recipe_outcome(_reference_augment_record, record, matcher, seed, cfg))

@@ -305,22 +305,11 @@ def test_synth_writes_the_pipeline_original_bytes(tmp_path):
 
 def test_synth_memory_grows_by_less_than_512_b_per_record(tmp_path):
     # synth streams its records to the file and keeps none
-    import tracemalloc
-
     def synth(n):
-        return run(["--quiet", "synth", "--scenario", "default", "--seed", "7", "--n", str(n),
-                    "--out", str(tmp_path / f"{n}.jsonl")])
+        assert run(["--quiet", "synth", "--scenario", "default", "--seed", "7", "--n", str(n),
+                    "--out", str(tmp_path / f"{n}.jsonl")]) == EXIT_OK
 
-    assert synth(400) == EXIT_OK
-    peaks = {}
-    for n in (100, 400):
-        tracemalloc.start()
-        try:
-            assert synth(n) == EXIT_OK
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert (peaks[400] - peaks[100]) / 300 < 512
+    assert _peak_growth_per_record(synth) < 512
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -1035,21 +1024,22 @@ def test_evaluate_labels_each_text_of_a_sharing_pair_once_whatever_the_memo(
     assert counts["labeler"]["distinct_texts"] == 4 * sharing + 6 * (n - sharing)
 
 
-# both sizes hold more texts than the labeler's memo, whose peak is then the same;
-# they are far apart, since tracemalloc also counts CPython's tuple free lists,
-# whose fill (up to a few hundred KB) moves with the tests run before
+# far apart, since tracemalloc also counts CPython's tuple free lists, whose
+# fill (up to a few hundred KB) moves with the tests run before
 _MEMORY_SIZES = (300, 3000)
 
 
 def _peak_growth_per_record(command):
     """Traced peak memory of ``command(n)`` per record from the smaller of
-    ``_MEMORY_SIZES`` to the larger, after a warm-up at the larger."""
+    ``_MEMORY_SIZES`` to the larger, after a warm-up at the larger: a first
+    traced run after a smaller warm-up carries one-off allocations.  A full
+    collection comes first, so that the collections in the runs, which
+    empty the free lists, fall at the same points in every call."""
+    import gc
     import tracemalloc
 
-    from coaug import labeler
-
     small, large = _MEMORY_SIZES
-    assert len(_unique_texts(0)) * small > labeler._MEMO_TEXTS
+    gc.collect()
     command(large)
     peaks = {}
     for n in (small, large):
@@ -1066,6 +1056,10 @@ def test_evaluate_memory_grows_by_less_than_384_b_per_pair(tmp_path, schema):
     # evaluate streams its pairs and keeps sums; what grows is the record ids
     # of the duplicate check, not the labeler's memo, which holds a fixed
     # number of texts
+    from coaug import labeler
+
+    # both sizes hold more texts than the memo, whose peak is then the same
+    assert len(_unique_texts(0)) * _MEMORY_SIZES[0] > labeler._MEMO_TEXTS
     inputs = {n: _unique_sentence_pairs(tmp_path, schema, n) for n in _MEMORY_SIZES}
 
     def evaluate(n):
@@ -1078,6 +1072,10 @@ def test_evaluate_memory_grows_by_less_than_384_b_per_pair(tmp_path, schema):
 
 def test_analyze_memory_grows_by_less_than_256_b_per_record(tmp_path, schema):
     # analyze keeps each record's label columns and id, not its sentences
+    from coaug import labeler
+
+    # both sizes hold more texts than the memo, whose peak is then the same
+    assert len(_unique_texts(0)) * _MEMORY_SIZES[0] > labeler._MEMO_TEXTS
     corpora = {n: _unique_sentence_corpus(tmp_path, schema, n) for n in _MEMORY_SIZES}
 
     def analyze(n):
@@ -1281,21 +1279,10 @@ def test_subcommand_chain_writes_the_pipeline_bytes(tmp_path, rate):
 
 def test_pipeline_memory_grows_by_less_than_512_b_per_record(tmp_path):
     # the pipeline streams its records and keeps only their label columns
-    import tracemalloc
+    def pipeline(n):
+        run_pipeline(default_scenario_path(), seed=7, outdir=str(tmp_path / str(n)), n=n)
 
-    scenario = default_scenario_path()
-    # warm up at the larger n: a first traced run after a smaller warm-up
-    # carries 0.1-0.2 MB of one-off allocations, enough to hide the growth
-    run_pipeline(scenario, seed=7, outdir=str(tmp_path / "warm"), n=400)
-    peaks = {}
-    for n in (100, 400):
-        tracemalloc.start()
-        try:
-            run_pipeline(scenario, seed=7, outdir=str(tmp_path / str(n)), n=n)
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert (peaks[400] - peaks[100]) / 300 < 512
+    assert _peak_growth_per_record(pipeline) < 512
 
 
 def test_pipeline_failing_mid_stream_leaves_no_debris(tmp_path, monkeypatch):
@@ -1525,27 +1512,16 @@ def test_augment_memory_grows_by_less_than_512_b_per_record(tmp_path):
     # augment streams its records to the output and spools their twins on
     # disk; it keeps a byte per record, the read's record ids and the
     # labeler's memo of distinct sentences
-    import tracemalloc
-
     corpora = {}
-    for n in (100, 400):
+    for n in _MEMORY_SIZES:
         (tmp_path / str(n)).mkdir()
         corpora[n] = _small_corpus(tmp_path / str(n), n=n, seed=7)
 
     def augment(n):
-        return run(["--quiet", "augment", "--corpus", str(corpora[n]), "--rate", "1.0",
-                    "--seed", "7", "--out", str(tmp_path / f"{n}.jsonl")])
+        assert run(["--quiet", "augment", "--corpus", str(corpora[n]), "--rate", "1.0",
+                    "--seed", "7", "--out", str(tmp_path / f"{n}.jsonl")]) == EXIT_OK
 
-    assert augment(400) == EXIT_OK
-    peaks = {}
-    for n in (100, 400):
-        tracemalloc.start()
-        try:
-            assert augment(n) == EXIT_OK
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert (peaks[400] - peaks[100]) / 300 < 512
+    assert _peak_growth_per_record(augment) < 512
 
 
 def _hand_edited(line: str, k: int) -> str:
