@@ -319,11 +319,11 @@ def _cmd_evaluate(args) -> int:
     # alternate pair by pair all run slower): each pair is tokenized and labeled
     # once and fed to the requested metrics' per-pair cores; only sums are kept
     ce, bleu, rouge = "ce" in wanted, "bleu4" in wanted, "rougel" in wanted
-    tallies = [[0] * 4 for _ in schema.names]  # tp, fp, fn, tn of each disease
+    tally = metrics.CeTally(len(schema))
     bleu_counts = [0] * 8
     rouge_total = 0.0
     n = gold_tokens = generated_tokens = 0
-    lap, label = run.lap, labeler.label_report
+    lap, positives = run.lap, labeler.positive_diseases
     while block := list(islice(pairs, _BLOCK)):
         lap("read")
         if None in block[-1]:  # one file has ended: count each file's records
@@ -337,13 +337,12 @@ def _cmd_evaluate(args) -> int:
         lap("tokenize")
         if ce:
             for (g, h), (_, _, shared) in zip(block, tokens):
-                # a pair sharing a text labels each of its texts once, from its tokens
-                table = None if shared is None else {
-                    text: matcher.label_text(text, words) for text, words in shared[2].items()}
-                pair = metrics.ce_pair_cells(label(g.report, matcher, table),
-                                             label(h.report, matcher, table))
-                for tally, k in zip(tallies, pair):
-                    tally[k] += 1
+                # each text of a sharing pair once, from its tokens; else sentence by sentence
+                ref_texts, cand_texts, texts = shared or (g.report.texts(), h.report.texts(), None)
+                label = matcher.label_text if texts is None else {
+                    text: matcher.label_text(text, words) for text, words in texts.items()}.get
+                matcher.sentences += len(ref_texts) + len(cand_texts)
+                tally.add(positives(map(label, ref_texts)), positives(map(label, cand_texts)))
             lap("ce")
         if bleu:
             for ref, cand, shared in tokens:
@@ -361,7 +360,7 @@ def _cmd_evaluate(args) -> int:
         if not n:
             raise CoaugError(f"{args.gold} and {args.generated} hold no records: "
                              "the ce scores need at least one pair")
-        cells = [metrics.ConfusionCounts(*tally) for tally in tallies]
+        cells = tally.cells()
         counts = sum(cells, metrics.ConfusionCounts())  # micro: the cells pooled
         scores["counts"] = dataclasses.asdict(counts)
         scores["ce"] = dataclasses.asdict(metrics.ce_scores(counts))

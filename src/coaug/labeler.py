@@ -94,17 +94,18 @@ class Matcher:
         # sentence text -> labels; label outcome -> its one read-only copy
         self._memo: dict[str, Mapping[int, DiseaseStatus]] = {}
         self._outcomes: dict[tuple, Mapping[int, DiseaseStatus]] = {}
-        self.sentences = 0  # of the reports label_report labeled with this matcher
+        self.sentences = 0  # of the reports labeled by label_report or coaug evaluate
         self._scans = [0, 0]  # texts scanned that matched a pattern, and that matched none
 
     def label_tokens(self, tokens: Sequence[str]) -> dict[int, DiseaseStatus]:
         tokens = tuple(tokens)
         # best match per disease: longest pattern wins, then leftmost
-        best: dict[int, tuple[int, int]] = {}  # disease -> (-length, start)
-        for start, end, disease in _occurrences(tokens, self._patterns):
-            cand = (start - end, start)
-            if disease not in best or cand < best[disease]:
-                best[disease] = cand
+        best: dict[int, tuple[int, int]] = {}  # disease -> (-length, start), below (0,)
+        for start in compress(count(), map(self._patterns.__contains__, tokens)):
+            for toks, disease in self._patterns[tokens[start]]:
+                end = start + len(toks)
+                if tokens[start:end] == toks and (start - end, start) < best.get(disease, (0,)):
+                    best[disease] = (start - end, start)
         if not best:
             return {}
         # cue positions once per sentence; a cue counts for a match when
@@ -112,10 +113,12 @@ class Matcher:
         cues = list(_occurrences(tokens, self._cues))
         labels: dict[int, DiseaseStatus] = {}
         for disease, (_, start) in sorted(best.items()):
-            lo = start - self.cues.window
-            found = {status for s, e, status in cues if lo <= s and e <= start}
-            # negation (rank 1) beats uncertainty (rank 2)
-            labels[disease] = min(found, key=STATUS_RANK.get, default=DiseaseStatus.POSITIVE)
+            labels[disease], lo = DiseaseStatus.POSITIVE, start - self.cues.window
+            for s, e, status in cues:
+                if lo <= s and e <= start:
+                    labels[disease] = status
+                    if status is DiseaseStatus.NEGATIVE:  # negation beats uncertainty
+                        break
         return labels
 
     def label_text(self, text: str,
@@ -128,7 +131,9 @@ class Matcher:
             words = (match_tokens(text) if tokens is None or not text.isascii()
                      else list(filter(str.isalnum, tokens)))
             fresh = self.label_tokens(words)
-            labels = self._outcomes.setdefault(tuple(fresh.items()), MappingProxyType(fresh))
+            labels = self._outcomes.get(outcome := tuple(fresh.items()))
+            if labels is None:
+                labels = self._outcomes.setdefault(outcome, MappingProxyType(fresh))
             if len(self._memo) >= _MEMO_TEXTS:
                 self._memo.clear()
             self._memo[text] = labels
@@ -157,22 +162,26 @@ def label_sentence(sentence: Sentence, matcher: Matcher) -> Mapping[int, Disease
     return matcher.label_text(sentence.text)
 
 
-def label_report(report: Report, matcher: Matcher,
-                 table: Optional[Mapping[str, Mapping]] = None) -> ReportLabelVector:
-    """Aggregate sentence labels to one status per schema disease, each sentence's from
-    *table* by its text when given, else ``label_sentence``; the same walk records
-    each disease's first-mention sentence (-1: none) as ``firsts``."""
+def label_report(report: Report, matcher: Matcher) -> ReportLabelVector:
+    """Aggregate ``label_sentence``'s labels to one status per schema disease; the
+    same walk records each disease's first-mention sentence (-1: none) as ``firsts``."""
     statuses = [DiseaseStatus.UNMENTIONED] * len(matcher.schema)
     firsts = [-1] * len(statuses)
     matcher.sentences += len(report.sentences)
     for s_idx, sentence in enumerate(report.sentences):
-        labels = label_sentence(sentence, matcher) if table is None else table[sentence.text]
-        for disease, status in labels.items():
+        for disease, status in label_sentence(sentence, matcher).items():
             if firsts[disease] < 0:
                 firsts[disease] = s_idx
             if STATUS_RANK[status] > STATUS_RANK[statuses[disease]]:
                 statuses[disease] = status
     return ReportLabelVector(tuple(statuses), tuple(firsts))
+
+
+def positive_diseases(sentence_labels: Iterable[Mapping[int, DiseaseStatus]]) -> set[int]:
+    """The diseases that some sentence marks Positive: those ``label_report``
+    marks Positive, since Positive outranks every other status."""
+    return {disease for labels in sentence_labels for disease, status in labels.items()
+            if status is DiseaseStatus.POSITIVE}
 
 
 def label_corpus(corpus: Corpus, matcher: Matcher) -> Corpus:

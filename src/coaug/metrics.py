@@ -10,12 +10,12 @@ sequence, so cross-sentence n-grams at the junctions make them order
 sensitive by design.  The LCS is the bit-vector algorithm of
 Allison-Dix (1986) and Hyyrö (2004): one Python-int match mask per
 distinct token, one add/or/and step per token of the other side.
-Each score has one per-pair core: ``ce_pair_cells`` on label vectors,
-and ``bleu_shared_counts`` and ``rouge_l_pair`` on the tokens that
-``pair_tokens`` makes of two reports.  BLEU counts the n-grams inside a
-sentence text that both reports hold by its length, since a clip matches
-them all, and clips only those of the other sentences and those across
-an edge.  The functions that take whole sequences loop the core over
+Each score has one per-pair core: ``CeTally`` on the sets of diseases a pair's
+reports mark Positive, and ``bleu_shared_counts`` and ``rouge_l_pair`` on the
+tokens that ``pair_tokens`` makes of two reports.  BLEU counts the n-grams
+inside a sentence text that both reports hold by its length, since a clip
+matches them all, and clips only those of the other sentences and those
+across an edge.  The functions that take whole sequences loop the core over
 the pairs, and ``coaug evaluate`` over each block of pairs it reads.
 
 Tokenization everywhere: lowercase; a word is a run of Unicode letters
@@ -104,13 +104,6 @@ class CeScores:
     f1: float
 
 
-def _check_pairs(gold: Sequence[ReportLabelVector], gen: Sequence[ReportLabelVector]) -> None:
-    if len(gold) != len(gen):
-        raise LengthMismatch(f"{len(gold)} gold vs {len(gen)} generated label vectors")
-    if len({len(v.statuses) for v in (*gold, *gen)}) > 1:
-        raise SchemaMismatch("label vectors of different schema size")
-
-
 def ce_confusion(
     gold: Sequence[ReportLabelVector], gen: Sequence[ReportLabelVector]
 ) -> ConfusionCounts:
@@ -122,29 +115,37 @@ def ce_confusion(
 def ce_confusion_per_disease(
     gold: Sequence[ReportLabelVector], gen: Sequence[ReportLabelVector]
 ) -> list[ConfusionCounts]:
-    _check_pairs(gold, gen)
+    if len(gold) != len(gen):
+        raise LengthMismatch(f"{len(gold)} gold vs {len(gen)} generated label vectors")
+    if len({len(v.statuses) for v in (*gold, *gen)}) > 1:
+        raise SchemaMismatch("label vectors of different schema size")
     if not gold:
         return []
-    cells = [[0] * 4 for _ in gold[0].statuses]
+    tally = CeTally(len(gold[0].statuses))
+    positive = DiseaseStatus.POSITIVE
     for g, h in zip(gold, gen):
-        for cell, k in zip(cells, ce_pair_cells(g, h)):
-            cell[k] += 1
-    return [ConfusionCounts(*cell) for cell in cells]
+        tally.add({d for d, s in enumerate(g.statuses) if s is positive},
+                  {d for d, s in enumerate(h.statuses) if s is positive})
+    return tally.cells()
 
 
-# a disease's confusion cell by its (gold, generated) statuses: bit 0 says
-# gold is not positive, bit 1 that generated is not, so 0 tp, 1 fp, 2 fn, 3 tn
-_POSITIVE = DiseaseStatus.POSITIVE
-_CELL = {(sg, sh): (sg is not _POSITIVE) + 2 * (sh is not _POSITIVE)
-         for sg in DiseaseStatus for sh in DiseaseStatus}
+class CeTally:
+    """Positive-vs-rest confusion cells of each disease, tallied pair by pair from
+    the sets G and H of diseases that a pair's gold and generated reports mark
+    Positive: tp counts G∩H, fp H−G and fn G−H; tn is what the pairs leave."""
 
+    def __init__(self, diseases: int):
+        self.pairs, self.counts = 0, [[0, 0, 0] for _ in range(diseases)]  # tp, fp, fn
 
-def ce_pair_cells(gold: ReportLabelVector, gen: ReportLabelVector) -> tuple[int, ...]:
-    """One pair's confusion cell for each disease in turn: the index of
-    tp, fp, fn or tn in ``ConfusionCounts``."""
-    if len(gold.statuses) != len(gen.statuses):
-        raise SchemaMismatch("label vectors of different schema size")
-    return tuple(map(_CELL.__getitem__, zip(gold.statuses, gen.statuses)))
+    def add(self, gold: set[int], gen: set[int]) -> None:
+        self.pairs += 1
+        for cell, diseases in enumerate((gold & gen, gen - gold, gold - gen)):
+            for d in diseases:
+                self.counts[d][cell] += 1
+
+    def cells(self) -> list[ConfusionCounts]:
+        return [ConfusionCounts(tp, fp, fn, self.pairs - tp - fp - fn)
+                for tp, fp, fn in self.counts]
 
 
 def ce_scores(c: ConfusionCounts) -> CeScores:
@@ -247,10 +248,11 @@ def bleu_shared_counts(ref: list[str], cand: list[str], shared: Shared) -> tuple
         for n in range(1, min(m, 4) + 1):
             matches[n] += copies * (m - n + 1)
     cand_counts = Counter(_outside_held(cand, cand_texts, texts, dict(held)))
-    ref_counts = Counter(_outside_held(ref, ref_texts, texts, held))
-    in_ref = map(ref_counts.get, cand_counts, repeat(0))
-    for n, count in zip(map(len, cand_counts), map(min, cand_counts.values(), in_ref)):
-        matches[n] += count
+    # only the reference's n-grams that the candidate has add to a clip
+    ref_counts = Counter(filter(cand_counts.__contains__,
+                                _outside_held(ref, ref_texts, texts, held)))
+    for gram, count in ref_counts.items():
+        matches[len(gram)] += min(count, cand_counts[gram])
     n = len(cand)
     return (*matches[1:], n, max(n - 1, 0), max(n - 2, 0), max(n - 3, 0))
 

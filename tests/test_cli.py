@@ -649,6 +649,73 @@ def test_evaluate_of_reordered_reports_equals_the_report_metrics(data):
                       "gold_tokens": sum(len(report_tokens(r)) for r in gold),
                       "generated_tokens": sum(len(report_tokens(r)) for r in gen)}
 
+
+# sentences that mark a disease Positive, Negative or Uncertain, more than one
+# disease, or none; numbered copies keep some texts of a pair its own
+_CE_SENTENCES = st.sampled_from([
+    "The heart is enlarged.", "There is mild interstitial edema.", "Possible pneumonia.",
+    "No cardiomegaly is present.", "There is a small right pleural effusion.",
+    "No pneumothorax or pleural effusion.", "Cannot exclude pneumonia; likely atelectasis.",
+    "There is no pneumothorax but the pleural effusion may be larger.",
+    "Suspicious for pulmonary edema without pleural effusion.",
+    "Could represent atelectasis, not pneumonia.", "The lungs are clear.", "Nothing new.",
+])
+_CE_TEXTS = st.one_of(_CE_SENTENCES, st.builds("{} Bed {}.".format, _CE_SENTENCES,
+                                               st.integers(0, 3)))
+_CE_GENERATED_ONLY = st.builds("{} View {}.".format, _CE_SENTENCES, st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_ce_equals_the_confusion_of_labeled_reports(data):
+    # pairs that share texts and pairs that share none, empty generated
+    # reports and repeated sentences: the counts, micro and macro scores are
+    # those of label_report'd reports, and the labeler counts every sentence
+    # and scans each distinct text once
+    from dataclasses import asdict
+
+    from coaug.corpus import Provenance, default_schema
+    from coaug.labeler import default_matcher, label_report, match_tokens
+    from coaug.metrics import (ce_confusion, ce_confusion_per_disease, ce_scores,
+                               macro_ce_scores)
+
+    schema = default_schema()
+    gold_texts = data.draw(st.lists(st.lists(_CE_TEXTS, min_size=1, max_size=5),
+                                    min_size=1, max_size=2 * _BLOCK + 3))
+    gen_texts = []
+    for texts in gold_texts:
+        pool = data.draw(st.sampled_from([texts, texts + ["Nothing new."], ["Nothing new."]]))
+        shares = st.lists(st.one_of(st.sampled_from(pool), _CE_TEXTS), min_size=1, max_size=5)
+        disjoint = st.lists(_CE_GENERATED_ONLY, min_size=1, max_size=5)
+        gen_texts.append(data.draw(st.one_of(shares, disjoint, st.just([]))))
+    gold_records = [make_record(f"r{i}", texts, schema, features=False)
+                    for i, texts in enumerate(gold_texts)]
+    gen_records = [make_record(f"g{i}", texts, schema, features=False,
+                               provenance=Provenance.COUNTERFACTUAL, source_id=f"r{i}")
+                   for i, texts in enumerate(gen_texts)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, records in (("gold", gold_records), ("gen", gen_records)):
+            paths.append(os.path.join(tmp, f"{name}.jsonl"))
+            write_corpus(Corpus(schema, tuple(records)), paths[-1])
+        out = os.path.join(tmp, "scores.json")
+        assert run(["--quiet", "evaluate", "--gold", paths[0], "--generated", paths[1],
+                    "--metrics", "ce", "--macro", "--out", out]) == EXIT_OK
+        scores = json.loads(Path(out).read_text())
+        counts = json.loads(Path(out + ".run.json").read_text())["counts"]
+    matcher = default_matcher(schema)
+    gold = [label_report(r.report, matcher) for r in gold_records]
+    gen = [label_report(r.report, matcher) for r in gen_records]
+    confusion = ce_confusion(gold, gen)
+    assert scores == {"records": len(gold), "counts": asdict(confusion),
+                      "ce": asdict(ce_scores(confusion)),
+                      "ce_macro": asdict(macro_ce_scores(ce_confusion_per_disease(gold, gen)))}
+    texts = {t for report in gold_texts + gen_texts for t in report}
+    assert counts["labeler"] == {
+        "sentences": sum(map(len, gold_texts + gen_texts)), "distinct_texts": len(texts),
+        "unmatched_texts": sum(not matcher.label_tokens(match_tokens(t)) for t in texts)}
+
+
 def test_evaluate_metric_subsets_write_the_same_values(tmp_path, schema):
     gold_path, gen_path = _evaluate_pair(tmp_path, schema)
     written = {}
@@ -1186,8 +1253,8 @@ def test_determinism_script_passes_under_this_interpreter(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.rsplit(" ", 2)[1:] for line in lines] == [
         ["pipeline-default:", "ok"], ["strong_pair:", "ok"], ["evaluate-reordered:", "ok"],
-        ["evaluate-partial-block:", "ok"], ["evaluate-templated:", "ok"], ["augment:", "ok"],
-        ["analyze-freetext:", "ok"]]
+        ["evaluate-partial-block:", "ok"], ["evaluate-disjoint:", "ok"],
+        ["evaluate-templated:", "ok"], ["augment:", "ok"], ["analyze-freetext:", "ok"]]
 
 
 def test_pipeline_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):

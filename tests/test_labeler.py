@@ -25,6 +25,7 @@ from coaug.labeler import (
     match_tokens,
     parse_cues,
     parse_lexicon,
+    positive_diseases,
 )
 from coaug.metrics import tokenize
 
@@ -307,14 +308,19 @@ def test_counts_are_the_distinct_texts_of_a_corpus_that_fits_the_memo(schema, de
                                 "distinct_texts": len(texts), "unmatched_texts": unmatched}
 
 
-def test_a_report_labeled_from_a_table_equals_its_labels(schema, default_templates):
+def test_the_positive_diseases_of_a_report_are_those_its_labels_mark_positive(
+        schema, default_templates):
     texts = sorted(set(default_templates.values())) + CUE_SENTENCES
-    table = {text: default_matcher(schema).label_text(text) for text in texts}
     matcher = default_matcher(schema)
+    seen = set()
     for k in range(0, len(texts), 4):
         report = Report.from_texts(texts[k:k + 6] + texts[k:k + 2])
-        assert label_report(report, matcher, table) == label_report(report, default_matcher(schema))
-    assert matcher.counts()["distinct_texts"] == 0  # nothing scanned
+        statuses = label_report(report, matcher).statuses
+        positive = {d for d, status in enumerate(statuses) if status is DiseaseStatus.POSITIVE}
+        assert positive_diseases(map(matcher.label_text, report.texts())) == positive
+        seen |= {status for status in statuses if status is not DiseaseStatus.POSITIVE}
+    assert positive_diseases([]) == set()
+    assert len(seen) == 3  # reports mark diseases Negative, Uncertain and not at all
 
 
 def test_returned_labels_cannot_change_a_later_lookup(schema):

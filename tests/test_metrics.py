@@ -17,7 +17,6 @@ from coaug.metrics import (
     bleu_stats,
     ce_confusion,
     ce_confusion_per_disease,
-    ce_pair_cells,
     ce_scores,
     macro_ce_scores,
     pair_tokens,
@@ -104,7 +103,7 @@ def test_schema_size_must_agree_across_all_pairs(sizes):
 
 
 def _loop_ce_confusion_per_disease(gold, gen):
-    """The per-pair, per-disease branch loop that ``ce_pair_cells`` replaced."""
+    """The per-pair, per-disease branch loop that ``CeTally`` replaced."""
     cells = [[0, 0, 0, 0] for _ in gold[0].statuses]
     for g, h in zip(gold, gen):
         for i, (sg, sh) in enumerate(zip(g.statuses, h.statuses)):
@@ -125,9 +124,9 @@ def test_per_disease_cells_equal_the_branch_loop(data):
     assert ce_confusion_per_disease(gold, gen) == _loop_ce_confusion_per_disease(gold, gen)
 
 
-def test_pair_cells_of_vectors_of_different_sizes_are_a_schema_mismatch():
+def test_a_pair_of_vectors_of_different_sizes_is_a_schema_mismatch():
     with pytest.raises(SchemaMismatch):
-        ce_pair_cells(vec(POS), ReportLabelVector((POS,) * 13))
+        ce_confusion_per_disease([vec(POS)], [ReportLabelVector((POS,) * 13)])
 
 
 def test_scores_hand_case():
@@ -501,3 +500,19 @@ def test_bleu_counts_of_an_ngram_across_two_edges_hand_case():
     assert bleu_pair_counts(ref, cand) == counts
     assert bleu_shared_counts(*pair_tokens(gold, gen)) == counts
     assert _dict_bleu_stats([gold], [gen])[0] == [25 / 26, 24 / 25, 23 / 24, 22 / 23]
+
+
+def test_bleu_counts_of_an_edge_ngram_inside_a_sentence_the_candidate_lacks_hand_case():
+    twelve = "Heart size is normal, lungs are clear and no effusion."  # 12 tokens
+    ten = "The mediastinum is stable and the hila are unremarkable."  # 10 tokens
+    # the generated report holds twelve then ten; gold has a sentence between
+    # them, inside which "no effusion . the", "effusion . the mediastinum" and
+    # the other n-grams across the generated report's edge occur
+    gold = R(twelve, "No effusion. The mediastinum was wide.", ten)
+    gen = R(twelve, ten)
+    assert _takes_the_cut(gold, gen)  # 5 + 3 dropped tokens > 5 texts
+    ref, cand = report_tokens(gold), report_tokens(gen)
+    assert (len(ref), len(cand)) == (30, 22)
+    counts = (22, 21, 20, 19, 22, 21, 20, 19)
+    assert bleu_pair_counts(ref, cand) == counts
+    assert bleu_shared_counts(*pair_tokens(gold, gen)) == counts

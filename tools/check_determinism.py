@@ -4,7 +4,7 @@
     python tools/check_determinism.py [PYTHON ...]
 
 For each interpreter (by default the one running this script) it runs
-seven commands of this checkout's ``src`` in fresh temporary directories
+eight commands of this checkout's ``src`` in fresh temporary directories
 and compares the sha256 of every artifact but the ``.run.json`` timing
 sidecar:
 
@@ -21,6 +21,12 @@ sidecar:
   from seed 11, against ``EVALUATE_PARTIAL_BLOCK_DIGESTS`` below.
   ``coaug evaluate`` reads its pairs in blocks, and 1,499 is prime, so
   the last block is a partial one at every block size from 2 to 1,498;
+* evaluate-disjoint, ``evaluate --metrics ce,bleu4,rougel --macro`` of
+  the 1,500 seed-7 gold reports of evaluate-reordered against the same
+  reports rotated by 7 (report ``i`` against report ``i + 7``), against
+  ``EVALUATE_DISJOINT_DIGESTS`` below.  No pair shares a sentence text,
+  so each report is tokenized whole and CE labels it sentence by sentence
+  through the labeler's memo;
 * evaluate-templated, ``evaluate --metrics ce,bleu4,rougel --macro`` of
   pipeline-default's ``original.jsonl`` against ``synth --scenario
   default --seed 8 --n 1600``, against ``EVALUATE_TEMPLATED_DIGESTS``
@@ -84,12 +90,17 @@ EVALUATE_PARTIAL_BLOCK_DIGESTS = {
     "scores.json": "3af53176b79c9ece735b74609cb7ea593744ade70fde9301572d4da852c8850e",
 }
 
+EVALUATE_DISJOINT_DIGESTS = {
+    "scores.json": "51183516b1334c05bf8c7be8419585198f04f9c9d61358bcfa048067902ff9e6",
+}
+
 EVALUATE_SEED = 7
 EVALUATE_N = 1500
 ANALYZE_SEED = 7
 ANALYZE_N = 5000
 PARTIAL_BLOCK_SEED = 11
 PARTIAL_BLOCK_N = 1499
+DISJOINT_ROTATION = 7
 
 
 def load_freetext():
@@ -115,12 +126,27 @@ def write_evaluate_pairs(d: Path, seed: int = EVALUATE_SEED, n: int = EVALUATE_N
             "--metrics", "ce,bleu4,rougel", "--macro"]
 
 
+def write_disjoint_pairs(d: Path) -> list[str]:
+    """Write the evaluate-reordered gold reports and the same reports rotated
+    by DISJOINT_ROTATION into *d*; return the ``coaug evaluate`` arguments
+    that read them."""
+    freetext = load_freetext()
+    gold = freetext.generate_reports(EVALUATE_SEED, EVALUATE_N)
+    gold_path, rotated_path = d / "disjoint-gold.jsonl", d / "disjoint-rotated.jsonl"
+    freetext.write_text_corpus(str(gold_path), gold)
+    freetext.write_text_corpus(str(rotated_path),
+                               gold[DISJOINT_ROTATION:] + gold[:DISJOINT_ROTATION])
+    return ["evaluate", "--gold", str(gold_path), "--generated", str(rotated_path),
+            "--metrics", "ce,bleu4,rougel", "--macro"]
+
+
 def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str, str]]]:
     """Each case's coaug arguments, given its output directory, and its
     expected digests; *inputs* is a directory for the cases' input files."""
     reference = json.loads((ROOT / "perfbench" / "reference_digests.json").read_text())
     evaluate = write_evaluate_pairs(inputs)
     partial = write_evaluate_pairs(inputs, PARTIAL_BLOCK_SEED, PARTIAL_BLOCK_N)
+    disjoint = write_disjoint_pairs(inputs)
     freetext, features = load_freetext(), inputs / "freetext.jsonl"
     records = freetext.generate_reports(ANALYZE_SEED, ANALYZE_N)
     freetext.write_feature_corpus(str(features), records, ANALYZE_SEED)
@@ -146,6 +172,8 @@ def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str
                                reference["evaluate-reordered"]),
         "evaluate-partial-block": (lambda out: [*partial, "--out", str(out / "scores.json")],
                                    EVALUATE_PARTIAL_BLOCK_DIGESTS),
+        "evaluate-disjoint": (lambda out: [*disjoint, "--out", str(out / "scores.json")],
+                              EVALUATE_DISJOINT_DIGESTS),
         "evaluate-templated": (lambda out: [*templated, "--out", str(out / "scores.json")],
                                EVALUATE_TEMPLATED_DIGESTS),
         "augment": (lambda out: ["augment", "--corpus", str(labeled), "--rate", "1.0",
