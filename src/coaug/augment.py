@@ -26,7 +26,6 @@ record, plus 8 B per eligible record while the twins are chosen.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from array import array
@@ -179,10 +178,10 @@ def augment_dataset(corpus: Corpus, matcher: Matcher,
 class TwinSpool(AbstractContextManager):
     """Augmentation of records fed in corpus order: ``add`` writes a record's
     line to *out* and spools its twin's line in *directory*, and ``finish``
-    chooses floor(rate * n) of the n records' eligible positions uniformly
-    without replacement and appends the chosen twins' lines.  It keeps a fate
-    byte per record and the ids ending in ``TWIN_SUFFIX``, which alone a
-    twin's id can equal."""
+    chooses ``_decimal_floor(rate, n)`` of the n records' eligible positions
+    uniformly without replacement and appends the chosen twins' lines.  It
+    keeps a fate byte per record and the ids ending in ``TWIN_SUFFIX``,
+    which alone a twin's id can equal."""
 
     def __init__(self, out: TextIO, directory: Optional[str], schema: LabelSchema,
                  matcher: Matcher, cfg: AugmentationConfig):
@@ -221,7 +220,7 @@ class TwinSpool(AbstractContextManager):
         returns their rows among the spooled twins, the counts and the skips
         by reason."""
         fates, n = self.fates, len(self.fates)
-        target = math.floor(self.cfg.rate * n)
+        target = _decimal_floor(self.cfg.rate, n)
         eligible = n - fates.count(_INELIGIBLE)
         chosen = fates if target >= eligible else _choose(fates, target, self.cfg.seed)
         skips = {reason: chosen.count(_SKIPPED + k) for k, reason in enumerate(SKIP_REASONS)}
@@ -242,6 +241,14 @@ class TwinSpool(AbstractContextManager):
                 self.out.write(line)
                 rows.append(row)
         return rows, summary, skips
+
+
+def _decimal_floor(rate: float, n: int) -> int:
+    """floor(rate · n) in integers, for the decimal that a rate in [0, 1]'s
+    shortest repr writes: 0.29 · 100 is 29, not 28.999999999999996."""
+    digits, _, exponent = repr(rate).partition("e")
+    whole, _, fraction = digits.partition(".")
+    return int(whole + fraction) * n // 10 ** (len(fraction) - int(exponent or 0))
 
 
 def _choose(fates: bytearray, target: int, seed: int) -> bytearray:

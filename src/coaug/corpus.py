@@ -305,7 +305,7 @@ class Record:
     source_id: Optional[str] = None
 
     def with_labels(self, labels: ReportLabelVector) -> "Record":
-        return replace(self, labels=labels)
+        return Record(self.id, self.report, self.features, labels, self.provenance, self.source_id)
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,17 @@ for auxiliary streams (e.g. ``"augment:selection"``).
 
 splitmix64 is counter-based: the k-th output after state s is
 ``finalize64(s + k·GOLDEN)``, so any number of outputs can be computed at
-once.  ``RngStream.random_n(n)``, n draws of ``random()``, and
-``RngStream.gauss_n(n, sigma)``, n draws of ``gauss(0.0, sigma)``, do so:
-the uniforms sit in 128-bit lanes of one Python int, the finalizer runs
-as whole-int shifts, masks and multiplies (a 64x64-bit product stays
-inside its lane), the lanes are read back as little-endian 64-bit words
-by one ``struct`` unpack, the same on every host, and the scaling and
-Box-Muller run as C-level maps.  The floats, the final state
-and the pending spare equal those of the repeated calls; a u1 of 0.0,
-which ``gauss`` redraws, sends ``gauss_n`` to ``gauss`` itself.
-``RngStream.permutation(n)`` takes its n-1 ``randrange`` draws from one
-such pass, unshifted, unless one of them might be rejected.
+once.  ``_outputs`` does so for ``RngStream.gauss_n(n, sigma)``, n draws
+of ``gauss(0.0, sigma)``, and for each ``coaug.synth`` attempt: the
+uniforms sit in 128-bit lanes of one Python int, the finalizer runs as
+whole-int shifts, masks and multiplies (a 64x64-bit product stays inside
+its lane), the lanes are read back as little-endian 64-bit words by one
+``struct`` unpack, the same on every host, and the scaling and Box-Muller
+(``_box_muller``, which both share) run as C-level maps.  The floats, the
+final state and the pending spare equal those of the repeated calls; a u1 of 0.0, which ``gauss`` redraws, sends
+``gauss_n`` to ``gauss`` itself.  ``RngStream.permutation(n)`` takes its
+n-1 ``randrange`` draws from one such pass, unshifted, unless one of them
+might be rejected.
 """
 
 from __future__ import annotations
@@ -67,13 +67,16 @@ def mix64(a: int, b: int) -> int:
     return finalize64(a ^ finalize64((b + GOLDEN) & _MASK))
 
 
-def fnv1a64(text: str) -> int:
-    """FNV-1a 64-bit hash of the UTF-8 encoding of *text*."""
-    h = _FNV_OFFSET
+def fnv1a64(text: str, h: int = _FNV_OFFSET) -> int:
+    """FNV-1a 64-bit hash of the UTF-8 encoding of *text*; given the hash
+    *h* of a prefix, the hash of prefix + *text*."""
     for byte in text.encode("utf-8"):
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK
     return h
+
+
+_RECORD_FNV = fnv1a64("record:")
 
 
 class RngStream:
@@ -91,7 +94,7 @@ class RngStream:
 
     @classmethod
     def for_record(cls, seed: int, record_id: str) -> "RngStream":
-        return cls(mix64(seed, fnv1a64("record:" + record_id)))
+        return cls(mix64(seed, fnv1a64(record_id, _RECORD_FNV)))
 
     @classmethod
     def for_label(cls, seed: int, label: str) -> "RngStream":
@@ -104,15 +107,6 @@ class RngStream:
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * _UNIT
-
-    def random_n(self, n: int) -> list[float]:
-        """``[self.random() for _ in range(n)]`` from one packed draw: the
-        same floats and final state."""
-        if n <= 0:
-            return []
-        bits = _outputs(self.state, n, 11)
-        self.state = (self.state + n * GOLDEN) & _MASK
-        return list(map(mul, bits, repeat(_UNIT)))
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling (unbiased)."""
@@ -163,20 +157,31 @@ class RngStream:
         rest = n - len(head)
         pairs = (rest + 1) // 2
         bits = _outputs(self.state, 2 * pairs, 11)
-        u1 = bits[::2]
-        if not bits or 0 in u1:
+        z = _box_muller(bits) if bits else None
+        if z is None:
             # no pair to draw, or gauss redraws a u1 of 0.0, which shifts every later draw
             return [self.gauss(0.0, sigma) for _ in range(n)]
-        # operator.mul over repeat() is the cheapest C-level product per element
-        r = list(map(sqrt, map(mul, repeat(_MINUS_TWO), map(log, map(mul, u1, repeat(_UNIT))))))
-        theta = list(map(mul, bits[1::2], repeat(_TWO_PI_UNIT)))
-        z = [0.0] * (2 * pairs)
-        z[::2] = map(mul, r, map(cos, theta))
-        z[1::2] = map(mul, r, map(sin, theta))
         self._gauss_spare = z.pop() if rest % 2 else None
         self.state = (self.state + 2 * pairs * GOLDEN) & _MASK
         # 0.0 + sigma * z, as gauss computes it: 0.0 + turns -0.0 into 0.0
-        return head + list(map(add, repeat(_ZERO), map(mul, repeat(sigma), z)))
+        head.extend(map(add, repeat(_ZERO), map(mul, repeat(sigma), z)))
+        return head
+
+
+def _box_muller(bits: tuple[int, ...], start: int = 0) -> list[float] | None:
+    """The Box-Muller normals ``r·cos θ, r·sin θ`` of each pair (u1, u2) of
+    53-bit words in ``bits[start:]``, as ``gauss`` computes them; None when
+    a u1 is 0.0, which ``gauss`` redraws."""
+    u1 = bits[start::2]
+    if 0 in u1:
+        return None
+    # operator.mul over repeat() is the cheapest C-level product per element
+    r = list(map(sqrt, map(mul, repeat(_MINUS_TWO), map(log, map(mul, u1, repeat(_UNIT))))))
+    theta = list(map(mul, bits[start + 1::2], repeat(_TWO_PI_UNIT)))
+    z = [0.0] * (2 * len(r))
+    z[::2] = map(mul, r, map(cos, theta))
+    z[1::2] = map(mul, r, map(sin, theta))
+    return z
 
 
 @lru_cache(maxsize=64)

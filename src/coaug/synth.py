@@ -9,9 +9,11 @@ status prototype plus spherical Gaussian noise.  Records mentioning
 nothing are discarded and regeneration continues until ``n_records``
 survive.  Everything is drawn from per-attempt streams, so generation is
 deterministic and each record depends only on (seed, attempt index).
-An attempt draws its statuses and mentions in one packed ``random_n``
-call, then the report's order, then all its feature noise in one
-``gauss_n`` call, and writes its features with one ``%.9g`` format.
+An attempt draws its status, mention and (in schema order) noise words in
+one packed pass over what ``_Plan`` fixes once per config; a random order
+draws its shuffle and then the noise.  ``RngStream.gauss_n``'s Box-Muller
+kernel turns the noise into normals, added straight onto the prototypes:
+each value equals what one ``random()`` or ``gauss()`` call would give.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from operator import add
+from itertools import chain, compress, islice, repeat
+from operator import add, getitem, lt, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .corpus import (
@@ -29,14 +31,13 @@ from .corpus import (
     DiseaseStatus,
     FeatureBundle,
     LabelSchema,
-    Provenance,
     Record,
     Report,
     Sentence,
     reading,
 )
 from .errors import ConfigInvalid, MissingTemplate, UnknownDisease
-from .rng import RngStream
+from .rng import _MASK, _UNIT, GOLDEN, RngStream, _box_muller, _outputs, fnv1a64, mix64
 
 
 class OrderPolicy(Enum):
@@ -182,50 +183,71 @@ def sample_features(
     return FeatureBundle.from_flat(values, (d,) * len(statuses))
 
 
-def _sample_statuses(cfg: SynthConfig, n_c: int, draws: Sequence[float]) -> list[DiseaseStatus]:
-    """Each disease's status from the first n_c of *draws*: the planted
-    pairs first (ordered by exposure index), then the rest in index order."""
-    positive: list[Optional[bool]] = [None] * n_c
-    k = 0
-    for pair in sorted(cfg.planted, key=lambda p: p.a):
-        a_pos = draws[k] < cfg.marginals[pair.a]
-        positive[pair.a] = a_pos
-        positive[pair.b] = draws[k + 1] < (pair.p_pos_given_pos if a_pos else pair.p_pos_given_neg)
-        k += 2
-    for idx in range(n_c):
-        if positive[idx] is None:
-            positive[idx] = draws[k] < cfg.marginals[idx]
-            k += 1
-    return [DiseaseStatus.POSITIVE if pos else DiseaseStatus.NEGATIVE for pos in positive]
+class _Plan:
+    """What every attempt of one config shares: each disease's status draw
+    slot (planted pairs first, by exposure index), the status and mention
+    thresholds on the 53-bit words (``u < p`` is ``word < p·2⁵³``, exactly),
+    the ``Sentence`` and prototype per (disease, positive) and the FNV-1a
+    state of ``"synth:"``."""
+
+    def __init__(self, cfg: SynthConfig, schema: LabelSchema):
+        self.cfg, self.schema, self.n_c = cfg, schema, len(schema)
+        prototypes = cfg.prototypes if cfg.prototypes is not None else auto_prototypes(schema)
+        self.prototypes = [prototypes[i][::-1] for i in range(self.n_c)]
+        sentences = {key: Sentence(text) for key, text in cfg.templates.items()}
+        self.sentences = [(sentences[i, DiseaseStatus.NEGATIVE],
+                           sentences[i, DiseaseStatus.POSITIVE]) for i in range(self.n_c)]
+        pairs = sorted(cfg.planted, key=lambda p: p.a)
+        drawn = [i for pair in pairs for i in (pair.a, pair.b)]
+        drawn += [i for i in range(self.n_c) if i not in drawn]
+        self.slots = list(map(drawn.index, range(self.n_c)))
+        # (a, b, slot of b, b's threshold given a Negative, given a Positive)
+        self.pairs = [(p.a, p.b, self.slots[p.b], p.p_pos_given_neg / _UNIT,
+                       p.p_pos_given_pos / _UNIT) for p in pairs]
+        self.thresholds = [cfg.marginals.get(i, 0.0) / _UNIT for i in range(self.n_c)]
+        self.mention = (cfg.mention_negative / _UNIT, cfg.mention_positive / _UNIT)
+        self.lengths = (schema.d,) * self.n_c
+        self.noise_words = 2 * ((self.n_c * schema.d + 1) // 2) if cfg.noise_sigma > 0 else 0
+        # -0.0 + sigma·z differs from -0.0 + (0.0 + sigma·z) when sigma·z is -0.0
+        self.signed_zero = any(x == 0.0 and math.copysign(1.0, x) < 0
+                               for pair in self.prototypes for vec in pair for x in vec)
+        self.fnv = fnv1a64("synth:")
 
 
-def _attempt_record(
-    cfg: SynthConfig,
-    schema: LabelSchema,
-    prototypes: Prototypes,
-    sentences: Mapping[tuple[int, DiseaseStatus], Sentence],
-    attempt: int,
-) -> Optional[Record]:
-    stream = RngStream.for_label(cfg.seed, f"synth:{attempt}")
-    n_c = len(schema)
-    # n_c status draws, then n_c mention draws, before any other draw
-    draws = stream.random_n(2 * n_c)
-    statuses = _sample_statuses(cfg, n_c, draws)
-    mention = {DiseaseStatus.POSITIVE: cfg.mention_positive,
-               DiseaseStatus.NEGATIVE: cfg.mention_negative}
-    mentioned = [idx for idx, (status, u) in enumerate(zip(statuses, draws[n_c:]))
-                 if u < mention[status]]
+def _attempt_record(plan: _Plan, attempt: int) -> Optional[Record]:
+    """Attempt *attempt*'s record, or None when it mentions nothing: its
+    n_c status and n_c mention draws, then its shuffle and noise draws."""
+    cfg, n_c = plan.cfg, plan.n_c
+    state = mix64(cfg.seed, fnv1a64(str(attempt), plan.fnv))
+    packed = cfg.order_policy is OrderPolicy.SCHEMA
+    words = _outputs(state, 2 * n_c + (plan.noise_words if packed else 0), 11)
+    positive = list(map(lt, map(words.__getitem__, plan.slots), plan.thresholds))
+    for a, b, slot, given_neg, given_pos in plan.pairs:
+        positive[b] = words[slot] < (given_pos if positive[a] else given_neg)
+    mentioned = list(compress(range(n_c), map(lt, islice(words, n_c, 2 * n_c),
+                                              map(plan.mention.__getitem__, positive))))
     if not mentioned:
         return None
-    report = render_report(statuses, mentioned, sentences, cfg.order_policy, stream)
-    features = sample_features(statuses, prototypes, cfg.noise_sigma, stream, schema.d)
-    return Record(
-        id=f"r{attempt:06d}",
-        report=report,
-        features=features,
-        labels=None,
-        provenance=Provenance.ORIGINAL,
-    )
+    state, start = (state + 2 * n_c * GOLDEN) & _MASK, 2 * n_c
+    if not packed:
+        if len(mentioned) > 1:
+            stream = RngStream(state)
+            mentioned = [mentioned[j] for j in stream.permutation(len(mentioned))]
+            state = stream.state
+        words, start = _outputs(state, plan.noise_words, 11), 0
+    report = Report(tuple([plan.sentences[i][positive[i]] for i in mentioned]))
+    base = chain.from_iterable(map(getitem, plan.prototypes, positive))
+    sigma = cfg.noise_sigma
+    if sigma > 0:
+        z = _box_muller(words, start)
+        if z is None:  # a u1 of 0.0, which gauss redraws
+            noise = RngStream(state).gauss_n(n_c * plan.schema.d, sigma)
+        else:
+            noise = map(mul, repeat(sigma), z)
+            if plan.signed_zero:  # 0.0 + sigma·z, as gauss adds it
+                noise = map(add, repeat(0.0), noise)
+        base = map(add, base, noise)
+    return Record(f"r{attempt:06d}", report, FeatureBundle.from_flat(tuple(base), plan.lengths))
 
 
 def synth_records(cfg: SynthConfig, schema: LabelSchema) -> Iterator[Record]:
@@ -234,8 +256,7 @@ def synth_records(cfg: SynthConfig, schema: LabelSchema) -> Iterator[Record]:
     ids carry the attempt index, so streams and ids stay in lockstep.
     Each template's ``Sentence`` is built once and shared by its records."""
     validate_config(cfg, schema)
-    prototypes = cfg.prototypes if cfg.prototypes is not None else auto_prototypes(schema)
-    sentences = {key: Sentence(text) for key, text in cfg.templates.items()}
+    plan = _Plan(cfg, schema)
 
     produced = attempt = 0
     max_attempts = 1000 + 50 * max(cfg.n_records, 1)
@@ -245,7 +266,7 @@ def synth_records(cfg: SynthConfig, schema: LabelSchema) -> Iterator[Record]:
                 "n_records",
                 "generation stalled: records almost never mention a disease",
             )
-        record = _attempt_record(cfg, schema, prototypes, sentences, attempt)
+        record = _attempt_record(plan, attempt)
         if record is not None:
             produced += 1
             yield record

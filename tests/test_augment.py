@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 import pytest
@@ -256,6 +257,18 @@ def test_rate_counts_match_floor(schema, matcher):
         assert len(out) == 100 + expected
 
 
+@pytest.mark.parametrize("rate, n, target", [
+    (0.29, 100, 29), (0.57, 100, 57), (0.58, 50, 29), (0.35, 180, 63), (0.5, 7, 3)])
+def test_target_is_the_floor_of_the_decimal_rate_times_n(schema, matcher, rate, n, target):
+    # 0.29 * 100 is 28.999999999999996 in floats; the rate as written is 29/100
+    with TwinSpool(io.StringIO(), None, schema, matcher,
+                   AugmentationConfig(rate=rate, seed=1)) as spool:
+        spool.fates = bytearray([1]) * n  # every record's twin spooled
+        spool.spool.writelines(json.dumps({"id": f"r{i}#cf"}) + "\n" for i in range(n))
+        rows, summary, _ = spool.finish()
+    assert summary.target == summary.augmented == len(rows) == target
+
+
 def test_every_record_gains_one_twin_at_rate_one(schema, matcher):
     corpus = _synth_corpus(schema, 60)
     out, _ = augment_dataset(corpus, matcher, AugmentationConfig(rate=1.0, seed=2))
@@ -352,7 +365,7 @@ def _reference_choice(fates, cfg):
     """The chosen positions, counts and skips as a list copy of the
     eligible positions, a partial Fisher-Yates and a sort gave them."""
     indices = [i for i, fate in enumerate(fates) if fate != 0]
-    target = math.floor(cfg.rate * len(fates))
+    target = math.floor(Fraction(repr(cfg.rate)) * len(fates))
     if target >= len(indices):
         chosen = list(indices)
     else:
@@ -413,7 +426,7 @@ def test_twin_spool_grows_by_less_than_32_b_per_record(schema, matcher, rate, te
             for i in range(n):
                 twins.add(make_record(f"r{i:06d}", texts, schema), "")
             rows, summary, _ = twins.finish()
-        chosen = math.floor(rate * n)
+        chosen = math.floor(Fraction(repr(rate)) * n)
         assert (summary.augmented, summary.skipped) == ((0, chosen) if skipped else (chosen, 0))
         assert len(rows) == summary.augmented
 

@@ -1254,7 +1254,8 @@ def test_determinism_script_passes_under_this_interpreter(capsys):
     assert [line.rsplit(" ", 2)[1:] for line in lines] == [
         ["pipeline-default:", "ok"], ["strong_pair:", "ok"], ["evaluate-reordered:", "ok"],
         ["evaluate-partial-block:", "ok"], ["evaluate-disjoint:", "ok"],
-        ["evaluate-templated:", "ok"], ["augment:", "ok"], ["analyze-freetext:", "ok"]]
+        ["evaluate-templated:", "ok"], ["synth-paths:", "ok"], ["augment:", "ok"],
+        ["analyze-freetext:", "ok"]]
 
 
 def test_pipeline_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):

@@ -133,27 +133,6 @@ def test_gauss_n_zero_u2_gives_a_zero_sine(pending, sigma):
     _gauss_n_agrees_with_gauss(_stream((-4 * GOLDEN) & _MASK, pending), 6, sigma)
 
 
-def _random_n_agrees_with_random(state: int, n: int) -> None:
-    stream, reference = RngStream(state), RngStream(state)
-    expected = [reference.random() for _ in range(n)]
-    assert _bits(stream.random_n(n)) == _bits(expected)
-    assert stream.state == reference.state
-
-
-@settings(max_examples=200, deadline=None)
-@given(state=st.integers(0, _MASK), n=st.integers(0, 300))
-def test_random_n_equals_repeated_random(state, n):
-    _random_n_agrees_with_random(state, n)
-
-
-def test_random_n_leaves_a_pending_gauss_spare():
-    stream = RngStream(11)
-    stream.gauss(0.0, 1.0)
-    spare = stream._gauss_spare
-    stream.random_n(5)
-    assert stream._gauss_spare == spare
-
-
 def _shuffled(state: int, n: int) -> tuple[list[int], int]:
     """The in-place Fisher-Yates shuffle of ``list(range(n))`` from *state*,
     one ``randrange`` call a draw, and the state after it."""

@@ -15,6 +15,7 @@ from coaug.corpus import (
     Provenance,
     Record,
     Report,
+    Sentence,
     default_schema,
     make_schema,
     record_to_line,
@@ -23,7 +24,7 @@ from coaug.corpus import (
 )
 from coaug.errors import ConfigInvalid, MissingTemplate
 from coaug.labeler import label_report
-from coaug.rng import RngStream
+from coaug.rng import _MASK, GOLDEN, RngStream, finalize64, fnv1a64
 from coaug.synth import (
     OrderPolicy,
     PlantedPair,
@@ -36,6 +37,7 @@ from coaug.synth import (
     strong_pair_scenario_path,
     synth_generate,
 )
+from test_rng import _unfinalize64
 
 POS, NEG = DiseaseStatus.POSITIVE, DiseaseStatus.NEGATIVE
 
@@ -92,9 +94,9 @@ def _count_attempts(monkeypatch) -> list[int]:
     calls: list[int] = []
     attempt_record = synth_module._attempt_record
 
-    def counting(cfg, schema, prototypes, sentences, attempt):
+    def counting(plan, attempt):
         calls.append(attempt)
-        return attempt_record(cfg, schema, prototypes, sentences, attempt)
+        return attempt_record(plan, attempt)
 
     monkeypatch.setattr(synth_module, "_attempt_record", counting)
     return calls
@@ -230,8 +232,9 @@ def test_generate_matches_per_call_feature_draws(monkeypatch, default_templates,
     schema = default_schema(d=d)
     cfg = small_cfg(schema, default_templates, n_records=60, noise_sigma=noise_sigma)
     fused = synth_generate(cfg, schema)
-    monkeypatch.setattr(synth_module, "sample_features", _per_call_sample_features)
+    calls = _use_per_call_reference(monkeypatch)
     reference = synth_generate(cfg, schema)
+    assert calls == list(range(int(reference.records[-1].id[1:]) + 1))
     assert fused == reference
     for a, b in zip(fused, reference):
         assert a.features.texts == b.features.texts
@@ -303,7 +306,8 @@ def test_mask_and_record_to_line_never_parse_a_synth_bundle(monkeypatch, schema)
 
 def _per_call_attempt_record(cfg, schema, prototypes, sentences, attempt):
     """_attempt_record with one random() call per status and per mention
-    draw: the reference for the packed draws."""
+    draw and one gauss() call per feature value: the reference for the
+    packed draws."""
     stream = RngStream.for_label(cfg.seed, f"synth:{attempt}")
     statuses = [None] * len(schema)
     for pair in sorted(cfg.planted, key=lambda p: p.a):
@@ -322,8 +326,28 @@ def _per_call_attempt_record(cfg, schema, prototypes, sentences, attempt):
     if not mentioned:
         return None
     report = render_report(statuses, mentioned, sentences, cfg.order_policy, stream)
-    features = sample_features(statuses, prototypes, cfg.noise_sigma, stream, schema.d)
+    features = _per_call_sample_features(statuses, prototypes, cfg.noise_sigma, stream, schema.d)
     return Record(f"r{attempt:06d}", report, features)
+
+
+def _prototypes_and_sentences(cfg, schema):
+    """The prototypes and template sentences the per-call reference renders with."""
+    prototypes = cfg.prototypes if cfg.prototypes is not None else auto_prototypes(schema)
+    return prototypes, {key: Sentence(text) for key, text in cfg.templates.items()}
+
+
+def _use_per_call_reference(monkeypatch) -> list[int]:
+    """Put the per-call reference in place of ``_attempt_record``; returns
+    the attempts it ran, so a test can show that it built the corpus."""
+    calls: list[int] = []
+
+    def reference(plan, attempt):
+        calls.append(attempt)
+        return _per_call_attempt_record(plan.cfg, plan.schema, *_prototypes_and_sentences(
+            plan.cfg, plan.schema), attempt)
+
+    monkeypatch.setattr(synth_module, "_attempt_record", reference)
+    return calls
 
 
 @pytest.mark.parametrize("overrides", [
@@ -341,12 +365,97 @@ def test_generate_matches_per_call_status_and_mention_draws(
         monkeypatch, schema, default_templates, overrides):
     cfg = small_cfg(schema, default_templates, n_records=80, seed=21, **overrides)
     packed = synth_generate(cfg, schema)
-    monkeypatch.setattr(synth_module, "_attempt_record", _per_call_attempt_record)
+    calls = _use_per_call_reference(monkeypatch)
     reference = synth_generate(cfg, schema)
+    assert calls == list(range(int(reference.records[-1].id[1:]) + 1))
     assert packed == reference
     assert [r.features.texts for r in packed] == [r.features.texts for r in reference]
     if "marginals" in overrides:
         assert int(packed.records[-1].id[1:]) > 1.5 * len(packed)
+
+
+def _seed_for_state(state, attempt):
+    """The seed whose stream for *attempt* starts at *state*: mix64's outer
+    finalizer undone."""
+    inner = finalize64((fnv1a64(f"synth:{attempt}") + GOLDEN) & _MASK)
+    return _unfinalize64(state) ^ inner
+
+
+def _attempt_case(d, marginals, planted=(), prototypes=None, sigma=0.1, mention=(1.0, 0.6),
+                  policy=OrderPolicy.SCHEMA, attempt=0, state=0, zero_u1=None):
+    """A schema, a config and an attempt index whose stream starts at *state*,
+    or, given *zero_u1*, at the state whose noise u1 of that value's pair
+    is 0.0 (every disease is then mentioned, so the draws before it are
+    the 2·n_c status and mention draws and a shuffle's n_c - 1)."""
+    n_c = len(marginals) + len(planted)
+    if zero_u1 is not None:
+        mention = (1.0, 1.0)
+        shuffle = n_c - 1 if policy is OrderPolicy.RANDOM else 0
+        k = 2 * n_c + shuffle + 2 * (zero_u1 // 2) + 1
+        state = (-k * GOLDEN) & _MASK  # the k-th output is finalize64(0) == 0
+    templates = {(i, status): f"Finding {i} is {status.value.lower()}."
+                 for i in range(n_c) for status in (POS, NEG)}
+    cfg = SynthConfig(n_records=1, seed=_seed_for_state(state, attempt), marginals=marginals,
+                      templates=templates, planted=planted, order_policy=policy,
+                      mention_positive=mention[0], mention_negative=mention[1],
+                      prototypes=prototypes, noise_sigma=sigma)
+    return make_schema([f"D{i}" for i in range(n_c)], d), cfg, attempt
+
+
+_probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _attempt_cases(draw):
+    n_c, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    order = draw(st.permutations(range(n_c)))
+    planted = tuple(PlantedPair(order[2 * k], order[2 * k + 1],
+                                draw(_probabilities), draw(_probabilities))
+                    for k in range(draw(st.integers(0, min(2, n_c // 2)))))
+    exposed_b = {pair.b for pair in planted}
+    marginals = {i: draw(_probabilities) for i in range(n_c) if i not in exposed_b}
+    prototypes = None
+    if draw(st.booleans()):
+        values = st.lists(st.just(-0.0) | _prototype_values, min_size=d, max_size=d)
+        prototypes = {i: (tuple(draw(values)), tuple(draw(values))) for i in range(n_c)}
+    # a subnormal sigma rounds sigma·z to a signed zero, which -0.0 + keeps
+    sigma = draw(st.one_of(st.just(0.0), st.just(5e-324), st.sampled_from([1e-320, 1e308]),
+                           st.floats(1e-300, 10.0)))
+    zero_u1 = draw(st.none() | st.integers(0, n_c * d - 1)) if sigma > 0 else None
+    return _attempt_case(d, marginals, planted, prototypes, sigma,
+                         (draw(_probabilities), draw(_probabilities)),
+                         draw(st.sampled_from(OrderPolicy)), draw(st.integers(0, 10 ** 6)),
+                         draw(st.integers(0, _MASK)), zero_u1)
+
+
+_NEG_ZERO = {i: ((-0.0,) * 3, (-0.0, 1.0, -0.0)) for i in range(3)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_attempt_cases())
+@example(case=_attempt_case(3, {0: 0.5, 1: 0.5, 2: 0.5}, prototypes=_NEG_ZERO, sigma=5e-324))
+@example(case=_attempt_case(3, {0: 0.5, 1: 0.5, 2: 0.5}, prototypes=_NEG_ZERO, sigma=5e-324,
+                            policy=OrderPolicy.RANDOM, state=7))
+@example(case=_attempt_case(3, {1: 0.5, 2: 0.7, 3: 0.9}, (PlantedPair(2, 0, 0.9, 0.1),
+                                                  PlantedPair(1, 4, 0.3, 0.6)),
+                            policy=OrderPolicy.RANDOM, state=11))  # odd 15 values
+@example(case=_attempt_case(2, {0: 0.3, 1: 0.3}, mention=(0.0, 0.0)))  # mentions nothing
+@example(case=_attempt_case(2, {0: 0.3, 1: 0.3}, sigma=0.0, state=3))
+@example(case=_attempt_case(1, {0: 0.5}, prototypes={0: ((1e308,), (5e-324,))}, sigma=1e308))
+@example(case=_attempt_case(3, {0: 0.5, 1: 0.5, 2: 0.5}, zero_u1=4))  # pair 2 of 5
+@example(case=_attempt_case(3, {0: 0.5, 1: 0.5, 2: 0.5}, zero_u1=0, policy=OrderPolicy.RANDOM))
+def test_fused_attempt_equals_the_per_call_reference(case):
+    schema, cfg, attempt = case
+    fused = synth_module._attempt_record(synth_module._Plan(cfg, schema), attempt)
+    reference = _per_call_attempt_record(cfg, schema, *_prototypes_and_sentences(cfg, schema),
+                                         attempt)
+    if reference is None:
+        assert fused is None
+        return
+    assert fused.id == reference.id
+    assert fused.report == reference.report
+    assert fused.features.texts == reference.features.texts
+    assert _hex_rows(fused.features.vectors) == _hex_rows(reference.features.vectors)
 
 
 def test_features_differ_across_stream_positions(schema):

@@ -4,7 +4,7 @@
     python tools/check_determinism.py [PYTHON ...]
 
 For each interpreter (by default the one running this script) it runs
-eight commands of this checkout's ``src`` in fresh temporary directories
+nine commands of this checkout's ``src`` in fresh temporary directories
 and compares the sha256 of every artifact but the ``.run.json`` timing
 sidecar:
 
@@ -39,6 +39,15 @@ sidecar:
   ``labeled.jsonl``, against pipeline-default's ``augmented.jsonl`` and
   ``.schema`` digests.  That ``labeled.jsonl`` is written once, by
   ``pipeline`` under the interpreter running this script;
+* synth-paths, ``pipeline --seed 7 --n 400 --rate 0.5`` of a scenario
+  and schema that ``write_synth_paths_inputs`` writes, against
+  ``SYNTH_PATHS_DIGESTS`` below.  It takes the generator's paths that
+  pipeline-default skips: a random sentence order, whose shuffle is drawn
+  between the status and mention draws and the noise; a planted pair; a
+  [prototypes] section full of -0.0, under a noise sigma so small that
+  sigma·z often rounds to a signed zero, where ``-0.0 + (0.0 + sigma·z)``
+  and ``-0.0 + sigma·z`` differ; and 15 diseases of d = 5, an odd 75
+  values a record, which leaves a Box-Muller spare;
 * analyze-freetext, ``analyze --stratify disease:Edema`` of the 5,000
   seed-7 records that ``perfbench/freetext.py`` writes with features, as
   the benchmark workload of that name does, against
@@ -94,6 +103,19 @@ EVALUATE_DISJOINT_DIGESTS = {
     "scores.json": "51183516b1334c05bf8c7be8419585198f04f9c9d61358bcfa048067902ff9e6",
 }
 
+SYNTH_PATHS_DIGESTS = {
+    "after.txt": "ac60e973f91819b2ca18a5e8862df24a450261b1a92766ef10c37488d33da7c0",
+    "augmented.jsonl": "881946652bdf8f7724d9b697435e97a6b70193977639fc2d454ef2503ea5828a",
+    "augmented.jsonl.schema":
+        "5581f4f8ac58f55a6d3422d440eb8e46558f2352075e8d3bc06fdbdaecaff35f",
+    "before.txt": "2a74c8f94eae7f170f03799d5a5e5cbe73175a69c7c34e861056bd0da732ec10",
+    "labeled.jsonl": "87da67ce908b781051b7bd5b56d6004ddeae8b333b2a99d318b612dccd0b3392",
+    "labeled.jsonl.schema": "5581f4f8ac58f55a6d3422d440eb8e46558f2352075e8d3bc06fdbdaecaff35f",
+    "original.jsonl": "8ed84ee33c3c809e60b1861b42d3fd9a0cca1ec8c13ee50b584fba838c5b2c31",
+    "original.jsonl.schema": "5581f4f8ac58f55a6d3422d440eb8e46558f2352075e8d3bc06fdbdaecaff35f",
+    "summary.json": "e928a5c5b813349005dc0d5fd3e6dce606008cd87440e0b6e78f1420282b0a6a",
+}
+
 EVALUATE_SEED = 7
 EVALUATE_N = 1500
 ANALYZE_SEED = 7
@@ -140,6 +162,29 @@ def write_disjoint_pairs(d: Path) -> list[str]:
             "--metrics", "ce,bleu4,rougel", "--macro"]
 
 
+def write_synth_paths_inputs(d: Path) -> list[str]:
+    """Write the synth-paths schema and scenario into *d*: the shipped
+    default scenario with a random order, a noise sigma of 1e-322 and a
+    15th disease, Hernia, which the lexicon does not know, on d = 5, with
+    prototypes of -0.0, 0.0 and binary fractions.  Returns the ``coaug``
+    arguments that select them."""
+    data = ROOT / "src" / "coaug" / "data"
+    names = [*(data / "default_schema.txt").read_text().split("\n")[1:15], "Hernia"]
+    schema, scenario = d / "synth-paths-schema.txt", d / "synth-paths.cfg"
+    schema.write_text("d=5\n" + "\n".join(names) + "\n")
+    text = (data / "default_scenario.cfg").read_text().replace(
+        "order_policy = schema", "order_policy = random").replace(
+        "noise_sigma = 0.1", "noise_sigma = 1e-322").replace(
+        "[planted]", "Hernia = 0.3\n\n[planted]")
+    lines = [text.rstrip("\n"), "Hernia | positive = A small hiatal hernia is present.",
+             "Hernia | negative = There is no hernia.", "", "[prototypes]"]
+    for i, name in enumerate(names):
+        lines.append(f"{name} | positive = -0.0, {0.25 * i!r}, 0.0, -0.0, -1.5")
+        lines.append(f"{name} | negative = -0.0, -0.0, {-0.125 * i!r}, 0.0, 2.0")
+    scenario.write_text("\n".join(lines) + "\n")
+    return ["--scenario", str(scenario), "--schema", str(schema)]
+
+
 def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str, str]]]:
     """Each case's coaug arguments, given its output directory, and its
     expected digests; *inputs* is a directory for the cases' input files."""
@@ -176,6 +221,8 @@ def cases(inputs: Path) -> dict[str, tuple[Callable[[Path], list[str]], dict[str
                               EVALUATE_DISJOINT_DIGESTS),
         "evaluate-templated": (lambda out: [*templated, "--out", str(out / "scores.json")],
                                EVALUATE_TEMPLATED_DIGESTS),
+        "synth-paths": (pipeline(*write_synth_paths_inputs(inputs), "--seed", "7", "--n", "400",
+                                 "--rate", "0.5"), SYNTH_PATHS_DIGESTS),
         "augment": (lambda out: ["augment", "--corpus", str(labeled), "--rate", "1.0",
                                  "--seed", "7", "--out", str(out / "augmented.jsonl")],
                     augmented),
